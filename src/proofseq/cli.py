@@ -176,9 +176,8 @@ def cmd_proof(args) -> int:
     # stats: proof sizes after each pipeline stage
     result = run_pipeline(model, proof, args.variant, solver, budget=_budget(args))
     sizes = result.stage_sizes()
-    cols = ["proof", "no_aux", "user_cons", "min1", "domain_red", "min2", "merged"]
-    print("variant," + ",".join(cols))
-    print(args.variant + "," + ",".join(str(sizes[c]) for c in cols))
+    print("variant," + ",".join(sizes))
+    print(args.variant + "," + ",".join(map(str, sizes.values())))
     return 0
 
 

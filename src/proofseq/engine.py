@@ -218,15 +218,7 @@ class Engine:
             a = self.atom_of(m)
             self._register(("clause", ("c", cid), (neg_guard, a)), (guard[0], a[0]))
         elif isinstance(m, Linear):
-            terms = tuple((coef, self.slot_of[v]) for coef, v in m.terms if coef != 0)
-            slots = [s for _, s in terms] + [guard[0]]
-            if m.op in ("<=", "=="):
-                self._register(("lin", cid, guard, terms, m.rhs), slots)
-            if m.op in (">=", "=="):
-                neg = tuple((-c, s) for c, s in terms)
-                self._register(("lin", cid, guard, neg, -m.rhs), slots)
-            if m.op == "!=":
-                self._register(("linne", cid, guard, terms, m.rhs), slots)
+            self._compile_linear(cid, m, guard)
         elif isinstance(m, Clause):
             atoms = (neg_guard,) + tuple(self.atom_of(a) for a in m.atoms)
             atoms = tuple(dict.fromkeys(atoms))

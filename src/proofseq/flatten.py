@@ -27,52 +27,17 @@ from .model import (
     Domain,
     Expr,
     HalfReified,
+    IndexedModel,
     Linear,
     UserModel,
     VarId,
-    eval_expr,
-    iter_assignments,
 )
 
 
 @dataclass(frozen=True)
-class ProvenanceMap:
-    """solver constraint id -> user constraint id (total over solver constraints)."""
-
-    solver_to_user: dict[str, str]
-
-    def user_id(self, solver_id: str) -> str:
-        return self.solver_to_user[solver_id]
-
-    def __len__(self) -> int:
-        return len(self.solver_to_user)
-
-
-@dataclass(frozen=True)
-class SolverModel:
-    vars: tuple[tuple[VarId, Domain], ...]
-    constraints: tuple[Constraint, ...]
+class SolverModel(IndexedModel):
     aux_vars: frozenset[VarId]
-    provenance: ProvenanceMap
-
-    def var_by_name(self, name: str) -> VarId:
-        for v, _ in self.vars:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
-    def domain_of(self, var: VarId) -> Domain:
-        for v, d in self.vars:
-            if v == var:
-                return d
-        raise KeyError(var)
-
-    def constraint_by_id(self, cid: str) -> Constraint:
-        return self.constraint_map[cid]
-
-    @property
-    def constraint_map(self) -> dict[str, Constraint]:
-        return {c.id: c for c in self.constraints}
+    provenance: dict[str, str]  # solver constraint id -> user constraint id (total)
 
 
 @dataclass
@@ -107,7 +72,7 @@ class _Flattener:
             vars=tuple(self.vars),
             constraints=tuple(self.out),
             aux_vars=frozenset(self.aux),
-            provenance=ProvenanceMap(dict(self.prov)),
+            provenance=dict(self.prov),
         )
 
     def flatten_constraint(self, c: Constraint):
@@ -178,27 +143,3 @@ def _atom_to_linear(a: AtomicConstraint) -> Linear:
 def flatten(m: UserModel, decompose_alldiff: bool = False) -> SolverModel:
     """Flatten a user model. Auxiliary selectors are named _x1, _x2, ... in emission order."""
     return _Flattener(m, decompose_alldiff).run()
-
-
-def check_projection_equivalence(m: UserModel, s: SolverModel, cap: int = 10**6) -> bool:
-    """Decide by enumeration whether solver solutions projected to user variables
-    coincide with user-model solutions. The product of user domain sizes must
-    stay within cap (auxiliaries are 0-1 and enumerated on top)."""
-    count = 1
-    for _, d in m.vars:
-        count *= d.size()
-    if count > cap:
-        raise ValueError(f"{count} user assignments exceed cap {cap}")
-
-    aux = [(v, d) for v, d in s.vars if v in s.aux_vars]
-    for alpha in iter_assignments(m.vars):
-        user_sat = all(eval_expr(c, alpha) for c in m.constraints)
-        solver_sat = False
-        for beta in iter_assignments(aux):
-            full = {**alpha, **beta}
-            if all(eval_expr(c, full) for c in s.constraints):
-                solver_sat = True
-                break
-        if user_sat != solver_sat:
-            return False
-    return True

@@ -18,10 +18,10 @@ that names starting with '_' stay reserved for generated auxiliaries.
 
 from __future__ import annotations
 
-import itertools
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import EmptyDomainWarning, ModelParseError
@@ -340,44 +340,40 @@ def _format_terms(terms: Iterable[tuple[int, VarId]]) -> str:
 
 
 @dataclass(frozen=True)
-class UserModel:
+class IndexedModel:
+    """Variables with their domains and identified constraints, plus lookups
+    by variable name, variable and constraint id. The indexes are built on
+    first use and shared by every caller, so constraint_map is read-only.
+    A missing key raises KeyError."""
+
     vars: tuple[tuple[VarId, Domain], ...]
     constraints: tuple[Constraint, ...]
 
-    def var_by_name(self, name: str) -> VarId:
-        for v, _ in self.vars:
-            if v.name == name:
-                return v
-        raise KeyError(name)
+    @cached_property
+    def _var_named(self) -> dict[str, VarId]:
+        return {v.name: v for v, _ in self.vars}
 
-    def domain_of(self, var: VarId) -> Domain:
-        for v, d in self.vars:
-            if v == var:
-                return d
-        raise KeyError(var)
+    @cached_property
+    def _domains(self) -> dict[VarId, Domain]:
+        return dict(self.vars)
 
-    def constraint_by_id(self, cid: str) -> Constraint:
-        for c in self.constraints:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
-    @property
-    def constraint_map(self) -> dict[str, Constraint]:
+    @cached_property
+    def constraint_map(self) -> Mapping[str, Constraint]:
         return {c.id: c for c in self.constraints}
 
+    def var_by_name(self, name: str) -> VarId:
+        return self._var_named[name]
 
-def iter_assignments(vars_domains: Iterable[tuple[VarId, Domain]], cap: int | None = None) -> Iterator[dict[VarId, int]]:
-    """Enumerate every total assignment; raises ValueError when the count exceeds cap."""
-    vars_domains = list(vars_domains)
-    count = 1
-    for _, d in vars_domains:
-        count *= d.size()
-    if cap is not None and count > cap:
-        raise ValueError(f"{count} assignments exceed cap {cap}")
-    names = [v for v, _ in vars_domains]
-    for combo in itertools.product(*(tuple(d.values()) for _, d in vars_domains)):
-        yield dict(zip(names, combo))
+    def domain_of(self, var: VarId) -> Domain:
+        return self._domains[var]
+
+    def constraint_by_id(self, cid: str) -> Constraint:
+        return self.constraint_map[cid]
+
+
+@dataclass(frozen=True)
+class UserModel(IndexedModel):
+    """A model at user level, as parsed from a model file."""
 
 
 # --- model file format ---------------------------------------------------

@@ -24,6 +24,9 @@ from .oracle import ConstraintLike, Oracle
 SUBSET_MINIMAL = "subset-minimal"
 SMALLEST_WEIGHTED = "smallest-weighted"
 
+# smallest-weighted extraction gives up (BudgetExceededError) past this many
+MAX_CORRECTION_SETS = 10_000
+
 
 @dataclass(frozen=True)
 class MusQuery:
@@ -31,7 +34,6 @@ class MusQuery:
     hard: tuple[ConstraintLike, ...] = ()
     weights: Optional[tuple[int, ...]] = None
     mode: str = SUBSET_MINIMAL
-    max_correction_sets: int = 10_000
 
     def __post_init__(self):
         if self.mode not in (SUBSET_MINIMAL, SMALLEST_WEIGHTED):
@@ -50,20 +52,26 @@ def extract_mus_indices(q: MusQuery, oracle: Oracle) -> tuple[int, ...]:
     if oracle.satisfiable(hard + soft):
         raise SatInputError("soft + hard constraints are satisfiable; no MUS exists")
     if q.mode == SUBSET_MINIMAL:
-        return _deletion_mus(soft, hard, oracle, tuple(range(len(soft))))
+        return _deletion_mus(soft, hard, oracle, range(len(soft)))
     return _smallest_mus(q, soft, hard, oracle)
 
 
-def extract_mus(q: MusQuery, oracle: Oracle) -> tuple[ConstraintLike, ...]:
-    return tuple(q.soft[i] for i in extract_mus_indices(q, oracle))
+def _deletion_mus(soft, hard, oracle, start: Sequence[int],
+                  correction_sets: Optional[list] = None) -> tuple[int, ...]:
+    """Drop the members of start in reverse order while the rest stays unsat.
 
-
-def _deletion_mus(soft, hard, oracle, start: Sequence[int]) -> tuple[int, ...]:
+    When correction_sets is given, every satisfiable probe appends the set of
+    soft members its model violates.
+    """
     keep = list(start)
     for i in reversed(list(start)):
         trial = [j for j in keep if j != i]
-        if not oracle.satisfiable(hard + [soft[j] for j in trial]):
+        model = oracle.model_of(hard + [soft[j] for j in trial])
+        if model is None:
             keep = trial
+        elif correction_sets is not None:
+            correction_sets.append(
+                frozenset(k for k in range(len(soft)) if not eval_expr(soft[k], model)))
     return tuple(keep)
 
 
@@ -74,17 +82,8 @@ def _smallest_mus(q: MusQuery, soft, hard, oracle) -> tuple[int, ...]:
 
     # seed with a deletion pass: its result is an upper bound and every
     # satisfiable probe along the way donates a correction set
-    keep = list(range(n))
-    for i in reversed(range(n)):
-        trial = [j for j in keep if j != i]
-        model = oracle.model_of(hard + [soft[j] for j in trial])
-        if model is None:
-            keep = trial
-        else:
-            correction_sets.append(
-                frozenset(k for k in range(n) if not eval_expr(soft[k], model)))
-    best_known = tuple(keep)
-    ub = sum(weights[i] for i in keep)
+    best_known = _deletion_mus(soft, hard, oracle, range(n), correction_sets)
+    ub = sum(weights[i] for i in best_known)
 
     while True:
         found = _min_hitting_set(correction_sets, weights, cap=ub)
@@ -109,9 +108,9 @@ def _smallest_mus(q: MusQuery, soft, hard, oracle) -> tuple[int, ...]:
         if not cs:
             raise AssertionError("model satisfies all soft constraints of an unsat query")
         correction_sets.append(cs)
-        if len(correction_sets) > q.max_correction_sets:
+        if len(correction_sets) > MAX_CORRECTION_SETS:
             raise BudgetExceededError(
-                f"more than {q.max_correction_sets} correction sets accumulated")
+                f"more than {MAX_CORRECTION_SETS} correction sets accumulated")
 
 
 def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],
@@ -148,15 +147,3 @@ def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],
     if best is None:
         return None
     return best, int(best_w)
-
-
-def verify_mus(members: Sequence[ConstraintLike], q: MusQuery, oracle: Oracle) -> bool:
-    """True iff members + hard is unsat and dropping any single member makes it sat."""
-    hard = [as_expr(c) for c in q.hard]
-    ms = [as_expr(c) for c in members]
-    if oracle.satisfiable(hard + ms):
-        return False
-    for i in range(len(ms)):
-        if not oracle.satisfiable(hard + ms[:i] + ms[i + 1:]):
-            return False
-    return True

@@ -3,6 +3,11 @@
 Decides satisfiability of a constraint set (propagation + backtracking
 search with nogood learning), returns a verified model or an unsat core over
 the retractable assumptions. BudgetExceeded is a result, not an error.
+
+`Oracle.solve` is the single entry point: every engine run for a
+satisfiability question goes through it, and it counts each one.
+`satisfiable` and `model_of` are thin views of it that turn budget
+exhaustion into BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -31,14 +36,6 @@ DEFAULT_BUDGET = 10**6
 ConstraintLike = Union[Expr, Constraint]
 
 
-@dataclass(frozen=True)
-class OracleProblem:
-    vars: tuple[tuple[VarId, Domain], ...]
-    hard: tuple[ConstraintLike, ...] = ()
-    assumptions: tuple[ConstraintLike, ...] = ()
-    budget: int = DEFAULT_BUDGET
-
-
 @dataclass
 class Sat:
     assignment: dict[VarId, int]
@@ -57,30 +54,6 @@ class BudgetExceeded:
 OracleResult = Union[Sat, Unsat, BudgetExceeded]
 
 
-def solve(problem: OracleProblem) -> OracleResult:
-    """Complete within budget; Sat assignments are re-checked by eval before return."""
-    eng = Engine(problem.vars, budget=problem.budget)
-    for i, c in enumerate(problem.hard):
-        eng.add_constraint(f"h{i}", as_expr(c))
-    for i, c in enumerate(problem.assumptions):
-        eng.add_constraint(f"a{i}", as_expr(c))
-    res = eng.solve()
-    if res.status == "budget":
-        return BudgetExceeded(res.conflicts)
-    if res.status == "unsat":
-        core = tuple(c for i, c in enumerate(problem.assumptions)
-                     if f"a{i}" in res.used_cids)
-        if not problem.assumptions:
-            core = ()
-        return Unsat(core)
-    slots = {s: v for s, v in res.assignment.items()}
-    assignment = {v: slots[eng.slot_of[v]] for v, _ in problem.vars}
-    for c in tuple(problem.hard) + tuple(problem.assumptions):
-        if not eval_expr(as_expr(c), assignment):
-            raise AssertionError(f"engine returned a non-model (violates {c})")
-    return Sat(assignment)
-
-
 class Oracle:
     """Oracle bound to a fixed variable set, with an invocation counter.
 
@@ -95,14 +68,28 @@ class Oracle:
 
     def solve(self, hard: Sequence[ConstraintLike] = (),
               assumptions: Sequence[ConstraintLike] = ()) -> OracleResult:
+        """Complete within budget. An Unsat core lists the assumptions the
+        refutation used; Sat assignments are re-checked by eval before return."""
         self.calls += 1
-        return solve(OracleProblem(self.vars, tuple(hard), tuple(assumptions), self.budget))
+        hard, assumptions = tuple(hard), tuple(assumptions)
+        eng = Engine(self.vars, budget=self.budget)
+        for i, c in enumerate(hard):
+            eng.add_constraint(f"h{i}", as_expr(c))
+        for i, c in enumerate(assumptions):
+            eng.add_constraint(f"a{i}", as_expr(c))
+        res = eng.solve()
+        if res.status == "budget":
+            return BudgetExceeded(res.conflicts)
+        if res.status == "unsat":
+            return Unsat(tuple(c for i, c in enumerate(assumptions) if f"a{i}" in res.used_cids))
+        assignment = {v: res.assignment[eng.slot_of[v]] for v, _ in self.vars}
+        for c in hard + assumptions:
+            if not eval_expr(as_expr(c), assignment):
+                raise AssertionError(f"engine returned a non-model (violates {c})")
+        return Sat(assignment)
 
     def satisfiable(self, constraints: Sequence[ConstraintLike]) -> bool:
-        res = self.solve(hard=tuple(constraints))
-        if isinstance(res, BudgetExceeded):
-            raise BudgetExceededError(f"oracle budget exhausted after {res.conflicts} conflicts")
-        return isinstance(res, Sat)
+        return self.model_of(constraints) is not None
 
     def model_of(self, constraints: Sequence[ConstraintLike]) -> Optional[dict[VarId, int]]:
         res = self.solve(hard=tuple(constraints))

@@ -12,6 +12,16 @@ Stage order (the optional minimizations give the variants):
 Global minimization at the end excludes an earlier minimization (it would
 ignore whatever the first pass uncovered), which leaves exactly seven legal
 variants.
+
+`run_pipeline` runs the stages from one table of (name, stage, model) rows:
+no_aux, user_cons, min1, domain_red, min2. Each row is timed and recorded as
+a `StageStat` with the size of the proof it leaves; a variant without a
+second minimization records min2 at 0.0 ms with the proof unchanged. The
+leading "proof" entry (the parsed proof's size, 0.0 ms) and the final
+"merged" entry (merge_steps, timed) sit outside the table. With debug=True,
+every stage that ran is followed by `check_proof` of its output against the
+row's model: the solver model after no_aux, the user model after the others.
+A skipped min2 is not re-checked.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from .proofcore import (
     StepRef,
     USER_LEVEL,
     check_proof,
+    renumber,
     trim,
 )
 from .sequence import (
@@ -96,8 +107,7 @@ def simplify(p: AbstractProof, pred: Callable[[ProofStep], bool]) -> AbstractPro
     if not pred(p.steps[-1]):
         raise ProofShapeError("the property fails on the final step")
     subst: dict[int, tuple[ReasonRef, ...]] = {}
-    kept: list[ProofStep] = []
-    new_id: dict[int, int] = {}
+    kept: list[tuple[int, ProofStep]] = []
     for i, step in enumerate(p.steps, start=1):
         reasons: list[ReasonRef] = []
         for ref in step.reasons:
@@ -107,17 +117,10 @@ def simplify(p: AbstractProof, pred: Callable[[ProofStep], bool]) -> AbstractPro
                 reasons.append(ref)
         reasons = list(dict.fromkeys(reasons))
         if pred(step):
-            new_id[i] = len(kept) + 1
-            kept.append(ProofStep(step.derived, tuple(reasons), _infer_kind(reasons, step)))
+            kept.append((i, ProofStep(step.derived, tuple(reasons), _infer_kind(reasons, step))))
         else:
             subst[i] = tuple(reasons)
-    steps = tuple(
-        ProofStep(s.derived,
-                  tuple(StepRef(new_id[r.step], r.idx) if isinstance(r, StepRef) else r
-                        for r in s.reasons),
-                  s.kind)
-        for s in kept)
-    return AbstractProof(p.level, steps)
+    return renumber(p.level, kept)
 
 
 def _infer_kind(reasons, step: ProofStep) -> str:
@@ -186,7 +189,7 @@ def lift_to_user_level(p: AbstractProof, solver_model: SolverModel) -> AbstractP
     steps = []
     for step in p.steps:
         reasons = tuple(dict.fromkeys(
-            InputRef(prov.user_id(r.cid)) if isinstance(r, InputRef) else r
+            InputRef(prov[r.cid]) if isinstance(r, InputRef) else r
             for r in step.reasons))
         steps.append(ProofStep(step.derived, reasons, step.kind))
     return AbstractProof(USER_LEVEL, tuple(steps), p.deletions)
@@ -234,18 +237,10 @@ def minimize_reasons(p: AbstractProof, mode: str, user_model: UserModel,
         reasons = tuple(cand[k][0] for k in chosen)
         req.update(canonical_key(cand[k][1]) for k in chosen)
         kept_rev.append((i, ProofStep(step.derived, reasons, OTHER)))
-    kept = list(reversed(kept_rev))
-    new_id = {old: new for new, (old, _) in enumerate(kept, start=1)}
-    steps = tuple(
-        ProofStep(s.derived,
-                  tuple(StepRef(new_id[r.step], r.idx) if isinstance(r, StepRef) else r
-                        for r in s.reasons),
-                  s.kind)
-        for _, s in kept)
     # duplicate derivations can leave a kept step unreferenced (the candidate
     # table points every reason at the earliest deriver); a final reachability
     # pass restores the trimmed-proof property without changing anything else
-    return trim(AbstractProof(p.level, steps))
+    return trim(renumber(p.level, kept_rev[::-1]))
 
 
 def _candidates(p: AbstractProof, i: int, step: ProofStep, mode: str,
@@ -362,45 +357,32 @@ def run_pipeline(user_model: UserModel, proof: AbstractProof, var: PipelineVaria
     if isinstance(var, str):
         var = variant(var)
     oracle = Oracle(user_model.vars, budget=budget)
-    stages: list[StageStat] = []
-    result = PipelineResult(ExplanationSequence(()), stages)
 
-    def record(name: str, value, t0: float):
-        stages.append(StageStat(name, len(value.steps), (time.perf_counter() - t0) * 1000.0))
-        return value
+    def minimize(mode: Optional[str]):
+        if mode is None:
+            return None
+        return lambda q: minimize_reasons(q, mode, user_model, oracle)
 
-    def checked(stage_proof: AbstractProof, model) -> AbstractProof:
-        if debug:
-            bad = check_proof(stage_proof, model)
-            if bad:
-                raise ProofShapeError(f"invalid steps after a pipeline stage: {bad}")
-        return stage_proof
-
-    stages.append(StageStat("proof", len(proof.steps), 0.0))
-    t = time.perf_counter()
-    p = record("no_aux", simplify_aux_vars(proof, solver_model), t)
-    checked(p, solver_model)
-    t = time.perf_counter()
-    p = record("user_cons", lift_to_user_level(p, solver_model), t)
-    checked(p, user_model)
-    t = time.perf_counter()
-    if var.first_min is None:
-        p = record("min1", trim(p), t)
-    else:
-        p = record("min1", minimize_reasons(p, var.first_min, user_model, oracle), t)
-    checked(p, user_model)
-    t = time.perf_counter()
-    p = record("domain_red", simplify_to_domain_reductions(p, user_model), t)
-    checked(p, user_model)
-    t = time.perf_counter()
-    if var.second_min is None:
-        stages.append(StageStat("min2", len(p.steps), 0.0))
-    else:
-        p = record("min2", minimize_reasons(p, var.second_min, user_model, oracle), t)
-        checked(p, user_model)
+    # (name, stage or None when the variant skips it, model to check against)
+    table = (
+        ("no_aux", lambda q: simplify_aux_vars(q, solver_model), solver_model),
+        ("user_cons", lambda q: lift_to_user_level(q, solver_model), user_model),
+        ("min1", minimize(var.first_min) or trim, user_model),  # trim without a first min
+        ("domain_red", lambda q: simplify_to_domain_reductions(q, user_model), user_model),
+        ("min2", minimize(var.second_min), user_model),
+    )
+    stages = [StageStat("proof", len(proof.steps), 0.0)]
+    p = proof
+    for name, stage, model in table:
+        if stage is None:
+            stages.append(StageStat(name, len(p.steps), 0.0))
+            continue
+        t = time.perf_counter()
+        p = stage(p)
+        stages.append(StageStat(name, len(p.steps), (time.perf_counter() - t) * 1000.0))
+        if debug and (bad := check_proof(p, model)):
+            raise ProofShapeError(f"invalid steps after a pipeline stage: {bad}")
     t = time.perf_counter()
     seq = merge_steps(p, user_model)
     stages.append(StageStat("merged", len(seq.steps), (time.perf_counter() - t) * 1000.0))
-    result.sequence = seq
-    result.oracle_calls = oracle.calls
-    return result
+    return PipelineResult(seq, stages, oracle.calls)

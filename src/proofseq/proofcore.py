@@ -282,20 +282,34 @@ def trim(p: AbstractProof) -> AbstractProof:
                     seen_steps.add(j)
                     stack.append(j)
 
-    kept = sorted(seen_steps)
-    new_id = {old: new for new, old in enumerate(kept, start=1)}
+    kept: list[tuple[int, ProofStep]] = []
     idx_map: dict[int, dict[int, int]] = {}
-    new_steps: list[ProofStep] = []
-    for old in kept:
+    for old in sorted(seen_steps):
         step = p.steps[old]
         keep_idx = sorted(needed[old])
-        idx_map[old] = {k: pos for pos, k in enumerate(keep_idx)}
-        derived = tuple(step.derived[k] for k in keep_idx)
-        reasons = tuple(
-            StepRef(new_id[r.step - 1], idx_map[r.step - 1][r.idx]) if isinstance(r, StepRef) else r
-            for r in step.reasons)
-        new_steps.append(ProofStep(derived, reasons, step.kind))
-    return AbstractProof(p.level, tuple(new_steps))
+        idx_map[old + 1] = {k: pos for pos, k in enumerate(keep_idx)}
+        kept.append((old + 1, ProofStep(tuple(step.derived[k] for k in keep_idx),
+                                        step.reasons, step.kind)))
+    return renumber(p.level, kept, idx_map)
+
+
+def renumber(level: str, kept: list[tuple[int, ProofStep]],
+             idx_map: Optional[dict[int, dict[int, int]]] = None) -> AbstractProof:
+    """The proof made of the kept steps, given in order as (old 1-based id,
+    step) pairs, with every step reference re-pointed at the new ids.
+
+    idx_map (old id -> old derived index -> new index) re-points references
+    into steps that lost some of their derivations. Deletion hints are dropped.
+    """
+    new_id = {old: new for new, (old, _) in enumerate(kept, start=1)}
+
+    def moved(r: ReasonRef) -> ReasonRef:
+        if not isinstance(r, StepRef):
+            return r
+        return StepRef(new_id[r.step], r.idx if idx_map is None else idx_map[r.step][r.idx])
+
+    return AbstractProof(level, tuple(ProofStep(s.derived, tuple(map(moved, s.reasons)), s.kind)
+                                      for _, s in kept))
 
 
 def is_trimmed(p: AbstractProof) -> bool:

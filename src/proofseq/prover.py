@@ -35,7 +35,6 @@ from .proofcore import (
     StepRef,
     serialize_proof,
 )
-from .instances import generate_instance  # noqa: F401  (re-export; see instances module)
 
 
 def solve_with_proof(s: SolverModel, budget: int = 10**6,

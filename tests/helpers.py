@@ -18,7 +18,9 @@ from proofseq.model import (
     Disjunction,
     HalfReified,
     Linear,
+    as_expr,
 )
+from proofseq.mus import extract_mus_indices
 
 
 def brute_eval(expr, assignment) -> bool:
@@ -108,3 +110,39 @@ def brute_mus_family(vars_domains, soft, hard):
             if unsat(s):
                 minimal.append(s)
     return minimal
+
+
+def check_projection_equivalence(m, s, cap=10**6) -> bool:
+    """Decide by enumeration whether solver solutions projected to user variables
+    coincide with user-model solutions. The product of user domain sizes must
+    stay within cap (auxiliaries are 0-1 and enumerated on top)."""
+    count = 1
+    for _, d in m.vars:
+        count *= d.size()
+    if count > cap:
+        raise ValueError(f"{count} user assignments exceed cap {cap}")
+    aux = [(v, d) for v, d in s.vars if v in s.aux_vars]
+    for alpha in all_assignments(m.vars):
+        user_sat = all(brute_eval(c, alpha) for c in m.constraints)
+        solver_sat = any(all(brute_eval(c, {**alpha, **beta}) for c in s.constraints)
+                         for beta in all_assignments(aux))
+        if user_sat != solver_sat:
+            return False
+    return True
+
+
+def extract_mus(q, oracle):
+    """The soft members of one MUS of the query."""
+    return tuple(q.soft[i] for i in extract_mus_indices(q, oracle))
+
+
+def verify_mus(members, q, oracle) -> bool:
+    """True iff members + hard is unsat and dropping any single member makes it sat."""
+    hard = [as_expr(c) for c in q.hard]
+    ms = [as_expr(c) for c in members]
+    if oracle.satisfiable(hard + ms):
+        return False
+    for i in range(len(ms)):
+        if not oracle.satisfiable(hard + ms[:i] + ms[i + 1:]):
+            return False
+    return True

@@ -3,7 +3,7 @@ every pipeline variant with stage-by-stage oracle checking."""
 
 import random
 
-from proofseq.flatten import check_projection_equivalence, flatten
+from proofseq.flatten import flatten
 from proofseq.model import (
     AllDifferent,
     AtomicConstraint,
@@ -20,6 +20,8 @@ from proofseq.pipeline import VARIANTS, run_pipeline
 from proofseq.proofcore import check_proof, parse_drcp
 from proofseq.prover import solve_with_proof
 from proofseq.sequence import validate_sequence
+
+from helpers import check_projection_equivalence
 
 
 def _random_model(rng):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from proofseq.errors import FlattenError
-from proofseq.flatten import check_projection_equivalence, flatten, ProvenanceMap, SolverModel
+from proofseq.flatten import flatten, SolverModel
 from proofseq.model import (
     AtomicConstraint,
     Clause,
@@ -12,6 +12,7 @@ from proofseq.model import (
     parse_model,
 )
 
+from helpers import check_projection_equivalence
 from test_model import JOBSHOP_MOD
 
 
@@ -26,7 +27,7 @@ def test_flatten_binary_disjunction_uses_one_selector():
     c1, c2 = s.constraints
     assert isinstance(c1.expr, HalfReified) and c1.expr.guard == AtomicConstraint(aux, "==", 1)
     assert isinstance(c2.expr, HalfReified) and c2.expr.guard == AtomicConstraint(aux, "==", 0)
-    assert s.provenance.solver_to_user == {"c/1": "c", "c/2": "c"}
+    assert s.provenance == {"c/1": "c", "c/2": "c"}
 
 
 def test_flatten_wide_disjunction_gets_cover_clause():
@@ -39,7 +40,7 @@ def test_flatten_wide_disjunction_gets_cover_clause():
     assert ids == ["c/1", "c/2", "c/3", "c/g"]
     cover = s.constraint_by_id("c/g").expr
     assert isinstance(cover, Clause) and len(cover.atoms) == 3
-    assert all(s.provenance.user_id(i) == "c" for i in ids)
+    assert all(s.provenance[i] == "c" for i in ids)
 
 
 def test_flatten_atomic_is_identity():
@@ -47,7 +48,7 @@ def test_flatten_atomic_is_identity():
     s = flatten(m)
     assert s.constraints == m.constraints
     assert not s.aux_vars
-    assert s.provenance.solver_to_user == {"h": "h"}
+    assert s.provenance == {"h": "h"}
 
 
 def test_flatten_alldiff_default_native_and_decomposed():
@@ -57,7 +58,7 @@ def test_flatten_alldiff_default_native_and_decomposed():
     s2 = flatten(m, decompose_alldiff=True)
     assert [c.id for c in s2.constraints] == ["ad/1", "ad/2", "ad/3"]
     assert all(isinstance(c.expr, Linear) and c.expr.op == "!=" for c in s2.constraints)
-    assert all(s2.provenance.user_id(c.id) == "ad" for c in s2.constraints)
+    assert all(s2.provenance[c.id] == "ad" for c in s2.constraints)
 
 
 def test_jobshop_flatten_projection_equivalence():
@@ -83,8 +84,7 @@ def test_broken_flatten_detected_by_projection_check():
         vars=s.vars,
         constraints=tuple(c for c in s.constraints if c.id != "c/g"),
         aux_vars=s.aux_vars,
-        provenance=ProvenanceMap({k: v for k, v in s.provenance.solver_to_user.items()
-                                  if k != "c/g"}),
+        provenance={k: v for k, v in s.provenance.items() if k != "c/g"},
     )
     assert check_projection_equivalence(m, s, cap=10**4)
     assert not check_projection_equivalence(m, broken, cap=10**4)

@@ -15,7 +15,6 @@ from proofseq.model import (
     canonical_key,
     clause_of,
     eval_expr,
-    iter_assignments,
     negate_expr,
     parse_model,
     scope,
@@ -185,13 +184,6 @@ def test_serialize_roundtrip_random_models():
         text = "\n".join(lines) + "\n"
         m = parse_model(text)
         assert parse_model(serialize_model(m)) == m
-
-
-def test_iter_assignments_cap():
-    doms = [(VarId(0, "x"), Domain(0, 9)), (VarId(1, "y"), Domain(0, 9))]
-    assert len(list(iter_assignments(doms, cap=100))) == 100
-    with pytest.raises(ValueError):
-        list(iter_assignments(doms, cap=99))
 
 
 def test_domain_holes():

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from proofseq.errors import SatInputError
+from proofseq import mus
+from proofseq.errors import BudgetExceededError, SatInputError
 from proofseq.model import (
     AtomicConstraint,
     Clause,
@@ -15,13 +16,11 @@ from proofseq.mus import (
     MusQuery,
     SMALLEST_WEIGHTED,
     SUBSET_MINIMAL,
-    extract_mus,
     extract_mus_indices,
-    verify_mus,
 )
 from proofseq.oracle import Oracle
 
-from helpers import brute_mus_family
+from helpers import brute_mus_family, extract_mus, verify_mus
 from test_model import JOBSHOP_MOD
 
 
@@ -75,6 +74,19 @@ def test_sat_input_is_an_error():
     q = MusQuery((AtomicConstraint(x, "<=", 2),))
     with pytest.raises(SatInputError):
         extract_mus(q, Oracle(doms))
+
+
+def test_correction_set_cap_raises_budget_exceeded(monkeypatch):
+    (x,), doms = _vars("x")
+    soft = (AtomicConstraint(x, ">=", 2), AtomicConstraint(x, "<=", 2),
+            AtomicConstraint(x, "<=", 0), AtomicConstraint(x, ">=", 5))
+    q = MusQuery(soft, weights=(1, 2, 3, 1), mode=SMALLEST_WEIGHTED)
+    # the deletion seed finds {0, 2} (weight 4) and donates two correction
+    # sets; the hitting-set loop then needs a third to reach {1, 3} (weight 3)
+    assert extract_mus_indices(q, Oracle(doms)) == (1, 3)
+    monkeypatch.setattr(mus, "MAX_CORRECTION_SETS", 1)
+    with pytest.raises(BudgetExceededError):
+        extract_mus_indices(q, Oracle(doms))
 
 
 def test_verify_mus_rejects_non_minimal_and_sat():

@@ -19,11 +19,9 @@ from proofseq.model import (
 from proofseq.oracle import (
     BudgetExceeded,
     Oracle,
-    OracleProblem,
     Sat,
     Unsat,
     negate_conjunction,
-    solve,
 )
 
 from helpers import all_assignments, brute_eval, brute_satisfiable
@@ -37,30 +35,30 @@ def _vars(*names, lo=0, hi=6):
 
 def test_two_contradictory_precedences_unsat():
     (a, b), doms = _vars("a", "b")
-    prob = OracleProblem(tuple(doms), (
+    res = Oracle(doms).solve((
         Linear(((1, a), (-1, b)), "<=", -3),   # a + 3 <= b
         Linear(((1, b), (-1, a)), "<=", -4),   # b + 4 <= a
     ))
-    assert isinstance(solve(prob), Unsat)
+    assert isinstance(res, Unsat)
 
 
 def test_alldiff_sat_with_model():
     (x, y), doms = _vars("x", "y", hi=1)
-    res = solve(OracleProblem(tuple(doms), (AllDifferent((x, y)),)))
+    res = Oracle(doms).solve((AllDifferent((x, y)),))
     assert isinstance(res, Sat)
     assert res.assignment in ({x: 0, y: 1}, {x: 1, y: 0})
 
 
 def test_jobshop_solver_model_unsat():
     s = flatten(parse_model(JOBSHOP_MOD))
-    res = solve(OracleProblem(s.vars, tuple(s.constraints)))
+    res = Oracle(s.vars).solve(s.constraints)
     assert isinstance(res, Unsat)
 
 
 def test_budget_exceeded_is_result():
     # single alldifferent over 8 vars of 7 values: lots of conflicts, budget 1
     vs, doms = _vars(*[f"v{i}" for i in range(8)])
-    res = solve(OracleProblem(tuple(doms), (AllDifferent(tuple(vs)),), budget=1))
+    res = Oracle(doms, budget=1).solve((AllDifferent(tuple(vs)),))
     assert isinstance(res, BudgetExceeded)
 
 
@@ -71,11 +69,11 @@ def test_unsat_core_is_sound_and_subset():
         AtomicConstraint(x, ">=", 5),
         AtomicConstraint(x, "!=", 3),
     )
-    res = solve(OracleProblem(tuple(doms), (), assumptions))
+    res = Oracle(doms).solve((), assumptions)
     assert isinstance(res, Unsat)
     assert set(res.core) <= set(assumptions)
     # re-solving with the core as hard constraints stays unsat
-    again = solve(OracleProblem(tuple(doms), tuple(res.core)))
+    again = Oracle(doms).solve(res.core)
     assert isinstance(again, Unsat)
 
 
@@ -140,7 +138,7 @@ def test_oracle_agrees_with_brute_force():
     for _ in range(300):
         doms, cons = _random_problem(rng)
         expected = brute_satisfiable(doms, cons)
-        res = solve(OracleProblem(tuple(doms), tuple(cons)))
+        res = Oracle(doms).solve(cons)
         if expected is None:
             assert isinstance(res, Unsat)
             n_unsat += 1
@@ -154,7 +152,7 @@ def test_oracle_sat_assignments_verified_by_eval():
     rng = random.Random(5)
     for _ in range(100):
         doms, cons = _random_problem(rng)
-        res = solve(OracleProblem(tuple(doms), tuple(cons)))
+        res = Oracle(doms).solve(cons)
         if isinstance(res, Sat):
             for c in cons:
                 assert brute_eval(c, res.assignment)
@@ -167,7 +165,7 @@ def test_oracle_with_disjunction_and_negations():
         derived = cons[: rng.randint(1, len(cons))]
         neg = negate_conjunction(derived)
         expected = brute_satisfiable(doms, list(cons) + [neg])
-        res = solve(OracleProblem(tuple(doms), tuple(cons) + (neg,)))
+        res = Oracle(doms).solve(tuple(cons) + (neg,))
         assert isinstance(res, Sat) == (expected is not None)
 
 
@@ -189,10 +187,10 @@ def test_unsat_cores_sound_on_random_problems():
         doms, cons = _random_problem(rng)
         cut = rng.randint(0, len(cons))
         hard, assumptions = tuple(cons[:cut]), tuple(cons[cut:])
-        res = solve(OracleProblem(tuple(doms), hard, assumptions))
+        res = Oracle(doms).solve(hard, assumptions)
         if not isinstance(res, Unsat):
             continue
         n_unsat += 1
         assert set(map(id, res.core)) <= set(map(id, assumptions))
-        again = solve(OracleProblem(tuple(doms), hard + tuple(res.core)))
+        again = Oracle(doms).solve(hard + tuple(res.core))
         assert isinstance(again, Unsat)
