@@ -16,6 +16,7 @@ import sys
 import time
 from pathlib import Path
 
+from .engine import DEFAULT_BUDGET
 from .errors import (
     BudgetExceededError,
     ModelParseError,
@@ -30,8 +31,6 @@ from .pipeline import VARIANTS, run_pipeline, variant
 from .proofcore import check_proof, parse_drcp, serialize_proof, trim
 from .prover import solve_with_proof
 from .sequence import render_text, to_json, validate_sequence
-
-DEFAULT_BUDGET = 10**6
 
 
 def _budget(args) -> int:

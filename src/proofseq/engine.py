@@ -7,6 +7,16 @@ conflict analysis can resolve backwards and emit inference/nogood steps on
 demand. Only conflict-participating propagations are logged unless log_all
 is set.
 
+Bounds are kept per side: side 0 is the lower bound (`lb`), side 1 the upper
+bound (`ub`), and one code path serves both sides (`_tighten`,
+`justify_bound`, `backtrack_to`). Each side of each variable has an
+append-only history, oldest first, that starts with the root bound, so its
+last record always holds the current bound and backtracking truncates it. A
+("b", value, entry) record means trail entry `entry` applied an atom that
+alone entails the bound `value`. A ("s", value, entry) record means the bound
+slid one value, past the value that `entry` removed (-1 for a root hole), so
+it also rests on the record before it.
+
 Propagation strength: bounds reasoning for linear sums, unit propagation for
 clauses, value-based pairwise pruning for alldifferent, guard/body reasoning
 for half-reified linears. Search is complete, so weak propagation only costs
@@ -38,6 +48,8 @@ OK = 0
 NOOP = 1
 
 Atom = tuple  # (var slot, op, value)
+
+DEFAULT_BUDGET = 10**6  # conflicts per solve
 
 
 @dataclass
@@ -72,27 +84,22 @@ class Conflict:
 
 
 class Engine:
-    def __init__(self, vars_domains: Sequence[tuple[VarId, Domain]], budget: int = 10**6,
-                 log_all: bool = False):
+    def __init__(self, vars_domains: Sequence[tuple[VarId, Domain]],
+                 budget: int = DEFAULT_BUDGET, log_all: bool = False):
         self.names: list[str] = []
-        self.root_lb: list[int] = []
-        self.root_ub: list[int] = []
-        self.root_holes: list[frozenset[int]] = []
+        self.lb: list[int] = []
+        self.ub: list[int] = []
+        self.bound = (self.lb, self.ub)
+        self.holes: list[dict[int, int]] = []  # value -> entry that removed it (-1: root)
+        # per side, per variable: (kind, value, entry) records, see the module docstring
+        self.hist: tuple[list[list[tuple[str, int, int]]], ...] = ([], [])
+        self.watch: list[list[int]] = []
         self.slot_of: dict[VarId, int] = {}
         self.internal: set[int] = set()
         for v, d in vars_domains:
             self.slot_of[v] = self._add_slot(v.name, d)
         self.budget = budget
         self.log_all = log_all
-
-        n = len(self.names)
-        self.lb = list(self.root_lb)
-        self.ub = list(self.root_ub)
-        self.holes: list[dict[int, int]] = [dict.fromkeys(h, -1) for h in self.root_holes]
-        # bound histories, newest first: ("b", value, entry) for an applied bound atom,
-        # ("s", value, entry) for a one-step slide over the hole removed by `entry`
-        self.lb_hist: list[list[tuple[str, int, int]]] = [[] for _ in range(n)]
-        self.ub_hist: list[list[tuple[str, int, int]]] = [[] for _ in range(n)]
 
         self.t_atom: list[Atom] = []
         self.t_level: list[int] = []
@@ -102,7 +109,6 @@ class Engine:
         self.level_start: list[int] = [0]
 
         self.props: list[tuple] = []
-        self.watch: list[list[int]] = [[] for _ in range(n)]
         self.queue: list[int] = []
         self.qhead = 0
         self.in_queue: list[bool] = []
@@ -111,25 +117,22 @@ class Engine:
         self.steps: list[EngineStep] = []
         self.entry_step: dict[int, int] = {}
         self.conflicts = 0
-        self.empty_at_root = any(self.root_lb[i] > self.root_ub[i] for i in range(n))
+        self.empty_at_root = any(lo > hi for lo, hi in zip(self.lb, self.ub))
 
     # --- setup -----------------------------------------------------------
 
     def _add_slot(self, name: str, d: Domain) -> int:
         self.names.append(name)
-        self.root_lb.append(d.lower)
-        self.root_ub.append(d.upper)
-        self.root_holes.append(d.holes)
+        self.lb.append(d.lower)
+        self.ub.append(d.upper)
+        self.holes.append(dict.fromkeys(d.holes, -1))
+        self.hist[0].append([("b", d.lower, -1)])
+        self.hist[1].append([("b", d.upper, -1)])
+        self.watch.append([])
         return len(self.names) - 1
 
     def _fresh_internal(self) -> int:
         s = self._add_slot(f"_sel{len(self.names)}", Domain(0, 1))
-        self.lb.append(0)
-        self.ub.append(1)
-        self.holes.append({})
-        self.lb_hist.append([])
-        self.ub_hist.append([])
-        self.watch.append([])
         self.internal.add(s)
         return s
 
@@ -148,6 +151,10 @@ class Engine:
             self.watch[s].append(idx)
         self._enqueue(idx)
 
+    def _add_clause(self, source: tuple, atoms):
+        atoms = tuple(dict.fromkeys(atoms))
+        self._register(("clause", source, atoms), [a[0] for a in atoms])
+
     def _enqueue(self, idx: int):
         if not self.in_queue[idx]:
             self.in_queue[idx] = True
@@ -158,8 +165,7 @@ class Engine:
             a = self.atom_of(e)
             self._register(("atomic", cid, a), (a[0],))
         elif isinstance(e, Clause):
-            atoms = tuple(dict.fromkeys(self.atom_of(a) for a in e.atoms))
-            self._register(("clause", ("c", cid), atoms), (a[0] for a in atoms))
+            self._add_clause(("c", cid), (self.atom_of(a) for a in e.atoms))
         elif isinstance(e, Linear):
             self._compile_linear(cid, e, guard=None)
         elif isinstance(e, AllDifferent):
@@ -201,28 +207,23 @@ class Engine:
             self._compile(cid, members[0])
             return
         if all(isinstance(m, AtomicConstraint) for m in members):
-            atoms = tuple(dict.fromkeys(self.atom_of(m) for m in members))
-            self._register(("clause", ("c", cid), atoms), (a[0] for a in atoms))
+            self._add_clause(("c", cid), (self.atom_of(m) for m in members))
             return
         sels = []
         for m in members:
             s = self._fresh_internal()
             sels.append(s)
             self._compile_guarded(cid, (s, "==", 1), m)
-        cover = tuple((s, ">=", 1) for s in sels)
-        self._register(("clause", ("c", cid), cover), sels)
+        self._add_clause(("c", cid), ((s, ">=", 1) for s in sels))
 
     def _compile_guarded(self, cid: str, guard: Atom, m: Expr):
         neg_guard = _negate_atom(guard)
         if isinstance(m, AtomicConstraint):
-            a = self.atom_of(m)
-            self._register(("clause", ("c", cid), (neg_guard, a)), (guard[0], a[0]))
+            self._add_clause(("c", cid), (neg_guard, self.atom_of(m)))
         elif isinstance(m, Linear):
             self._compile_linear(cid, m, guard)
         elif isinstance(m, Clause):
-            atoms = (neg_guard,) + tuple(self.atom_of(a) for a in m.atoms)
-            atoms = tuple(dict.fromkeys(atoms))
-            self._register(("clause", ("c", cid), atoms), (a[0] for a in atoms))
+            self._add_clause(("c", cid), (neg_guard,) + tuple(self.atom_of(a) for a in m.atoms))
         elif isinstance(m, Conjunction):
             for part in m.members:
                 self._compile_guarded(cid, guard, part)
@@ -243,70 +244,55 @@ class Engine:
             return True if lb == ub == val else (None if in_dom else False)
         return False if lb == ub == val else (True if not in_dom else None)
 
-    def justify_ge(self, vi: int, t: int) -> list[int]:
-        """Entries entailing vi >= t; t must hold under the current domain."""
-        if t <= self.root_lb[vi]:
-            return []
-        hist = self.lb_hist[vi]
-        k = len(hist) - 1
-        while hist[k][1] < t:
-            k -= 1
-        out = []
-        while k < len(hist):
-            kind, _, e = hist[k]
-            if e >= 0:
-                out.append(e)
-            if kind == "b":
-                break
-            k += 1
-        return out
+    def justify_bound(self, side: int, vi: int, t: int) -> list[int]:
+        """Entries entailing vi >= t (side 0) or vi <= t (side 1); the bound must hold.
 
-    def justify_le(self, vi: int, t: int) -> list[int]:
-        if t >= self.root_ub[vi]:
-            return []
-        hist = self.ub_hist[vi]
-        k = len(hist) - 1
-        while hist[k][1] > t:
-            k -= 1
+        The oldest record at least as tight as t, then the records its slides rest on.
+        """
+        hist = self.hist[side][vi]
+        k = 0
+        if side:
+            while hist[k][1] > t:
+                k += 1
+        else:
+            while hist[k][1] < t:
+                k += 1
         out = []
-        while k < len(hist):
+        while True:
             kind, _, e = hist[k]
             if e >= 0:
                 out.append(e)
             if kind == "b":
-                break
-            k += 1
-        return out
+                return out
+            k -= 1
 
     def justify_ne(self, vi: int, v: int) -> list[int]:
         """Entries entailing v not in dom(vi)."""
-        if v < self.root_lb[vi] or v > self.root_ub[vi]:
-            return []
         if v < self.lb[vi]:
-            return self.justify_ge(vi, v + 1)
+            return self.justify_bound(0, vi, v + 1)
         if v > self.ub[vi]:
-            return self.justify_le(vi, v - 1)
+            return self.justify_bound(1, vi, v - 1)
         e = self.holes[vi][v]
         return [] if e < 0 else [e]
 
     def justify_false(self, atom: Atom) -> list[int]:
         vi, op, val = atom
         if op == ">=":
-            return self.justify_le(vi, val - 1)
+            return self.justify_bound(1, vi, val - 1)
         if op == "<=":
-            return self.justify_ge(vi, val + 1)
+            return self.justify_bound(0, vi, val + 1)
         if op == "==":
             return self.justify_ne(vi, val)
-        return self.justify_ge(vi, val) + self.justify_le(vi, val)
+        return self.justify_bound(0, vi, val) + self.justify_bound(1, vi, val)
 
     def justify_true(self, atom: Atom) -> list[int]:
         vi, op, val = atom
         if op == ">=":
-            return self.justify_ge(vi, val)
+            return self.justify_bound(0, vi, val)
         if op == "<=":
-            return self.justify_le(vi, val)
+            return self.justify_bound(1, vi, val)
         if op == "==":
-            return self.justify_ge(vi, val) + self.justify_le(vi, val)
+            return self.justify_bound(0, vi, val) + self.justify_bound(1, vi, val)
         return self.justify_ne(vi, val)
 
     # --- trail -------------------------------------------------------------
@@ -333,79 +319,58 @@ class Engine:
         for idx in self.watch[vi]:
             self._enqueue(idx)
         if op == ">=":
-            v = val
-            while v in self.holes[vi]:
-                v += 1
-            recs = [("b", val, e)] + [("s", h + 1, self.holes[vi][h]) for h in range(val, v)]
-            self._record_lb(vi, e, recs)
+            self._tighten(0, vi, val, "b", e)
         elif op == "<=":
-            v = val
-            while v in self.holes[vi]:
-                v -= 1
-            recs = [("b", val, e)] + [("s", h - 1, self.holes[vi][h]) for h in range(val, v, -1)]
-            self._record_ub(vi, e, recs)
+            self._tighten(1, vi, val, "b", e)
         elif op == "==":
-            self._record_lb(vi, e, [("b", val, e)])
-            self._record_ub(vi, e, [("b", val, e)])
-        else:  # !=
-            if val == self.lb[vi]:
-                v = val + 1
-                while v in self.holes[vi]:
-                    v += 1
-                recs = [("s", val + 1, e)] + [("s", h + 1, self.holes[vi][h]) for h in range(val + 1, v)]
-                self._record_lb(vi, e, recs)
-            elif val == self.ub[vi]:
-                v = val - 1
-                while v in self.holes[vi]:
-                    v -= 1
-                recs = [("s", val - 1, e)] + [("s", h - 1, self.holes[vi][h]) for h in range(val - 1, v, -1)]
-                self._record_ub(vi, e, recs)
-            else:
-                self.t_effects[e].append(("hole", vi, val))
-                self.holes[vi][val] = e
+            self._tighten(0, vi, val, "b", e)
+            self._tighten(1, vi, val, "b", e)
+        elif val == self.lb[vi]:  # != at a bound slides that bound
+            self._tighten(0, vi, val + 1, "s", e)
+        elif val == self.ub[vi]:
+            self._tighten(1, vi, val - 1, "s", e)
+        else:
+            self.t_effects[e].append(("hole", vi, val))
+            self.holes[vi][val] = e
         if self.log_all and reason is not None:
             self._step_for_entry(e)
         return OK
 
-    def _record_lb(self, vi, entry, recs):
-        self.t_effects[entry].append(("lb", vi, self.lb[vi], len(self.lb_hist[vi])))
-        for rec in recs:
-            self.lb_hist[vi].insert(0, rec)
-        self.lb[vi] = recs[-1][1]
-
-    def _record_ub(self, vi, entry, recs):
-        self.t_effects[entry].append(("ub", vi, self.ub[vi], len(self.ub_hist[vi])))
-        for rec in recs:
-            self.ub_hist[vi].insert(0, rec)
-        self.ub[vi] = recs[-1][1]
+    def _tighten(self, side: int, vi: int, v: int, kind: str, entry: int):
+        """Move bound `side` of vi to v as a `kind` record of trail entry
+        `entry`, then slide it past every removed value it lands on."""
+        hist = self.hist[side][vi]
+        self.t_effects[entry].append((side, vi, len(hist)))
+        hist.append((kind, v, entry))
+        holes = self.holes[vi]
+        step = -1 if side else 1
+        while v in holes:
+            hist.append(("s", v + step, holes[v]))
+            v += step
+        self.bound[side][vi] = v
 
     def backtrack_to(self, level: int):
         target = self.level_start[level + 1]
         while len(self.t_atom) > target:
             e = len(self.t_atom) - 1
-            for eff in reversed(self.t_effects[e]):
-                if eff[0] == "lb":
-                    _, vi, old, histlen = eff
-                    del self.lb_hist[vi][0:len(self.lb_hist[vi]) - histlen]
-                    self.lb[vi] = old
-                elif eff[0] == "ub":
-                    _, vi, old, histlen = eff
-                    del self.ub_hist[vi][0:len(self.ub_hist[vi]) - histlen]
-                    self.ub[vi] = old
+            for tag, vi, x in reversed(self.t_effects.pop()):
+                if tag == "hole":
+                    del self.holes[vi][x]
                 else:
-                    _, vi, val = eff
-                    del self.holes[vi][val]
+                    hist = self.hist[tag][vi]
+                    del hist[x:]
+                    self.bound[tag][vi] = hist[-1][1]
             self.entry_step.pop(e, None)
             self.t_atom.pop()
             self.t_level.pop()
             self.t_reason.pop()
-            self.t_effects.pop()
         del self.level_start[level + 1:]
         self.level = level
+        # only the unprocessed tail of the queue can still be flagged
+        for idx in self.queue[self.qhead:]:
+            self.in_queue[idx] = False
         self.queue.clear()
         self.qhead = 0
-        for i in range(len(self.in_queue)):
-            self.in_queue[i] = False
 
     # --- propagators ---------------------------------------------------------
 
@@ -472,26 +437,17 @@ class Engine:
         smin = 0
         for coef, s in terms:
             smin += coef * (self.lb[s] if coef > 0 else self.ub[s])
-        if smin > rhs:
-            premises = self._lin_premises(terms, None)
-            if gst is not True:
-                r = self.apply(_negate_atom(guard), ("c", cid, tuple(_stable_unique(premises))))
-                return r if isinstance(r, Conflict) else None
-            if not terms:
-                # degenerate constant constraint: cite it from the conclusion
-                return Conflict((), ("c", cid), ())
-            # pivot on the first term so the violated step derives an atom
-            # (keeps inference clauses nonempty even with all-root premises)
-            coef, s = terms[0]
-            contrib = coef * (self.lb[s] if coef > 0 else self.ub[s])
-            slack = rhs - (smin - contrib)
-            pivot = (s, "<=", slack // coef) if coef > 0 else (s, ">=", -(slack // -coef))
-            r = self.apply(pivot, self._lin_reason(cid, guard, terms, s))
-            if not isinstance(r, Conflict):
-                raise AssertionError("pivot bound unexpectedly applied")
-            return r
         if gst is not True:
-            return None
+            if smin <= rhs:
+                return None
+            premises = self._lin_premises(terms, None)
+            r = self.apply(_negate_atom(guard), ("c", cid, tuple(_stable_unique(premises))))
+            return r if isinstance(r, Conflict) else None
+        if smin > rhs and not terms:
+            # degenerate constant constraint: cite it from the conclusion
+            return Conflict((), ("c", cid), ())
+        # a violated sum makes the first term's bound conflict, so the violated
+        # step derives a nonempty clause even with all-root premises
         for coef, s in terms:
             contrib = coef * (self.lb[s] if coef > 0 else self.ub[s])
             slack = rhs - (smin - contrib)
@@ -518,12 +474,9 @@ class Engine:
     def _lin_premises(self, terms, skip) -> list[int]:
         out: list[int] = []
         for coef, s in terms:
-            if s == skip:
-                continue
-            if coef > 0:
-                out.extend(self.justify_ge(s, self.lb[s]))
-            else:
-                out.extend(self.justify_le(s, self.ub[s]))
+            if s != skip:
+                side = coef < 0
+                out.extend(self.justify_bound(side, s, self.bound[side][s]))
         return out
 
     def _prop_linne(self, p) -> Optional[Conflict]:
@@ -534,42 +487,30 @@ class Engine:
         unfixed = [(coef, s) for coef, s in terms if self.lb[s] != self.ub[s]]
         if len(unfixed) > 1:
             return None
-        fixed_sum = sum(coef * self.lb[s] for coef, s in terms if self.lb[s] == self.ub[s])
-        premises: list[int] = []
-        for coef, s in terms:
-            if self.lb[s] == self.ub[s]:
-                premises.extend(self.justify_ge(s, self.lb[s]))
-                premises.extend(self.justify_le(s, self.ub[s]))
-        if not unfixed:
-            if fixed_sum != rhs:
+        rem = rhs - sum(coef * self.lb[s] for coef, s in terms if self.lb[s] == self.ub[s])
+        cited = terms
+        if unfixed:
+            coef, s = unfixed[0]
+            if gst is not True or rem % coef != 0:
                 return None
-            if gst is not True:
-                r = self.apply(_negate_atom(guard), ("c", cid, tuple(_stable_unique(premises))))
-                return r if isinstance(r, Conflict) else None
-            if not terms:
-                return Conflict((), ("c", cid), ())
-            # pivot as in the inequality case: derive the first variable's
-            # exclusion so the violated step is a nonempty clause
-            coef, s = terms[0]
-            others: list[int] = []
-            for c2, s2 in terms[1:]:
-                others.extend(self.justify_ge(s2, self.lb[s2]))
-                others.extend(self.justify_le(s2, self.ub[s2]))
-            if guard is not None:
-                others = self.justify_true(guard) + others
-            r = self.apply((s, "!=", self.lb[s]), ("c", cid, tuple(_stable_unique(others))))
-            if not isinstance(r, Conflict):
-                raise AssertionError("pivot exclusion unexpectedly applied")
-            return r
-        if gst is not True:
+            target = (s, "!=", rem // coef)
+        elif rem != 0:
             return None
-        coef, s = unfixed[0]
-        rem = rhs - fixed_sum
-        if rem % coef != 0:
-            return None
-        if guard is not None:
-            premises = self.justify_true(guard) + premises
-        r = self.apply((s, "!=", rem // coef), ("c", cid, tuple(_stable_unique(premises))))
+        elif gst is not True:
+            target = _negate_atom(guard)
+        elif not terms:
+            return Conflict((), ("c", cid), ())
+        else:
+            # pivot: derive the first variable's exclusion so the violated
+            # step is a nonempty clause
+            s = terms[0][1]
+            target = (s, "!=", self.lb[s])
+            cited = terms[1:]
+        premises = self.justify_true(guard) if gst is True and guard is not None else []
+        for _, s in cited:
+            if self.lb[s] == self.ub[s]:
+                premises += self.justify_bound(0, s, self.lb[s]) + self.justify_bound(1, s, self.ub[s])
+        r = self.apply(target, ("c", cid, tuple(_stable_unique(premises))))
         return r if isinstance(r, Conflict) else None
 
     def _prop_alldiff(self, p) -> Optional[Conflict]:
@@ -578,7 +519,7 @@ class Engine:
             if self.lb[s] != self.ub[s]:
                 continue
             v = self.lb[s]
-            premises = tuple(_stable_unique(self.justify_ge(s, v) + self.justify_le(s, v)))
+            premises = tuple(_stable_unique(self.justify_bound(0, s, v) + self.justify_bound(1, s, v)))
             for t in slots:
                 if t == s:
                     continue
@@ -683,8 +624,7 @@ class Engine:
                 gid = len(self.nogoods)
                 self.nogoods.append((nogood_atoms, len(self.steps)))
                 self.backtrack_to(max(clevel - 1, 0))
-                self._register(("clause", ("g", gid), nogood_atoms),
-                               (a[0] for a in nogood_atoms))
+                self._add_clause(("g", gid), nogood_atoms)
                 continue
             vi = self._pick_var()
             if vi is None:

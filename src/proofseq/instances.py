@@ -51,11 +51,14 @@ def generate_instance(kind: str, seed: int) -> UserModel:
     raise ValueError(f"unknown instance kind {kind!r}; choose one of {', '.join(KINDS)}")
 
 
-def _is_unsat(model: UserModel, budget: int = 10**6) -> bool:
+def _solve_flat(model: UserModel):
+    """The oracle's verdict on the flattened model."""
     solver = flatten(model)
-    oracle = Oracle(solver.vars, budget=budget)
-    res = oracle.solve(hard=[c.expr for c in solver.constraints])
-    return isinstance(res, Unsat)
+    return Oracle(solver.vars).solve(hard=[c.expr for c in solver.constraints])
+
+
+def _is_unsat(model: UserModel) -> bool:
+    return isinstance(_solve_flat(model), Unsat)
 
 
 # --- sudoku -------------------------------------------------------------------
@@ -229,18 +232,12 @@ def _sat_template(rng: random.Random) -> Optional[UserModel]:
         cons.append(Constraint(f"c{k}", Disjunction((Linear(((1, a), (-1, b)), "<=", -da),
                                                      Linear(((1, b), (-1, a)), "<=", -db)))))
     model = UserModel(tuple(vars_), tuple(cons))
-    solver = flatten(model)
-    res = Oracle(solver.vars).solve(hard=[c.expr for c in solver.constraints])
-    return model if isinstance(res, Sat) else None
+    return model if isinstance(_solve_flat(model), Sat) else None
 
 
 def _each_constraint_satisfiable(model: UserModel) -> bool:
-    for c in model.constraints:
-        single = UserModel(model.vars, (c,))
-        solver = flatten(single)
-        if not isinstance(Oracle(solver.vars).solve(hard=[x.expr for x in solver.constraints]), Sat):
-            return False
-    return True
+    return all(isinstance(_solve_flat(UserModel(model.vars, (c,))), Sat)
+               for c in model.constraints)
 
 
 def _tighten(c: Constraint, rng: random.Random) -> Optional[Constraint]:

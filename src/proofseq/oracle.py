@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .engine import Engine
+from .engine import DEFAULT_BUDGET, Engine
 from .errors import BudgetExceededError
 from .model import (
     AtomicConstraint,
@@ -30,8 +30,6 @@ from .model import (
     eval_expr,
     negate_expr,
 )
-
-DEFAULT_BUDGET = 10**6
 
 ConstraintLike = Union[Expr, Constraint]
 

@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from .engine import DEFAULT_BUDGET
 from .errors import ProofShapeError, LiftBeforeSimplifyError, SatInputError
 from .flatten import SolverModel
 from .model import (
@@ -347,7 +348,7 @@ class PipelineResult:
 
 
 def run_pipeline(user_model: UserModel, proof: AbstractProof, var: PipelineVariant | str,
-                 solver_model: SolverModel, budget: int = 10**6,
+                 solver_model: SolverModel, budget: int = DEFAULT_BUDGET,
                  debug: bool = False) -> PipelineResult:
     """Execute one pipeline variant on a parsed solver-level proof.
 

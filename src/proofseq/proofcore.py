@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .engine import DEFAULT_BUDGET
 from .errors import (
     BudgetExceededError,
     DanglingReferenceError,
@@ -171,24 +172,18 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
             raise ProofParseError("content after the UNSAT conclusion", lineno)
         tag, _, rest = line.partition(" ")
         rest = rest.strip()
-        if tag == "i":
+        if tag in ("i", "n"):
+            inference = tag == "i"
             atoms_text, _, ref_text = rest.rpartition(" ")
             if not atoms_text:
-                raise ProofParseError("inference step needs atoms and a constraint ref", lineno)
+                raise ProofParseError("inference step needs atoms and a constraint ref" if inference
+                                      else "nogood step needs atoms and step refs", lineno)
             atoms = tuple(_parse_atom(t.strip(), var_names.__getitem__, lineno)
                           for t in atoms_text.split("|"))
-            refs = _parse_refs(ref_text, len(steps), cids, lineno, steps_only=False)
-            if len(refs) != 1 or not isinstance(refs[0], InputRef):
+            refs = _parse_refs(ref_text, len(steps), cids, lineno, steps_only=not inference)
+            if inference and (len(refs) != 1 or not isinstance(refs[0], InputRef)):
                 raise ProofParseError("inference step needs exactly one c:<id> reason", lineno)
-            steps.append(ProofStep((clause_of(atoms),), refs, INFERENCE))
-        elif tag == "n":
-            atoms_text, _, ref_text = rest.rpartition(" ")
-            if not atoms_text:
-                raise ProofParseError("nogood step needs atoms and step refs", lineno)
-            atoms = tuple(_parse_atom(t.strip(), var_names.__getitem__, lineno)
-                          for t in atoms_text.split("|"))
-            refs = _parse_refs(ref_text, len(steps), cids, lineno, steps_only=True)
-            steps.append(ProofStep((clause_of(atoms),), refs, NOGOOD))
+            steps.append(ProofStep((clause_of(atoms),), refs, INFERENCE if inference else NOGOOD))
         elif tag == "d":
             refs = _parse_refs(rest, len(steps), cids, lineno, steps_only=True)
             if len(refs) != 1:
@@ -340,7 +335,7 @@ class StepCheck:
 
 
 def check_step(p: AbstractProof, index: int, model, oracle: Optional[Oracle] = None,
-               budget: int = 10**6) -> StepCheck:
+               budget: int = DEFAULT_BUDGET) -> StepCheck:
     """Is step `index` (1-based) implied by its reasons over the model's domains?
 
     Valid iff reasons plus the negated derived conjunction are unsatisfiable;
@@ -362,7 +357,7 @@ def check_step(p: AbstractProof, index: int, model, oracle: Optional[Oracle] = N
 
 
 def check_proof(p: AbstractProof, model, oracle: Optional[Oracle] = None,
-                budget: int = 10**6) -> list[int]:
+                budget: int = DEFAULT_BUDGET) -> list[int]:
     """Indices (1-based) of invalid steps; empty means fully valid."""
     if oracle is None:
         oracle = Oracle(model.vars, budget=budget)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .engine import Engine
+from .engine import DEFAULT_BUDGET, Engine
 from .errors import BudgetExceededError, FlattenError
 from .flatten import SolverModel
 from .model import (
@@ -37,7 +37,7 @@ from .proofcore import (
 )
 
 
-def solve_with_proof(s: SolverModel, budget: int = 10**6,
+def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
                      log_all: bool = False) -> tuple[Union[Sat, Unsat], str]:
     """Solve a flattened model; returns (Sat(assignment) | Unsat, proof text).
 

@@ -1,11 +1,16 @@
-"""Determinism pin: every variant on a few small instances must reproduce the
-recorded explanation metrics exactly. A refactor that changes any explanation,
-any stage size or the oracle call count fails here.
+"""Determinism pins: every variant on a few small instances must reproduce the
+recorded explanation metrics exactly, and the prover must reproduce the
+recorded proof text byte for byte. A refactor that changes any explanation,
+any stage size, the oracle call count, or any logged step or premise order of
+the engine fails here.
 
-Each row is (suite, seed, variant, len, maxstep, oracle_calls, stage sizes in
-stage order). Regenerate only with a change that means to alter explanations,
-and say why in that change.
+Each PINNED row is (suite, seed, variant, len, maxstep, oracle_calls, stage
+sizes in stage order); each PINNED_PROOFS row is (suite, seed, log_all,
+decompose_alldiff, sha256 of the proof text). Regenerate only with a change
+that means to alter explanations or proofs, and say why in that change.
 """
+
+import hashlib
 
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
@@ -95,3 +100,26 @@ def test_pinned_metrics():
             got = (r.sequence.sequence_length, r.sequence.max_stepsize, r.oracle_calls,
                    list(r.stage_sizes().items()))
             assert got == (length, maxstep, calls, list(zip(STAGES, sizes))), (suite, seed, name)
+
+
+PINNED_PROOFS = (
+    ("sudoku4", 1, False, False, "0edbc25b559ee37dd4b48c2096c8e6abe3632d768090dbd30a1454e8500b5fc4"),
+    ("sudoku4", 2, False, False, "cbcfcfa3ba5fa8062face983f3bef43f076bf953d4d66e9f78ef87b60a57d751"),
+    ("sudoku4", 3, False, False, "9b770420af78f14434818106482f85cf68939ecc3e833c35988cf7f524b59833"),
+    ("jobshop", 1, False, False, "923007b15441c1723d57e9f75ff1de6c6f248ee598a0daab25851e34bff5da30"),
+    ("jobshop", 2, False, False, "c2bea5c844882ce14c09da2c03963b55db9143ff843d4109e0e5983f94547a88"),
+    ("jobshop", 3, False, False, "6dbfeaea787de52aedd0e9249d0e41f3a9ab1abfa29a84dd685bd0a5bcb8e05f"),
+    ("mutated", 1, False, False, "06dbb974167dc7bcc6e7d9955c28df8cc01fa3f354b3c2eab46baf3326a7151f"),
+    ("mutated", 2, False, False, "c0b72aa971c504d7a850851d2d7600e2c20c1c3944d35397a1652a1aa5486056"),
+    ("mutated", 3, False, False, "fb896a241c4d5859aa0bb191682561272885c7a52ff4ea1eabff6096b56b70d8"),
+    ("sudoku9", 1, False, False, "5f0d7b86beccafa418b8c2ebb40ed78a82edfbe50b0ab57708b71ce02391a2df"),
+    ("sudoku9", 1, True, True, "9507e57ff0463ddb9d10ec163002ff184e4af7ab5a0b167c07f92742736fb7b7"),
+)
+
+
+def test_pinned_proof_text():
+    for suite, seed, log_all, decompose, digest in PINNED_PROOFS:
+        solver = flatten(generate_instance(suite, seed), decompose_alldiff=decompose)
+        _, text = solve_with_proof(solver, log_all=log_all)
+        got = hashlib.sha256(text.encode()).hexdigest()
+        assert got == digest, (suite, seed, log_all, decompose)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from proofseq.engine import Engine
 from proofseq.errors import BudgetExceededError
 from proofseq.flatten import flatten
 from proofseq.model import (
@@ -130,6 +131,56 @@ def _random_problem(rng, max_dom=4):
             cons.append(Clause((AtomicConstraint(rng.choice(vs), "<=", rng.randint(0, 2)),
                                 AtomicConstraint(rng.choice(vs), ">=", rng.randint(1, max_dom)))))
     return doms, cons
+
+
+def _with_holes(rng, doms):
+    """The same variables with random values punched out of each domain's interior."""
+    return [(v, Domain(d.lower, d.upper,
+                       frozenset(h for h in range(d.lower + 1, d.upper) if rng.random() < 0.4)))
+            for v, d in doms]
+
+
+def _implied(doms, premises, clause) -> bool:
+    return all(brute_eval(clause, alpha) for alpha in all_assignments(doms)
+               if all(brute_eval(p, alpha) for p in premises))
+
+
+def test_engine_steps_implied_over_domains_with_holes():
+    """Every step the engine logs, checked by brute force on its own: an
+    inference against its one constraint, a nogood against the steps it
+    cites, and the conclusion's citations must be unsatisfiable together."""
+    rng = random.Random(47)
+    n_unsat = n_steps = 0
+    for _ in range(600):
+        doms, cons = _random_problem(rng, max_dom=5)
+        doms = _with_holes(rng, doms)
+        expected = brute_satisfiable(doms, cons)
+        n_unsat += expected is None
+        by_cid = {f"k{i}": c for i, c in enumerate(cons)}
+        for log_all in (False, True):
+            eng = Engine(doms, log_all=log_all)
+            for cid, c in by_cid.items():
+                eng.add_constraint(cid, c)
+            var_of = {eng.slot_of[v]: v for v, _ in doms}
+            res = eng.solve()
+            assert res.status == ("unsat" if expected is None else "sat")
+            if res.assignment is not None:
+                alpha = {v: res.assignment[eng.slot_of[v]] for v, _ in doms}
+                assert all(alpha[v] in d for v, d in doms)
+                assert all(brute_eval(c, alpha) for c in cons)
+            derived = []
+            for st in res.steps:
+                clause = Clause(tuple(AtomicConstraint(var_of[s], op, val) for s, op, val in st.atoms))
+                cited = [derived[r - 1] for r in st.reasons]
+                if st.kind == "i":
+                    assert _implied(doms, [by_cid[st.cid]], clause), st
+                elif st.kind == "n":
+                    assert _implied(doms, cited, clause), st
+                else:
+                    assert brute_satisfiable(doms, cited + [by_cid[c] for c in st.cid_reasons]) is None
+                derived.append(clause)
+            n_steps += len(res.steps)
+    assert n_unsat > 150 and n_steps > 1000
 
 
 def test_oracle_agrees_with_brute_force():

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from proofseq.errors import (
+    DanglingReferenceError,
     ForwardReferenceError,
     ProofParseError,
     ProofShapeError,
@@ -78,6 +79,25 @@ def test_parse_unknown_constraint_and_variable(jobshop):
         parse_drcp("i zz<=3 c:p1\n", solver)
     with pytest.raises(ProofParseError):
         parse_drcp("c UNSAT\nn a<=3 s:1\n", solver)  # content after conclusion
+
+
+REJECTED_LINES = (
+    ("i a<=3|b>=7 c:p1\nn a<=3 s:0\n", DanglingReferenceError),
+    ("i c:p1\n", ProofParseError),                          # inference without atoms
+    ("i a<=3 c:p1\ni b>=7 s:1\n", ProofParseError),          # inference citing a step
+    ("n a<=3 c:p1\n", ProofParseError),                     # nogood citing a constraint
+    ("i a<=3 c:p1\ni b>=7 c:p1\nd s:1,s:2\n", ProofParseError),  # deletion of two steps
+    ("c SAT\n", ProofParseError),                           # unknown conclusion
+    ("x a<=3 c:p1\n", ProofParseError),                     # unknown line tag
+)
+
+
+def test_parse_rejects_malformed_line_shapes(jobshop):
+    _, solver, _ = jobshop
+    for text, error in REJECTED_LINES:
+        with pytest.raises(ProofParseError) as info:
+            parse_drcp(text, solver)
+        assert type(info.value) is error, text
 
 
 def test_serialize_roundtrip_golden(jobshop):
