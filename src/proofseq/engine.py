@@ -21,6 +21,17 @@ Propagation strength: bounds reasoning for linear sums, unit propagation for
 clauses, value-based pairwise pruning for alldifferent, guard/body reasoning
 for half-reified linears. Search is complete, so weak propagation only costs
 nodes, never soundness.
+
+The two hottest propagators skip work whose result is already known.
+Alldifferent skips every removal that is already in place (the other slot
+excludes the value) and justifies a fixed slot only before its first real
+removal. Each clause and nogood keeps two distinct hinted positions (the
+two watched literals of Chaff and MiniSat, used here only as a scan
+shortcut): if either hinted atom is true, or both are undecided, the clause
+can neither propagate nor fail, so the scan is skipped; otherwise the scan
+runs as before and refreshes the hint. The hint needs no undo on backtrack.
+Wake-ups and queue order are unchanged, so every propagator still runs when
+it did, the trail is the same and the logged proofs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -153,7 +164,9 @@ class Engine:
 
     def _add_clause(self, source: tuple, atoms):
         atoms = tuple(dict.fromkeys(atoms))
-        self._register(("clause", source, atoms), [a[0] for a in atoms])
+        # two distinct positions to check before scanning, see _prop_clause
+        hint = [0, 1] if len(atoms) > 1 else None
+        self._register(("clause", source, atoms, hint), [a[0] for a in atoms])
 
     def _enqueue(self, idx: int):
         if not self.in_queue[idx]:
@@ -404,18 +417,29 @@ class Engine:
         raise AssertionError(tag)
 
     def _prop_clause(self, p) -> Optional[Conflict]:
-        _, source, atoms = p
+        _, source, atoms, hint = p
+        if hint is not None:
+            # a true atom or two undecided ones leave nothing to do; only the
+            # scan below can find a unit or a conflict
+            st0 = self.status(atoms[hint[0]])
+            if st0 is True:
+                return None
+            st1 = self.status(atoms[hint[1]])
+            if st1 is True or (st0 is None and st1 is None):
+                return None
         unit = None
-        nundec = 0
-        for a in atoms:
+        for i, a in enumerate(atoms):
             st = self.status(a)
             if st is True:
+                if hint is not None:
+                    # neither hinted atom is true, so i differs from hint[0]
+                    hint[:] = (i, hint[0])
                 return None
             if st is None:
-                nundec += 1
-                if nundec > 1:
+                if unit is not None:
+                    hint[:] = (unit_at, i)
                     return None
-                unit = a
+                unit, unit_at = a, i
         if unit is None:
             entries = []
             for a in atoms:
@@ -515,14 +539,19 @@ class Engine:
 
     def _prop_alldiff(self, p) -> Optional[Conflict]:
         _, cid, slots = p
+        lb, ub, holes = self.lb, self.ub, self.holes
         for s in slots:
-            if self.lb[s] != self.ub[s]:
+            if lb[s] != ub[s]:
                 continue
-            v = self.lb[s]
-            premises = tuple(_stable_unique(self.justify_bound(0, s, v) + self.justify_bound(1, s, v)))
+            v = lb[s]
+            premises = None
             for t in slots:
-                if t == s:
+                # a slot that already excludes v would make apply a NOOP
+                if t == s or v < lb[t] or v > ub[t] or v in holes[t]:
                     continue
+                if premises is None:
+                    premises = tuple(_stable_unique(
+                        self.justify_bound(0, s, v) + self.justify_bound(1, s, v)))
                 r = self.apply((t, "!=", v), ("c", cid, premises))
                 if isinstance(r, Conflict):
                     return r

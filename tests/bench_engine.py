@@ -1,0 +1,35 @@
+"""Micro-benchmarks of engine propagation and search on fixed sudoku9 inputs.
+
+    PYTHONPATH=src pytest tests/bench_engine.py --benchmark-only
+
+The default test run does not collect this file: pytest only picks up
+test_*.py files unless a file is named on the command line.
+"""
+
+from proofseq.flatten import flatten
+from proofseq.instances import generate_instance
+from proofseq.oracle import Oracle, Unsat
+from proofseq.prover import solve_with_proof
+
+# constraint ids of sudoku9 seed 19 that one of its trim+minloc probes sends
+# to the oracle: unsat after 200 conflicts, with nogoods of up to 102 atoms
+RELAXATION = (
+    "row1", "row2", "col3", "col4", "col6", "col9", "blk1", "blk2", "blk6", "blk8",
+    "h1", "h3", "h5", "h8", "h9", "h10", "h11", "h12", "h13", "h18", "h19", "h21",
+    "h22", "h23", "h24", "h27", "h29", "h30", "h32", "h33", "h37",
+)
+
+
+def test_solve_with_proof_sudoku9(benchmark):
+    """Propagation and proof logging with the alldifferent propagator."""
+    solver = flatten(generate_instance("sudoku9", 1))
+    result, _ = benchmark(solve_with_proof, solver)
+    assert isinstance(result, Unsat)
+
+
+def test_oracle_solve_sudoku9_relaxation(benchmark):
+    """Search that learns long nogoods, so clause propagation dominates."""
+    model = generate_instance("sudoku9", 19)
+    constraints = [model.constraint_map[cid] for cid in RELAXATION]
+    result = benchmark(Oracle(model.vars).solve, constraints)
+    assert isinstance(result, Unsat)

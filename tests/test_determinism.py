@@ -1,19 +1,25 @@
 """Determinism pins: every variant on a few small instances must reproduce the
-recorded explanation metrics exactly, and the prover must reproduce the
-recorded proof text byte for byte. A refactor that changes any explanation,
-any stage size, the oracle call count, or any logged step or premise order of
-the engine fails here.
+recorded explanation metrics exactly, the prover must reproduce the recorded
+proof text byte for byte, and the engine must reproduce the recorded results
+of fixed runs exactly. A refactor that changes any explanation, any stage
+size, the oracle call count, or any logged step, premise order, trail or
+conflict count of the engine fails here.
 
 Each PINNED row is (suite, seed, variant, len, maxstep, oracle_calls, stage
 sizes in stage order); each PINNED_PROOFS row is (suite, seed, log_all,
-decompose_alldiff, sha256 of the proof text). Regenerate only with a change
-that means to alter explanations or proofs, and say why in that change.
+decompose_alldiff, sha256 of the proof text); each PINNED_ENGINE_RUNS entry
+maps a set of engine runs to the sha256 of their results. Regenerate only
+with a change that means to alter explanations, proofs or search, and say
+why in that change.
 """
 
 import hashlib
+import random
 
+from proofseq.engine import Engine
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
+from proofseq.model import AllDifferent, AtomicConstraint, Clause, Domain, Linear, VarId
 from proofseq.pipeline import VARIANTS, run_pipeline
 from proofseq.proofcore import parse_drcp
 from proofseq.prover import solve_with_proof
@@ -123,3 +129,67 @@ def test_pinned_proof_text():
         _, text = solve_with_proof(solver, log_all=log_all)
         got = hashlib.sha256(text.encode()).hexdigest()
         assert got == digest, (suite, seed, log_all, decompose)
+
+
+def _random_engine_problem(rng):
+    """5-8 variables with small domains (some with interior holes) under a
+    mix of clauses, linears and non-decomposed alldifferents."""
+    vs = [VarId(i, f"v{i}") for i in range(rng.randint(5, 8))]
+    doms = []
+    for v in vs:
+        hi = rng.randint(2, 5)
+        doms.append((v, Domain(0, hi, frozenset(h for h in range(1, hi) if rng.random() < 0.2))))
+    ops = ("<=", ">=", "==", "!=")
+    cons = []
+    for _ in range(rng.randint(6, 14)):
+        k = rng.randrange(4)
+        if k <= 1:
+            cons.append(Clause(tuple(AtomicConstraint(rng.choice(vs), rng.choice(ops), rng.randint(0, 5))
+                                     for _ in range(rng.randint(2, 4)))))
+        elif k == 2:
+            terms = tuple((rng.choice((-2, -1, 1, 2)), v) for v in rng.sample(vs, rng.randint(2, 3)))
+            cons.append(Linear(terms, rng.choice(ops), rng.randint(-3, 8)))
+        else:
+            cons.append(AllDifferent(tuple(rng.sample(vs, rng.randint(3, len(vs))))))
+    return doms, cons
+
+
+def _pigeonhole(n):
+    """n variables over n - 1 values under one alldifferent: unsat, hundreds of conflicts at n = 8."""
+    vs = [VarId(i, f"p{i}") for i in range(n)]
+    return [(v, Domain(0, n - 2)) for v in vs], [AllDifferent(tuple(vs))]
+
+
+def _engine_runs():
+    """(name, runs) pairs; each run is (domains, constraints, log_all)."""
+    yield "pigeonhole 8 into 7", [(*_pigeonhole(8), False)]
+    yield "random seeds 0-199", [(*_random_engine_problem(random.Random(seed)), log_all)
+                                 for seed in range(200) for log_all in (False, True)]
+
+
+# sha256 over the sha256 of each run's complete result, in run order
+PINNED_ENGINE_RUNS = {
+    "pigeonhole 8 into 7": "fbb6552ec76e98fbf0471b1fd07b2a62d9f0d130daee770b0d8c88e2c08ab50b",
+    "random seeds 0-199": "bdcce81c5ace88f4037631d65b5da83de4c6975c037597de6288b2257494180b",
+}
+
+
+def test_pinned_engine_runs():
+    """Every engine result (status, assignment, each step's kind, atoms, cid
+    and reasons, used constraint ids, conflict count) on runs that learn long
+    nogoods and run the alldifferent propagator is exactly as recorded."""
+    longest_nogood = 0
+    for name, runs in _engine_runs():
+        h = hashlib.sha256()
+        for doms, cons, log_all in runs:
+            eng = Engine(doms, log_all=log_all)
+            for i, c in enumerate(cons):
+                eng.add_constraint(f"k{i}", c)
+            res = eng.solve()
+            record = (res.status, sorted((res.assignment or {}).items()),
+                      [(s.kind, s.atoms, s.cid, s.reasons, s.cid_reasons) for s in res.steps],
+                      sorted(res.used_cids), res.conflicts)
+            h.update(hashlib.sha256(repr(record).encode()).digest())
+            longest_nogood = max([longest_nogood] + [len(s.atoms) for s in res.steps if s.kind == "n"])
+        assert h.hexdigest() == PINNED_ENGINE_RUNS[name], name
+    assert longest_nogood >= 3
