@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 parse error (model or proof), 3 semantic failure
 (invalid proof, failed validation, unusable input), 4 oracle budget
 exhausted. The oracle budget defaults to 10^6 conflicts and can be set with
---budget or the P2S_BUDGET environment variable.
+--budget or the P2S_BUDGET environment variable; it also bounds the step
+checks of `explain --check`, `bench --check` and `proof check`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
 from .flatten import flatten
 from .instances import KINDS, generate_instance
 from .model import parse_model, serialize_model
-from .oracle import Sat
+from .oracle import Oracle, Sat
 from .pipeline import VARIANTS, run_pipeline, variant
 from .proofcore import check_proof, parse_drcp, serialize_proof, trim
 from .prover import solve_with_proof
@@ -82,7 +83,7 @@ def cmd_explain(args) -> int:
     result = run_pipeline(model, proof, args.variant, solver, budget=budget)
     seq = result.sequence
     if args.check:
-        bad = validate_sequence(seq, model)
+        bad = validate_sequence(seq, model, Oracle(model.vars, budget=budget))
         if bad or not seq.derives_false():
             print(f"check failed: invalid steps {bad}", file=sys.stderr)
             return 3
@@ -127,8 +128,9 @@ def cmd_bench(args) -> int:
             for name in names:
                 try:
                     r = run_pipeline(model, proof, name, solver, budget=budget)
-                    if args.check and (validate_sequence(r.sequence, model)
-                                       or not r.sequence.derives_false()):
+                    if args.check and (
+                            validate_sequence(r.sequence, model, Oracle(model.vars, budget=budget))
+                            or not r.sequence.derives_false()):
                         raise ProofseqError("sequence validation failed")
                 except ProofseqError as e:
                     failures.append((suite, seed, name, str(e)))
@@ -162,7 +164,7 @@ def cmd_proof(args) -> int:
     solver = flatten(model, decompose_alldiff=args.decompose_alldiff)
     proof = parse_drcp(Path(args.proof).read_text(encoding="utf-8"), solver)
     if args.action == "check":
-        bad = check_proof(proof, solver, budget=_budget(args))
+        bad = check_proof(proof, solver, Oracle(solver.vars, budget=_budget(args)))
         total = len(proof.steps)
         print(f"{total - len(bad)}/{total} steps valid")
         if bad:

@@ -298,16 +298,6 @@ class Engine:
             return self.justify_ne(vi, val)
         return self.justify_bound(0, vi, val) + self.justify_bound(1, vi, val)
 
-    def justify_true(self, atom: Atom) -> list[int]:
-        vi, op, val = atom
-        if op == ">=":
-            return self.justify_bound(0, vi, val)
-        if op == "<=":
-            return self.justify_bound(1, vi, val)
-        if op == "==":
-            return self.justify_bound(0, vi, val) + self.justify_bound(1, vi, val)
-        return self.justify_ne(vi, val)
-
     # --- trail -------------------------------------------------------------
 
     def apply(self, atom: Atom, reason: Optional[tuple]):
@@ -492,7 +482,7 @@ class Engine:
     def _lin_reason(self, cid, guard, terms, skip):
         premises = self._lin_premises(terms, skip)
         if guard is not None:
-            premises = self.justify_true(guard) + premises
+            premises = self.justify_false(_negate_atom(guard)) + premises
         return ("c", cid, tuple(_stable_unique(premises)))
 
     def _lin_premises(self, terms, skip) -> list[int]:
@@ -530,7 +520,8 @@ class Engine:
             s = terms[0][1]
             target = (s, "!=", self.lb[s])
             cited = terms[1:]
-        premises = self.justify_true(guard) if gst is True and guard is not None else []
+        premises = (self.justify_false(_negate_atom(guard))
+                    if gst is True and guard is not None else [])
         for _, s in cited:
             if self.lb[s] == self.ub[s]:
                 premises += self.justify_bound(0, s, self.lb[s]) + self.justify_bound(1, s, self.ub[s])

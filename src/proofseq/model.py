@@ -270,6 +270,8 @@ def negate_expr(c: Union[Expr, Constraint]) -> Expr:
         return conjunction_of(negate_expr(m) for m in c.members)
     if isinstance(c, Conjunction):
         negs = tuple(negate_expr(m) for m in c.members)
+        if TRUE in negs:
+            return TRUE  # a false member: the conjunction is always violated
         if all(isinstance(n, AtomicConstraint) for n in negs):
             return clause_of(negs)  # type: ignore[arg-type]
         return Disjunction(negs) if len(negs) != 1 else negs[0]

@@ -5,9 +5,11 @@ search with nogood learning), returns a verified model or an unsat core over
 the retractable assumptions. BudgetExceeded is a result, not an error.
 
 `Oracle.solve` is the single entry point: every engine run for a
-satisfiability question goes through it, and it counts each one.
-`satisfiable` and `model_of` are thin views of it that turn budget
-exhaustion into BudgetExceededError.
+satisfiability question goes through it, bounded by the oracle's budget, and
+it counts each one. `model_of` is the one place where an oracle's budget
+exhaustion becomes BudgetExceededError, and the one implication query:
+reasons imply `derived` iff `model_of(reasons + [negate_conjunction(derived)])`
+is None.
 """
 
 from __future__ import annotations
@@ -18,15 +20,12 @@ from typing import Optional, Sequence, Union
 from .engine import DEFAULT_BUDGET, Engine
 from .errors import BudgetExceededError
 from .model import (
-    AtomicConstraint,
+    Conjunction,
     Constraint,
-    Disjunction,
     Domain,
     Expr,
-    TRUE,
     VarId,
     as_expr,
-    clause_of,
     eval_expr,
     negate_expr,
 )
@@ -99,18 +98,8 @@ class Oracle:
 def negate_conjunction(cs: Sequence[ConstraintLike]) -> Expr:
     """Constraint true exactly when at least one member of cs is violated.
 
-    Supports atoms, clauses, linear comparisons, half-reified linears and
-    and/or combinations thereof. With several members the result is a
-    disjunction of the individual negations (the engine introduces its own
-    selector variables when it compiles one).
+    With several members the result is a disjunction of the individual
+    negations (the engine introduces its own selector variables when it
+    compiles one); see `negate_expr`.
     """
-    negs = [negate_expr(as_expr(c)) for c in cs]
-    if any(n == TRUE for n in negs):
-        return TRUE
-    if not negs:
-        return clause_of(())  # nothing can be violated
-    if len(negs) == 1:
-        return negs[0]
-    if all(isinstance(n, AtomicConstraint) for n in negs):
-        return clause_of(negs)
-    return Disjunction(tuple(negs))
+    return negate_expr(Conjunction(tuple(cs)))

@@ -21,7 +21,7 @@ leading "proof" entry (the parsed proof's size, 0.0 ms) and the final
 "merged" entry (merge_steps, timed) sit outside the table. With debug=True,
 every stage that ran is followed by `check_proof` of its output against the
 row's model: the solver model after no_aux, the user model after the others.
-A skipped min2 is not re-checked.
+The checks use the run's budget. A skipped min2 is not re-checked.
 """
 
 from __future__ import annotations
@@ -144,18 +144,15 @@ def simplify_aux_vars(p: AbstractProof, solver_model: SolverModel) -> AbstractPr
     return simplify(p, no_aux)
 
 
-def simplify_to_domain_reductions(p: AbstractProof,
-                                  model: Optional[UserModel] = None) -> AbstractProof:
+def simplify_to_domain_reductions(p: AbstractProof, model: UserModel) -> AbstractProof:
     """Keep only steps whose derived constraints talk about at most one
-    variable. When a model is given, surviving unary clauses are normalized
-    to canonical domain statements over the declared domains."""
+    variable, and normalize the surviving unary clauses to canonical domain
+    statements over the model's declared domains."""
 
     def unary(step: ProofStep) -> bool:
         return all(len(scope(d)) <= 1 for d in step.derived)
 
     out = simplify(p, unary)
-    if model is None:
-        return out
     steps = []
     for step in out.steps:
         derived = tuple(_normalize_unary(d, model) for d in step.derived)
@@ -193,7 +190,7 @@ def lift_to_user_level(p: AbstractProof, solver_model: SolverModel) -> AbstractP
             InputRef(prov[r.cid]) if isinstance(r, InputRef) else r
             for r in step.reasons))
         steps.append(ProofStep(step.derived, reasons, step.kind))
-    return AbstractProof(USER_LEVEL, tuple(steps), p.deletions)
+    return AbstractProof(USER_LEVEL, tuple(steps))
 
 
 # --- reason minimization ----------------------------------------------------------
@@ -381,7 +378,7 @@ def run_pipeline(user_model: UserModel, proof: AbstractProof, var: PipelineVaria
         t = time.perf_counter()
         p = stage(p)
         stages.append(StageStat(name, len(p.steps), (time.perf_counter() - t) * 1000.0))
-        if debug and (bad := check_proof(p, model)):
+        if debug and (bad := check_proof(p, model, Oracle(model.vars, budget=budget))):
             raise ProofShapeError(f"invalid steps after a pipeline stage: {bad}")
     t = time.perf_counter()
     seq = merge_steps(p, user_model)

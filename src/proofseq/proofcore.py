@@ -7,13 +7,14 @@ concrete file format is line-oriented:
     # comment
     i <atom>[|<atom>...] c:<constraint-id>     inference from one constraint
     n <atom>[|<atom>...] s:<id>[,s:<id>...]    nogood from earlier steps
-    d s:<id>                                   deletion hint (kept, ignored)
+    d s:<id>                                   deletion hint (validated, dropped)
     c UNSAT s:<id>[,s:<id>...][,c:<id>...]     conclusion, derives false
 
 Atoms are written compactly as <var><op><int> with op in {<=, >=, ==, !=}.
 Step ids are 1-based in file order; the conclusion is itself a step (the
-last one). Deletion hints never remove steps; trimming is an explicit
-backward-reachability pass.
+last one). A deletion hint must cite one earlier step; it is then dropped,
+so it never removes a step and serialization writes none. Trimming is an
+explicit backward-reachability pass.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .engine import DEFAULT_BUDGET
 from .errors import (
-    BudgetExceededError,
     DanglingReferenceError,
     ForwardReferenceError,
     ProofParseError,
@@ -39,7 +38,7 @@ from .model import (
     FALSE,
     clause_of,
 )
-from .oracle import BudgetExceeded, Oracle, Sat, negate_conjunction
+from .oracle import Oracle, negate_conjunction
 
 INFERENCE = "inference"
 NOGOOD = "nogood"
@@ -80,8 +79,6 @@ class ProofStep:
 class AbstractProof:
     level: str
     steps: tuple[ProofStep, ...]
-    # deletion hints: (number of steps already emitted when the hint occurs, step id)
-    deletions: tuple[tuple[int, int], ...] = ()
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -94,20 +91,6 @@ class AbstractProof:
         if isinstance(ref, InputRef):
             return model.constraint_by_id(ref.cid).expr
         return self.steps[ref.step - 1].derived[ref.idx]
-
-
-def validate_refs(p: AbstractProof):
-    """Check that every step reference points strictly backwards and in range."""
-    for i, step in enumerate(p.steps, start=1):
-        for ref in step.reasons:
-            if isinstance(ref, StepRef):
-                if ref.step >= i:
-                    raise ForwardReferenceError(f"step {i} references step {ref.step}")
-                if ref.step < 1:
-                    raise DanglingReferenceError(f"step {i} references step {ref.step}")
-                if ref.idx >= len(p.steps[ref.step - 1].derived):
-                    raise DanglingReferenceError(
-                        f"step {i} references missing constraint {ref.idx} of step {ref.step}")
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -162,7 +145,6 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
     var_names = {v.name: v for v, _ in solver_model.vars}
     cids = set(solver_model.constraint_map)
     steps: list[ProofStep] = []
-    deletions: list[tuple[int, int]] = []
     concluded = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -188,7 +170,6 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
             refs = _parse_refs(rest, len(steps), cids, lineno, steps_only=True)
             if len(refs) != 1:
                 raise ProofParseError("deletion hint takes exactly one s:<id>", lineno)
-            deletions.append((len(steps), refs[0].step))
         elif tag == "c":
             kw, _, ref_text = rest.partition(" ")
             if kw != "UNSAT":
@@ -200,9 +181,7 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
             concluded = True
         else:
             raise ProofParseError(f"unknown line tag {tag!r}", lineno)
-    proof = AbstractProof(SOLVER_LEVEL, tuple(steps), tuple(deletions))
-    validate_refs(proof)
-    return proof
+    return AbstractProof(SOLVER_LEVEL, tuple(steps))
 
 
 def _format_atom(a: AtomicConstraint) -> str:
@@ -216,12 +195,7 @@ def serialize_proof(p: AbstractProof) -> str:
     or the prover produce); anything else raises ProofSerializeError.
     """
     lines = ["# drcp 1"]
-    hints = sorted(p.deletions, key=lambda t: t[0])
-    h = 0
     for i, step in enumerate(p.steps, start=1):
-        while h < len(hints) and hints[h][0] < i:
-            lines.append(f"d s:{hints[h][1]}")
-            h += 1
         if len(step.derived) != 1:
             raise ProofSerializeError(f"step {i} derives {len(step.derived)} constraints")
         d = step.derived[0]
@@ -244,9 +218,6 @@ def serialize_proof(p: AbstractProof) -> str:
             lines.append(f"n {body} {refs}")
         else:
             raise ProofSerializeError(f"step {i} has kind {step.kind!r}")
-    while h < len(hints):
-        lines.append(f"d s:{hints[h][1]}")
-        h += 1
     return "\n".join(lines) + "\n"
 
 
@@ -257,7 +228,7 @@ def trim(p: AbstractProof) -> AbstractProof:
     """Backward reachability from the final false step.
 
     Keeps exactly the steps (and the individual derived constraints) that feed
-    the conclusion; reindexes references. Deletion hints are dropped.
+    the conclusion; reindexes references.
     """
     if not p.is_refutation():
         raise ProofShapeError("cannot trim: final step does not derive false")
@@ -294,7 +265,7 @@ def renumber(level: str, kept: list[tuple[int, ProofStep]],
     step) pairs, with every step reference re-pointed at the new ids.
 
     idx_map (old id -> old derived index -> new index) re-points references
-    into steps that lost some of their derivations. Deletion hints are dropped.
+    into steps that lost some of their derivations.
     """
     new_id = {old: new for new, (old, _) in enumerate(kept, start=1)}
 
@@ -334,32 +305,25 @@ class StepCheck:
     witness: Optional[dict] = None
 
 
-def check_step(p: AbstractProof, index: int, model, oracle: Optional[Oracle] = None,
-               budget: int = DEFAULT_BUDGET) -> StepCheck:
+def check_step(p: AbstractProof, index: int, model,
+               oracle: Optional[Oracle] = None) -> StepCheck:
     """Is step `index` (1-based) implied by its reasons over the model's domains?
 
-    Valid iff reasons plus the negated derived conjunction are unsatisfiable;
-    an Invalid result carries a witness assignment satisfying the reasons and
-    violating some derived constraint. Budget exhaustion raises, it is not a
-    verdict.
+    Valid iff reasons plus the negated derived conjunction have no model; an
+    Invalid result carries that model as its witness. Exhausting the oracle's
+    budget (default: `Oracle(model.vars)`) raises, it is not a verdict.
     """
     step = p.steps[index - 1]
     if oracle is None:
-        oracle = Oracle(model.vars, budget=budget)
-    hard = [p.resolve(r, model) for r in step.reasons]
-    hard.append(negate_conjunction(step.derived))
-    res = oracle.solve(hard=hard)
-    if isinstance(res, BudgetExceeded):
-        raise BudgetExceededError(f"step {index}: oracle budget exhausted")
-    if isinstance(res, Sat):
-        return StepCheck(False, res.assignment)
-    return StepCheck(True)
+        oracle = Oracle(model.vars)
+    reasons = [p.resolve(r, model) for r in step.reasons]
+    witness = oracle.model_of(reasons + [negate_conjunction(step.derived)])
+    return StepCheck(witness is None, witness)
 
 
-def check_proof(p: AbstractProof, model, oracle: Optional[Oracle] = None,
-                budget: int = DEFAULT_BUDGET) -> list[int]:
+def check_proof(p: AbstractProof, model, oracle: Optional[Oracle] = None) -> list[int]:
     """Indices (1-based) of invalid steps; empty means fully valid."""
     if oracle is None:
-        oracle = Oracle(model.vars, budget=budget)
+        oracle = Oracle(model.vars)
     return [i for i in range(1, len(p.steps) + 1)
             if not check_step(p, i, model, oracle=oracle).valid]

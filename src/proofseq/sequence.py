@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import BudgetExceededError, ProofShapeError
+from .errors import ProofShapeError
 from .model import (
     AtomicConstraint,
     Clause,
@@ -24,7 +24,7 @@ from .model import (
     clause_of,
     format_expr,
 )
-from .oracle import BudgetExceeded, Oracle, Sat, negate_conjunction
+from .oracle import Oracle, negate_conjunction
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,8 @@ def validate_sequence(seq: ExplanationSequence, model: UserModel,
     """Oracle-check every step; returns 1-based indices of invalid steps.
 
     A step is valid when its user constraints plus its fact reasons imply its
-    facts; fact reasons must also have been derived earlier.
+    facts; fact reasons must also have been derived earlier. The oracle's
+    budget bounds every query (default: `Oracle(model.vars)`).
     """
     if oracle is None:
         oracle = Oracle(model.vars)
@@ -148,15 +149,11 @@ def validate_sequence(seq: ExplanationSequence, model: UserModel,
     for i, step in enumerate(seq.steps, start=1):
         ok = all(f in seen for f in step.reasons_facts)
         if ok:
-            hard = [model.constraint_by_id(cid).expr for cid in step.reasons_user]
-            hard += [f.to_expr(model.domain_of(f.var)) for f in step.reasons_facts]
+            reasons = [model.constraint_by_id(cid).expr for cid in step.reasons_user]
+            reasons += [f.to_expr(model.domain_of(f.var)) for f in step.reasons_facts]
             derived = [FALSE if isinstance(f, Bottom) else f.to_expr(model.domain_of(f.var))
                        for f in step.facts]
-            hard.append(negate_conjunction(derived))
-            res = oracle.solve(hard=hard)
-            if isinstance(res, BudgetExceeded):
-                raise BudgetExceededError(f"sequence step {i}: oracle budget exhausted")
-            ok = not isinstance(res, Sat)
+            ok = oracle.model_of(reasons + [negate_conjunction(derived)]) is None
         if not ok:
             bad.append(i)
         for f in step.facts:

@@ -88,6 +88,13 @@ def test_explain_budget_exit_4(tmp_path):
     assert "budget" in err
 
 
+def test_explain_check_uses_budget():
+    # trim makes no pipeline oracle calls, so only --check can exhaust the budget
+    code, _, err = run_cli("explain", MOD, PRF, "--variant", "trim", "--check", "--budget", "0")
+    assert code == 4
+    assert "budget" in err
+
+
 def test_proof_check_golden():
     code, out, _ = run_cli("proof", "check", PRF, MOD)
     assert code == 0

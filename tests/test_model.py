@@ -7,10 +7,13 @@ from proofseq.model import (
     AllDifferent,
     AtomicConstraint,
     Clause,
+    Conjunction,
     Disjunction,
     Domain,
+    FALSE,
     HalfReified,
     Linear,
+    TRUE,
     VarId,
     canonical_key,
     clause_of,
@@ -99,7 +102,7 @@ def test_eval_missing_variable_raises():
 
 
 def _random_expr(rng, vars_):
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     def atom():
         return AtomicConstraint(rng.choice(vars_), rng.choice(["<=", ">=", "==", "!="]),
                                 rng.randint(-1, 5))
@@ -115,6 +118,9 @@ def _random_expr(rng, vars_):
     if kind == 4:
         return HalfReified(AtomicConstraint(vars_[0], "==", rng.randint(0, 1)),
                            Linear(((1, vars_[1]), (1, vars_[2])), "<=", rng.randint(0, 6)))
+    if kind == 5:
+        return Conjunction(tuple(FALSE if rng.random() < 0.25 else _random_expr(rng, vars_)
+                                 for _ in range(rng.randint(0, 3))))
     return Disjunction(tuple(_random_expr(rng, vars_) for _ in range(rng.randint(1, 2))))
 
 
@@ -137,6 +143,8 @@ def test_negate_expr_is_complement():
         ne = negate_expr(e)
         for alpha in all_assignments(doms):
             assert eval_expr(ne, alpha) == (not eval_expr(e, alpha))
+    # a false member makes the conjunction's negation trivially true
+    assert negate_expr(Conjunction((AtomicConstraint(vars_[0], "<=", 2), FALSE))) == TRUE
 
 
 def test_canonical_key_orientation():

@@ -2,7 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from proofseq.errors import LiftBeforeSimplifyError, ProofShapeError, SatInputError
+from proofseq.errors import (
+    BudgetExceededError,
+    LiftBeforeSimplifyError,
+    ProofShapeError,
+    SatInputError,
+)
 from proofseq.flatten import flatten
 from proofseq.model import (
     AtomicConstraint,
@@ -374,6 +379,14 @@ def test_run_pipeline_all_variants_valid(jobshop):
         assert res.sequence.derives_false(), name
         assert validate_sequence(res.sequence, model) == [], name
         assert res.sequence.max_stepsize <= 2, name
+
+
+def test_run_pipeline_debug_checks_use_the_run_budget(jobshop):
+    model, solver, proof = jobshop
+    # trim makes no pipeline oracle calls, so only the debug checks spend budget
+    assert run_pipeline(model, proof, "trim", solver, budget=0).oracle_calls == 0
+    with pytest.raises(BudgetExceededError):
+        run_pipeline(model, proof, "trim", solver, budget=0, debug=True)
 
 
 def test_merge_never_reorders_fact_availability(jobshop):

@@ -87,6 +87,8 @@ REJECTED_LINES = (
     ("i a<=3 c:p1\ni b>=7 s:1\n", ProofParseError),          # inference citing a step
     ("n a<=3 c:p1\n", ProofParseError),                     # nogood citing a constraint
     ("i a<=3 c:p1\ni b>=7 c:p1\nd s:1,s:2\n", ProofParseError),  # deletion of two steps
+    ("n a<=3 s:1\n", ForwardReferenceError),                # step citing itself
+    ("i a<=3|b>=7 c:p1\nd s:2\n", ForwardReferenceError),    # deletion of a later step
     ("c SAT\n", ProofParseError),                           # unknown conclusion
     ("x a<=3 c:p1\n", ProofParseError),                     # unknown line tag
 )
@@ -108,13 +110,13 @@ def test_serialize_roundtrip_golden(jobshop):
     assert text == (DATA / "jobshop.drcp").read_text()
 
 
-def test_serialize_roundtrip_with_deletions(jobshop):
+def test_deletion_line_validated_and_dropped(jobshop):
     _, solver, _ = jobshop
-    text = "# drcp 1\ni a<=3|b>=7 c:p1\nn a<=3 s:1\nd s:1\nc UNSAT s:2\n"
-    p = parse_drcp(text, solver)
-    assert p.deletions == ((2, 1),)
-    assert serialize_proof(p) == text
-    assert parse_drcp(serialize_proof(p), solver) == p
+    text = "# drcp 1\ni a<=3|b>=7 c:p1\nn a<=3 s:1\nc UNSAT s:2\n"
+    with_hint = text.replace("c UNSAT", "d s:1\nc UNSAT")
+    p = parse_drcp(with_hint, solver)
+    assert p == parse_drcp(text, solver)
+    assert serialize_proof(p) == text  # no d line is written
 
 
 def test_zero_step_proof_serializes_to_header(jobshop):
