@@ -1,15 +1,16 @@
 """Command-line interface: explain, bench and proof subcommands.
 
-Exit codes: 0 success, 2 parse error (model or proof), 3 semantic failure
-(invalid proof, failed validation, unusable input), 4 oracle budget
-exhausted. The oracle budget defaults to 10^6 conflicts and can be set with
---budget or the P2S_BUDGET environment variable; it also bounds the step
+Exit codes: 0 success, 2 parse error (model, proof or option value), 3
+semantic failure (invalid proof, failed validation, unusable input), 4 oracle
+budget exhausted. The oracle budget defaults to 10^6 conflicts and can be set
+with --budget or the P2S_BUDGET environment variable; it also bounds the step
 checks of `explain --check`, `bench --check` and `proof check`.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import statistics
@@ -44,6 +45,18 @@ def _budget(args) -> int:
         return int(env)
     except ValueError:
         raise ModelParseError(f"P2S_BUDGET must be an integer, got {env!r}") from None
+
+
+def _comma_list(convert):
+    """argparse type: a comma-separated list, each item through convert."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(item) for item in text.split(",")]
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse
 
 
 def _load_model(path: str):
@@ -100,49 +113,45 @@ def cmd_explain(args) -> int:
 
 def cmd_bench(args) -> int:
     suites = [args.suite] if args.suite else ["sudoku4", "jobshop", "mutated"]
-    names = args.variants.split(",") if args.variants else list(VARIANTS)
-    for name in names:
-        variant(name)  # fail fast on typos
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
-             else list(range(args.seed, args.seed + args.n)))
+    names = args.variants or list(VARIANTS)
+    seeds = args.seeds or list(range(args.seed, args.seed + args.n))
     budget = _budget(args)
 
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    writer = csv.writer(out)
-    writer.writerow(["suite", "seed", "variant", "len", "maxstep",
-                     "stage_times_ms", "oracle_calls"])
     agg: dict[tuple[str, str], list[tuple[int, int]]] = {}
     failures = []
-    for suite in suites:
-        for seed in seeds:
-            try:
-                model = generate_instance(suite, seed)
-                solver = flatten(model, decompose_alldiff=args.decompose_alldiff)
-                t0 = time.perf_counter()
-                res, text = solve_with_proof(solver, budget=budget, log_all=args.log_all)
-                solve_ms = (time.perf_counter() - t0) * 1000.0
-                proof = parse_drcp(text, solver)
-            except ProofseqError as e:
-                failures.append((suite, seed, "-", str(e)))
-                continue
-            for name in names:
+    with (open(args.out, "w", newline="", encoding="utf-8") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
+        writer = csv.writer(out)
+        writer.writerow(["suite", "seed", "variant", "len", "maxstep",
+                         "stage_times_ms", "oracle_calls"])
+        for suite in suites:
+            for seed in seeds:
                 try:
-                    r = run_pipeline(model, proof, name, solver, budget=budget)
-                    if args.check and (
-                            validate_sequence(r.sequence, model, Oracle(model.vars, budget=budget))
-                            or not r.sequence.derives_false()):
-                        raise ProofseqError("sequence validation failed")
+                    model = generate_instance(suite, seed)
+                    solver = flatten(model, decompose_alldiff=args.decompose_alldiff)
+                    t0 = time.perf_counter()
+                    res, text = solve_with_proof(solver, budget=budget, log_all=args.log_all)
+                    solve_ms = (time.perf_counter() - t0) * 1000.0
+                    proof = parse_drcp(text, solver)
                 except ProofseqError as e:
-                    failures.append((suite, seed, name, str(e)))
+                    failures.append((suite, seed, "-", str(e)))
                     continue
-                seq = r.sequence
-                writer.writerow([suite, seed, name, seq.sequence_length, seq.max_stepsize,
-                                 _stage_times(r.stages, solve_ms), r.oracle_calls])
-                agg.setdefault((suite, name), []).append(
-                    (seq.sequence_length, seq.max_stepsize))
-    if args.out:
-        out.close()
-    report = sys.stdout
+                for name in names:
+                    try:
+                        r = run_pipeline(model, proof, name, solver, budget=budget)
+                        if args.check and (
+                                validate_sequence(r.sequence, model,
+                                                  Oracle(model.vars, budget=budget))
+                                or not r.sequence.derives_false()):
+                            raise ProofseqError("sequence validation failed")
+                    except ProofseqError as e:
+                        failures.append((suite, seed, name, str(e)))
+                        continue
+                    seq = r.sequence
+                    writer.writerow([suite, seed, name, seq.sequence_length, seq.max_stepsize,
+                                     _stage_times(r.stages, solve_ms), r.oracle_calls])
+                    agg.setdefault((suite, name), []).append(
+                        (seq.sequence_length, seq.max_stepsize))
     for (suite, name), rows in agg.items():
         lens = [a for a, _ in rows]
         steps = [b for _, b in rows]
@@ -150,9 +159,9 @@ def cmd_bench(args) -> int:
               f"len avg {statistics.mean(lens):6.2f} (±{statistics.pstdev(lens):.2f}) "
               f"med {statistics.median(lens):5.1f} | "
               f"maxstep avg {statistics.mean(steps):5.2f} (±{statistics.pstdev(steps):.2f}) "
-              f"med {statistics.median(steps):4.1f}", file=report)
+              f"med {statistics.median(steps):4.1f}")
     for suite, seed, name, msg in failures:
-        print(f"# FAILED {suite} seed={seed} variant={name}: {msg}", file=report)
+        print(f"# FAILED {suite} seed={seed} variant={name}: {msg}")
     return 0
 
 
@@ -220,8 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="one suite (default: sudoku4, jobshop and mutated)")
     pb.add_argument("-n", type=int, default=5, help="number of seeds (with --seed start)")
     pb.add_argument("--seed", type=int, default=1, help="first seed")
-    pb.add_argument("--seeds", default=None, help="explicit comma-separated seed list")
-    pb.add_argument("--variants", default=None, help="comma-separated variant names")
+    pb.add_argument("--seeds", type=_comma_list(int), default=None,
+                    help="explicit comma-separated seed list")
+    pb.add_argument("--variants", type=_comma_list(lambda name: variant(name).name),
+                    default=None, help="comma-separated variant names")
     pb.add_argument("--check", action="store_true")
     pb.add_argument("--log-all", action="store_true",
                     help="log every propagation in the generated proofs")

@@ -11,7 +11,9 @@ Stage order (the optional minimizations give the variants):
 
 Global minimization at the end excludes an earlier minimization (it would
 ignore whatever the first pass uncovered), which leaves exactly seven legal
-variants.
+variants. Every stage before merging maps a proof to a proof of one derived
+constraint per step; whether its input reasons name solver or user
+constraints is known from the stage, not stored in the proof.
 
 `run_pipeline` runs the stages from one table of (name, stage, model) rows:
 no_aux, user_cons, min1, domain_red, min2. Each row is timed and recorded as
@@ -38,20 +40,17 @@ from .model import (
     FALSE,
     UserModel,
     canonical_key,
+    negate_expr,
     scope,
 )
 from .mus import MusQuery, SMALLEST_WEIGHTED, SUBSET_MINIMAL, extract_mus_indices
-from .oracle import Oracle, negate_conjunction
+from .oracle import Oracle
 from .proofcore import (
     AbstractProof,
-    INFERENCE,
     InputRef,
-    NOGOOD,
-    OTHER,
     ProofStep,
     ReasonRef,
     StepRef,
-    USER_LEVEL,
     check_proof,
     renumber,
     trim,
@@ -102,7 +101,7 @@ def variant(name: str) -> PipelineVariant:
 
 def simplify(p: AbstractProof, pred: Callable[[ProofStep], bool]) -> AbstractProof:
     """Remove every step violating pred, substituting its reasons into all
-    later steps that referenced its derivations (transitively, front to back)."""
+    later steps that referenced it (transitively, front to back)."""
     if not p.steps:
         return p
     if not pred(p.steps[-1]):
@@ -118,24 +117,14 @@ def simplify(p: AbstractProof, pred: Callable[[ProofStep], bool]) -> AbstractPro
                 reasons.append(ref)
         reasons = list(dict.fromkeys(reasons))
         if pred(step):
-            kept.append((i, ProofStep(step.derived, tuple(reasons), _infer_kind(reasons, step))))
+            kept.append((i, ProofStep(step.derived, tuple(reasons))))
         else:
             subst[i] = tuple(reasons)
-    return renumber(p.level, kept)
-
-
-def _infer_kind(reasons, step: ProofStep) -> str:
-    if tuple(reasons) == step.reasons:
-        return step.kind
-    if len(reasons) == 1 and isinstance(reasons[0], InputRef):
-        return INFERENCE
-    if reasons and all(isinstance(r, StepRef) for r in reasons):
-        return NOGOOD
-    return OTHER
+    return renumber(kept)
 
 
 def simplify_aux_vars(p: AbstractProof, solver_model: SolverModel) -> AbstractProof:
-    """Drop every step whose derived constraints mention auxiliary variables."""
+    """Drop every step whose derived constraint mentions auxiliary variables."""
     aux = solver_model.aux_vars
 
     def no_aux(step: ProofStep) -> bool:
@@ -145,19 +134,18 @@ def simplify_aux_vars(p: AbstractProof, solver_model: SolverModel) -> AbstractPr
 
 
 def simplify_to_domain_reductions(p: AbstractProof, model: UserModel) -> AbstractProof:
-    """Keep only steps whose derived constraints talk about at most one
+    """Keep only steps whose derived constraint talks about at most one
     variable, and normalize the surviving unary clauses to canonical domain
     statements over the model's declared domains."""
 
     def unary(step: ProofStep) -> bool:
-        return all(len(scope(d)) <= 1 for d in step.derived)
+        return len(scope(step.derived)) <= 1
 
     out = simplify(p, unary)
     steps = []
     for step in out.steps:
-        derived = tuple(_normalize_unary(d, model) for d in step.derived)
-        steps.append(ProofStep(derived, step.reasons, step.kind))
-    return AbstractProof(out.level, tuple(steps))
+        steps.append(ProofStep(_normalize_unary(step.derived, model), step.reasons))
+    return AbstractProof(tuple(steps))
 
 
 def _normalize_unary(d: Expr, model: UserModel) -> Expr:
@@ -189,8 +177,8 @@ def lift_to_user_level(p: AbstractProof, solver_model: SolverModel) -> AbstractP
         reasons = tuple(dict.fromkeys(
             InputRef(prov[r.cid]) if isinstance(r, InputRef) else r
             for r in step.reasons))
-        steps.append(ProofStep(step.derived, reasons, step.kind))
-    return AbstractProof(USER_LEVEL, tuple(steps))
+        steps.append(ProofStep(step.derived, reasons))
+    return AbstractProof(tuple(steps))
 
 
 # --- reason minimization ----------------------------------------------------------
@@ -198,9 +186,9 @@ def lift_to_user_level(p: AbstractProof, solver_model: SolverModel) -> AbstractP
 
 def minimize_reasons(p: AbstractProof, mode: str, user_model: UserModel,
                      oracle: Oracle) -> AbstractProof:
-    """Back-to-front pass: drop steps none of whose derivations are still
-    required, and replace each kept step's reasons by a minimal unsatisfiable
-    subset of its candidate reasons against the negated derivation.
+    """Back-to-front pass: drop steps whose derivation is no longer required,
+    and replace each kept step's reasons by a minimal unsatisfiable subset of
+    its candidate reasons against the negated derivation.
 
     local mode: candidates are the step's own reasons, subset-minimal MUS.
     global mode: candidates are all user constraints plus everything derived
@@ -212,15 +200,14 @@ def minimize_reasons(p: AbstractProof, mode: str, user_model: UserModel,
         raise ValueError(f"unknown minimization mode {mode!r}")
     if not p.is_refutation():
         raise ProofShapeError("reason minimization needs a refutation")
-    n = len(p.steps)
-    req = {canonical_key(d) for d in p.steps[-1].derived}
+    req = {canonical_key(FALSE)}
     kept_rev: list[tuple[int, ProofStep]] = []
-    for i in range(n, 0, -1):
+    for i in range(len(p.steps), 0, -1):
         step = p.steps[i - 1]
-        if not any(canonical_key(d) in req for d in step.derived):
+        if canonical_key(step.derived) not in req:
             continue
         cand = _candidates(p, i, step, mode, user_model)
-        hard = negate_conjunction(step.derived)
+        hard = negate_expr(step.derived)
         soft = tuple(expr for _, expr in cand)
         if mode == LOCAL:
             query = MusQuery(soft, (hard,), mode=SUBSET_MINIMAL)
@@ -234,11 +221,11 @@ def minimize_reasons(p: AbstractProof, mode: str, user_model: UserModel,
             raise SatInputError(f"step {i} is not implied by its candidate reasons") from None
         reasons = tuple(cand[k][0] for k in chosen)
         req.update(canonical_key(cand[k][1]) for k in chosen)
-        kept_rev.append((i, ProofStep(step.derived, reasons, OTHER)))
+        kept_rev.append((i, ProofStep(step.derived, reasons)))
     # duplicate derivations can leave a kept step unreferenced (the candidate
     # table points every reason at the earliest deriver); a final reachability
     # pass restores the trimmed-proof property without changing anything else
-    return trim(renumber(p.level, kept_rev[::-1]))
+    return trim(renumber(kept_rev[::-1]))
 
 
 def _candidates(p: AbstractProof, i: int, step: ProofStep, mode: str,
@@ -256,10 +243,10 @@ def _candidates(p: AbstractProof, i: int, step: ProofStep, mode: str,
     for c in user_model.constraints:
         out[canonical_key(c.expr)] = (InputRef(c.id), c.expr)
     for j in range(1, i):
-        for k, d in enumerate(p.steps[j - 1].derived):
-            key = canonical_key(d)
-            if key not in out or isinstance(out[key][0], InputRef):
-                out[key] = (StepRef(j, k), d)
+        d = p.steps[j - 1].derived
+        key = canonical_key(d)
+        if key not in out or isinstance(out[key][0], InputRef):
+            out[key] = (StepRef(j), d)
     return list(out.values())
 
 
@@ -275,52 +262,38 @@ def merge_steps(p: AbstractProof, user_model: UserModel) -> ExplanationSequence:
     """
     if not p.is_refutation():
         raise ProofShapeError("merging needs a refutation")
-    facts_of: list[tuple] = []
+    facts: list = []
     reasons_of: list[tuple[tuple[str, ...], tuple[DomainFact, ...]]] = []
     for idx, step in enumerate(p.steps, start=1):
-        facts = []
-        for d in step.derived:
-            if d == FALSE:
-                facts.append(BOT)
-            else:
-                sc = scope(d)
-                if len(sc) != 1:
-                    raise ProofShapeError(
-                        f"step {idx} derives a multi-variable constraint; simplify first")
-                (var,) = sc
-                facts.append(DomainFact.from_expr(d, user_model.domain_of(var)))
+        if step.derived == FALSE:
+            fact = BOT
+        else:
+            sc = scope(step.derived)
+            if len(sc) != 1:
+                raise ProofShapeError(
+                    f"step {idx} derives a multi-variable constraint; simplify first")
+            (var,) = sc
+            fact = DomainFact.from_expr(step.derived, user_model.domain_of(var))
         users: list[str] = []
         fact_reasons: list[DomainFact] = []
         for ref in step.reasons:
             if isinstance(ref, InputRef):
                 users.append(ref.cid)
+            elif isinstance(facts[ref.step - 1], Bottom):
+                raise ProofShapeError("a step references a false derivation")
             else:
-                f = facts_of[ref.step - 1][ref.idx]
-                if isinstance(f, Bottom):
-                    raise ProofShapeError("a step references a false derivation")
-                fact_reasons.append(f)
-        facts_of.append(tuple(facts))
+                fact_reasons.append(facts[ref.step - 1])
+        facts.append(fact)
         reasons_of.append((tuple(dict.fromkeys(users)), tuple(dict.fromkeys(fact_reasons))))
 
+    # reason-set key -> (the first member's reasons, the group's facts)
     groups: dict = {}
-    order: list = []
-    for idx in range(len(p.steps) - 1):
-        users, fact_reasons = reasons_of[idx]
-        key = (frozenset(users), frozenset(fact_reasons))
-        if key in groups:
-            groups[key][1].extend(facts_of[idx])
-        else:
-            groups[key] = (idx, list(facts_of[idx]))
-            order.append(key)
-
-    steps = []
-    for key in order:
-        _, facts = groups[key]
-        users, fact_reasons = reasons_of[groups[key][0]]
-        steps.append(ExplanationStep(tuple(dict.fromkeys(facts)), users, fact_reasons))
-    last_users, last_fact_reasons = reasons_of[-1]
-    steps.append(ExplanationStep(tuple(dict.fromkeys(facts_of[-1])),
-                                 last_users, last_fact_reasons))
+    for fact, reasons in zip(facts[:-1], reasons_of):
+        key = tuple(frozenset(r) for r in reasons)
+        groups.setdefault(key, (reasons, []))[1].append(fact)
+    steps = [ExplanationStep(tuple(dict.fromkeys(fs)), *reasons)
+             for reasons, fs in groups.values()]
+    steps.append(ExplanationStep((BOT,), *reasons_of[-1]))
     return ExplanationSequence(tuple(steps))
 
 

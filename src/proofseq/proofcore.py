@@ -1,8 +1,8 @@
-"""Abstract proofs: ordered steps deriving constraint sets from reason sets.
+"""Abstract proofs: ordered steps, each deriving one constraint from reasons.
 
-A proof step derives a set of constraints from reasons that are either input
-constraints (by id) or constraints derived by strictly earlier steps. The
-concrete file format is line-oriented:
+A proof step derives one constraint (a set of constraints is a Conjunction)
+from reasons that are either input constraints (by id) or whole earlier
+steps. The concrete file format is line-oriented:
 
     # comment
     i <atom>[|<atom>...] c:<constraint-id>     inference from one constraint
@@ -13,8 +13,9 @@ concrete file format is line-oriented:
 Atoms are written compactly as <var><op><int> with op in {<=, >=, ==, !=}.
 Step ids are 1-based in file order; the conclusion is itself a step (the
 last one). A deletion hint must cite one earlier step; it is then dropped,
-so it never removes a step and serialization writes none. Trimming is an
-explicit backward-reachability pass.
+so it never removes a step and serialization writes none. The line tag is
+not stored: it follows from the step (false, one input reason, or only step
+reasons). Trimming is an explicit backward-reachability pass.
 """
 
 from __future__ import annotations
@@ -37,15 +38,9 @@ from .model import (
     Expr,
     FALSE,
     clause_of,
+    negate_expr,
 )
-from .oracle import Oracle, negate_conjunction
-
-INFERENCE = "inference"
-NOGOOD = "nogood"
-OTHER = "other"
-
-SOLVER_LEVEL = "solver"
-USER_LEVEL = "user"
+from .oracle import Oracle
 
 
 @dataclass(frozen=True)
@@ -58,11 +53,10 @@ class InputRef:
 
 @dataclass(frozen=True)
 class StepRef:
-    step: int       # 1-based step id
-    idx: int = 0    # index into that step's derived tuple
+    step: int  # 1-based step id
 
     def __str__(self) -> str:
-        return f"s:{self.step}" if self.idx == 0 else f"s:{self.step}.{self.idx}"
+        return f"s:{self.step}"
 
 
 ReasonRef = Union[InputRef, StepRef]
@@ -70,27 +64,22 @@ ReasonRef = Union[InputRef, StepRef]
 
 @dataclass(frozen=True)
 class ProofStep:
-    derived: tuple[Expr, ...]
+    derived: Expr
     reasons: tuple[ReasonRef, ...]
-    kind: str = OTHER
 
 
 @dataclass(frozen=True)
 class AbstractProof:
-    level: str
     steps: tuple[ProofStep, ...]
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def is_refutation(self) -> bool:
-        return bool(self.steps) and any(d == FALSE for d in self.steps[-1].derived)
+        return bool(self.steps) and self.steps[-1].derived == FALSE
 
     def resolve(self, ref: ReasonRef, model) -> Expr:
         """The constraint a reason reference denotes; model supplies input ids."""
         if isinstance(ref, InputRef):
             return model.constraint_by_id(ref.cid).expr
-        return self.steps[ref.step - 1].derived[ref.idx]
+        return self.steps[ref.step - 1].derived
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -165,7 +154,7 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
             refs = _parse_refs(ref_text, len(steps), cids, lineno, steps_only=not inference)
             if inference and (len(refs) != 1 or not isinstance(refs[0], InputRef)):
                 raise ProofParseError("inference step needs exactly one c:<id> reason", lineno)
-            steps.append(ProofStep((clause_of(atoms),), refs, INFERENCE if inference else NOGOOD))
+            steps.append(ProofStep(clause_of(atoms), refs))
         elif tag == "d":
             refs = _parse_refs(rest, len(steps), cids, lineno, steps_only=True)
             if len(refs) != 1:
@@ -177,11 +166,11 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
             refs = ()
             if ref_text.strip():
                 refs = _parse_refs(ref_text.strip(), len(steps), cids, lineno, steps_only=False)
-            steps.append(ProofStep((FALSE,), refs, OTHER))
+            steps.append(ProofStep(FALSE, refs))
             concluded = True
         else:
             raise ProofParseError(f"unknown line tag {tag!r}", lineno)
-    return AbstractProof(SOLVER_LEVEL, tuple(steps))
+    return AbstractProof(tuple(steps))
 
 
 def _format_atom(a: AtomicConstraint) -> str:
@@ -191,15 +180,14 @@ def _format_atom(a: AtomicConstraint) -> str:
 def serialize_proof(p: AbstractProof) -> str:
     """Render a proof in the concrete syntax; parse_drcp(serialize_proof(p)) == p.
 
-    Only single-derived clause steps fit the format (which is all that parsing
-    or the prover produce); anything else raises ProofSerializeError.
+    The line tag follows from the step: `c UNSAT` for the final false step,
+    `i` for a clause from exactly one input reason, `n` for a clause from
+    earlier steps only. Any other step raises ProofSerializeError.
     """
     lines = ["# drcp 1"]
     for i, step in enumerate(p.steps, start=1):
-        if len(step.derived) != 1:
-            raise ProofSerializeError(f"step {i} derives {len(step.derived)} constraints")
-        d = step.derived[0]
-        refs = ",".join(str(r) for r in step.reasons)
+        d, reasons = step.derived, step.reasons
+        refs = ",".join(str(r) for r in reasons)
         if d == FALSE:
             if i != len(p.steps):
                 raise ProofSerializeError(f"step {i} derives false before the conclusion")
@@ -212,12 +200,12 @@ def serialize_proof(p: AbstractProof) -> str:
         else:
             raise ProofSerializeError(f"step {i} derives a non-clause {type(d).__name__}")
         body = "|".join(_format_atom(a) for a in atoms)
-        if step.kind == INFERENCE:
+        if len(reasons) == 1 and isinstance(reasons[0], InputRef):
             lines.append(f"i {body} {refs}")
-        elif step.kind == NOGOOD:
+        elif reasons and all(isinstance(r, StepRef) for r in reasons):
             lines.append(f"n {body} {refs}")
         else:
-            raise ProofSerializeError(f"step {i} has kind {step.kind!r}")
+            raise ProofSerializeError(f"step {i} has neither one c: reason nor only s: reasons")
     return "\n".join(lines) + "\n"
 
 
@@ -225,75 +213,41 @@ def serialize_proof(p: AbstractProof) -> str:
 
 
 def trim(p: AbstractProof) -> AbstractProof:
-    """Backward reachability from the final false step.
-
-    Keeps exactly the steps (and the individual derived constraints) that feed
-    the conclusion; reindexes references.
-    """
+    """Backward reachability from the final false step: keeps exactly the
+    steps that feed the conclusion and renumbers their references."""
     if not p.is_refutation():
         raise ProofShapeError("cannot trim: final step does not derive false")
     n = len(p.steps)
-    needed: list[set[int]] = [set() for _ in range(n)]
-    false_idx = next(k for k, d in enumerate(p.steps[-1].derived) if d == FALSE)
-    needed[n - 1].add(false_idx)
-    seen_steps = {n - 1}
-    stack = [n - 1]
+    seen = {n}
+    stack = [n]
     while stack:
         i = stack.pop()
-        for ref in p.steps[i].reasons:
-            if isinstance(ref, StepRef):
-                j = ref.step - 1
-                needed[j].add(ref.idx)
-                if j not in seen_steps:
-                    seen_steps.add(j)
-                    stack.append(j)
-
-    kept: list[tuple[int, ProofStep]] = []
-    idx_map: dict[int, dict[int, int]] = {}
-    for old in sorted(seen_steps):
-        step = p.steps[old]
-        keep_idx = sorted(needed[old])
-        idx_map[old + 1] = {k: pos for pos, k in enumerate(keep_idx)}
-        kept.append((old + 1, ProofStep(tuple(step.derived[k] for k in keep_idx),
-                                        step.reasons, step.kind)))
-    return renumber(p.level, kept, idx_map)
+        for ref in p.steps[i - 1].reasons:
+            if isinstance(ref, StepRef) and ref.step not in seen:
+                seen.add(ref.step)
+                stack.append(ref.step)
+    return renumber([(i, p.steps[i - 1]) for i in sorted(seen)])
 
 
-def renumber(level: str, kept: list[tuple[int, ProofStep]],
-             idx_map: Optional[dict[int, dict[int, int]]] = None) -> AbstractProof:
+def renumber(kept: list[tuple[int, ProofStep]]) -> AbstractProof:
     """The proof made of the kept steps, given in order as (old 1-based id,
-    step) pairs, with every step reference re-pointed at the new ids.
-
-    idx_map (old id -> old derived index -> new index) re-points references
-    into steps that lost some of their derivations.
-    """
+    step) pairs, with every step reference re-pointed at the new ids."""
     new_id = {old: new for new, (old, _) in enumerate(kept, start=1)}
 
     def moved(r: ReasonRef) -> ReasonRef:
-        if not isinstance(r, StepRef):
-            return r
-        return StepRef(new_id[r.step], r.idx if idx_map is None else idx_map[r.step][r.idx])
+        return StepRef(new_id[r.step]) if isinstance(r, StepRef) else r
 
-    return AbstractProof(level, tuple(ProofStep(s.derived, tuple(map(moved, s.reasons)), s.kind)
-                                      for _, s in kept))
+    return AbstractProof(tuple(ProofStep(s.derived, tuple(map(moved, s.reasons)))
+                               for _, s in kept))
 
 
 def is_trimmed(p: AbstractProof) -> bool:
-    """The literal trimmed-proof predicate: every derived constraint of every
-    non-final step is referenced by a later step, and the final step derives
-    exactly false."""
-    if not p.steps or p.steps[-1].derived != (FALSE,):
+    """The literal trimmed-proof predicate: every non-final step is cited by
+    a later step, and the final step derives false."""
+    if not p.is_refutation():
         return False
-    n = len(p.steps)
-    used: list[set[int]] = [set() for _ in range(n)]
-    for step in p.steps:
-        for ref in step.reasons:
-            if isinstance(ref, StepRef):
-                used[ref.step - 1].add(ref.idx)
-    for i, step in enumerate(p.steps[:-1]):
-        if set(range(len(step.derived))) - used[i]:
-            return False
-    return True
+    cited = {r.step for s in p.steps for r in s.reasons if isinstance(r, StepRef)}
+    return cited >= set(range(1, len(p.steps)))
 
 
 # --- semantic validity ----------------------------------------------------------
@@ -309,7 +263,7 @@ def check_step(p: AbstractProof, index: int, model,
                oracle: Optional[Oracle] = None) -> StepCheck:
     """Is step `index` (1-based) implied by its reasons over the model's domains?
 
-    Valid iff reasons plus the negated derived conjunction have no model; an
+    Valid iff reasons plus the negated derived constraint have no model; an
     Invalid result carries that model as its witness. Exhausting the oracle's
     budget (default: `Oracle(model.vars)`) raises, it is not a verdict.
     """
@@ -317,7 +271,7 @@ def check_step(p: AbstractProof, index: int, model,
     if oracle is None:
         oracle = Oracle(model.vars)
     reasons = [p.resolve(r, model) for r in step.reasons]
-    witness = oracle.model_of(reasons + [negate_conjunction(step.derived)])
+    witness = oracle.model_of(reasons + [negate_expr(step.derived)])
     return StepCheck(witness is None, witness)
 
 

@@ -24,17 +24,7 @@ from .model import (
     clause_of,
 )
 from .oracle import Sat, Unsat
-from .proofcore import (
-    AbstractProof,
-    INFERENCE,
-    InputRef,
-    NOGOOD,
-    OTHER,
-    ProofStep,
-    SOLVER_LEVEL,
-    StepRef,
-    serialize_proof,
-)
+from .proofcore import AbstractProof, InputRef, ProofStep, StepRef, serialize_proof
 
 
 def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
@@ -58,7 +48,7 @@ def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
         for c in s.constraints:
             if not eval_expr(c.expr, assignment):
                 raise AssertionError(f"prover returned a non-model (violates {c.id})")
-        return Sat(assignment), serialize_proof(AbstractProof(SOLVER_LEVEL, ()))
+        return Sat(assignment), serialize_proof(AbstractProof(()))
 
     by_slot = {eng.slot_of[v]: v for v, _ in s.vars}
 
@@ -69,14 +59,12 @@ def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
     steps: list[ProofStep] = []
     for st in res.steps:
         if st.kind == "i":
-            steps.append(ProofStep((clause_of(atom(a) for a in st.atoms),),
-                                   (InputRef(st.cid),), INFERENCE))
+            steps.append(ProofStep(clause_of(atom(a) for a in st.atoms), (InputRef(st.cid),)))
         elif st.kind == "n":
-            steps.append(ProofStep((clause_of(atom(a) for a in st.atoms),),
-                                   tuple(StepRef(r) for r in st.reasons), NOGOOD))
+            steps.append(ProofStep(clause_of(atom(a) for a in st.atoms),
+                                   tuple(StepRef(r) for r in st.reasons)))
         else:
             refs = tuple(StepRef(r) for r in st.reasons)
             refs += tuple(InputRef(c) for c in st.cid_reasons)
-            steps.append(ProofStep((FALSE,), refs, OTHER))
-    proof = AbstractProof(SOLVER_LEVEL, tuple(steps))
-    return Unsat(), serialize_proof(proof)
+            steps.append(ProofStep(FALSE, refs))
+    return Unsat(), serialize_proof(AbstractProof(tuple(steps)))

@@ -98,8 +98,8 @@ def test_criterion_2_golden_lifting(golden):
     p = simplify_to_domain_reductions(trim(p), model)
     names = [("a", "<=", 3), ("b", ">=", 3), ("c", ">=", 3), ("d", "<=", 1)]
     facts_ok = len(p.steps) == 5 and all(
-        p.steps[k].derived == (AtomicConstraint(model.var_by_name(n), op, v),)
-        for k, (n, op, v) in enumerate(names)) and p.steps[4].derived == (FALSE,)
+        p.steps[k].derived == AtomicConstraint(model.var_by_name(n), op, v)
+        for k, (n, op, v) in enumerate(names)) and p.steps[4].derived == FALSE
     reasons_ok = (
         p.steps[0].reasons == (InputRef("p1"),)
         and p.steps[1].reasons == (InputRef("p1"),)
@@ -207,7 +207,7 @@ def test_criterion_8_degenerate_collapse(golden):
             "c UNSAT s:2,s:3\n")
     p = parse_drcp(text, solver)
     out = simplify_aux_vars(p, solver)
-    ok = (len(out.steps) == 1 and out.steps[0].derived == (FALSE,)
+    ok = (len(out.steps) == 1 and out.steps[0].derived == FALSE
           and set(out.steps[0].reasons) == {InputRef("no1/2"), InputRef("no2/1")})
     _report(8, ok, "all-auxiliary proof collapses to a single false step "
                    "reasoned by solver constraints")

@@ -4,6 +4,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 
 from proofseq.cli import main
 from proofseq.model import parse_model
@@ -214,6 +215,13 @@ def test_bench_explicit_seed_list(tmp_path):
     assert code == 0
     rows = list(csv.DictReader(out_file.open()))
     assert [r["seed"] for r in rows] == ["4", "9"]
+
+
+@pytest.mark.parametrize("option, value", [("--variants", "trim,foo"), ("--seeds", "1,x")])
+def test_bench_bad_list_option_is_a_usage_error(option, value):
+    with pytest.raises(SystemExit) as info:
+        run_cli("bench", "--suite", "mutated", option, value)
+    assert info.value.code == 2
 
 
 def test_explain_solve_log_all(tmp_path):

@@ -33,7 +33,6 @@ from proofseq.pipeline import (
 from proofseq.proofcore import (
     AbstractProof,
     InputRef,
-    OTHER,
     ProofStep,
     StepRef,
     check_proof,
@@ -55,11 +54,7 @@ def jobshop():
 
 
 def _derived_atoms(p):
-    out = []
-    for s in p.steps:
-        assert len(s.derived) == 1
-        out.append(s.derived[0])
-    return out
+    return [s.derived for s in p.steps]
 
 
 def test_simplify_aux_vars_surviving_steps(jobshop):
@@ -68,10 +63,10 @@ def test_simplify_aux_vars_surviving_steps(jobshop):
     # aux-var clauses are derived by steps 5-9 and 11; eight steps survive
     assert len(p.steps) == 8
     a = model.var_by_name("a")
-    assert p.steps[1].derived == (AtomicConstraint(a, "<=", 3),)
+    assert p.steps[1].derived == AtomicConstraint(a, "<=", 3)
     # the step deriving c>=3 absorbed the two reified halves of no1
     c_step = p.steps[4]
-    assert c_step.derived[0] == AtomicConstraint(model.var_by_name("c"), ">=", 3)
+    assert c_step.derived == AtomicConstraint(model.var_by_name("c"), ">=", 3)
     assert c_step.reasons == (StepRef(2), InputRef("no1/2"), InputRef("no1/1"))
     assert check_proof(p, solver) == []
 
@@ -84,7 +79,7 @@ def test_simplify_true_predicate_is_identity(jobshop):
 def test_simplify_rejects_failing_final_step(jobshop):
     _, _, proof = jobshop
     with pytest.raises(ProofShapeError):
-        simplify(proof, lambda s: s.derived != (FALSE,))
+        simplify(proof, lambda s: s.derived != FALSE)
 
 
 def test_degenerate_collapse_to_single_step(jobshop):
@@ -98,7 +93,7 @@ def test_degenerate_collapse_to_single_step(jobshop):
     p = parse_drcp(text, solver)
     out = simplify_aux_vars(p, solver)
     assert len(out.steps) == 1
-    assert out.steps[0].derived == (FALSE,)
+    assert out.steps[0].derived == FALSE
     assert set(out.steps[0].reasons) == {InputRef("no1/2"), InputRef("no2/1")}
 
 
@@ -111,7 +106,6 @@ def test_lift_rejects_leftover_aux_vars(jobshop):
 def test_lift_dedupes_and_maps_to_user_ids(jobshop):
     model, solver, proof = jobshop
     p = lift_to_user_level(simplify_aux_vars(proof, solver), solver)
-    assert p.level == "user"
     c_step = p.steps[4]
     assert c_step.reasons == (StepRef(2), InputRef("no1"))
     d_step = p.steps[5]
@@ -171,7 +165,7 @@ def test_global_minimization_reaches_three_steps(jobshop):
     p = _user_level_five(model, solver, proof)
     out = minimize_reasons(p, GLOBAL, model, Oracle(model.vars))
     assert len(out.steps) == 3
-    assert out.steps[-1].derived == (FALSE,)
+    assert out.steps[-1].derived == FALSE
     assert is_trimmed(out)
     assert check_proof(out, model) == []
     # each step cites exactly one user constraint
@@ -204,9 +198,9 @@ def test_local_minimization_on_five_step(jobshop):
     assert len(out.steps) == 3
     assert check_proof(out, model) == []
     # local containment: each kept step's reasons are a subset of before
-    before = {tuple(s.derived): _resolved_reason_keys(p, model, s) for s in p.steps}
+    before = {s.derived: _resolved_reason_keys(p, model, s) for s in p.steps}
     for s in out.steps:
-        assert _resolved_reason_keys(out, model, s) <= before[tuple(s.derived)]
+        assert _resolved_reason_keys(out, model, s) <= before[s.derived]
     assert is_trimmed(out)
 
 
@@ -222,10 +216,10 @@ def test_local_containment_holds_on_generated_instances():
         out = minimize_reasons(p, LOCAL, model, Oracle(model.vars))
         before = {}
         for s in p.steps:
-            before.setdefault(tuple(s.derived), set()).update(
+            before.setdefault(s.derived, set()).update(
                 _resolved_reason_keys(p, model, s))
         for s in out.steps:
-            assert _resolved_reason_keys(out, model, s) <= before[tuple(s.derived)]
+            assert _resolved_reason_keys(out, model, s) <= before[s.derived]
         assert is_trimmed(out)
 
 
@@ -239,9 +233,9 @@ def test_minimize_identity_on_irreducible_singletons():
     m = parse_model("var x 0..6\n"
                     "con a: clause x >= 4\n"
                     "con b: clause x <= 3\n")
-    p = AbstractProof("user", (
-        ProofStep((AtomicConstraint(m.var_by_name("x"), ">=", 4),), (InputRef("a"),), OTHER),
-        ProofStep((FALSE,), (StepRef(1), InputRef("b")), OTHER),
+    p = AbstractProof((
+        ProofStep(AtomicConstraint(m.var_by_name("x"), ">=", 4), (InputRef("a"),)),
+        ProofStep(FALSE, (StepRef(1), InputRef("b"))),
     ))
     for mode in (LOCAL, GLOBAL):
         out = minimize_reasons(p, mode, m, Oracle(m.vars))
@@ -254,9 +248,9 @@ def test_domain_reduction_identity_on_unary_proof():
     m = parse_model("var x 0..6\n"
                     "con a: clause x >= 4\n"
                     "con b: clause x <= 3\n")
-    p = AbstractProof("user", (
-        ProofStep((AtomicConstraint(m.var_by_name("x"), ">=", 4),), (InputRef("a"),), OTHER),
-        ProofStep((FALSE,), (StepRef(1), InputRef("b")), OTHER),
+    p = AbstractProof((
+        ProofStep(AtomicConstraint(m.var_by_name("x"), ">=", 4), (InputRef("a"),)),
+        ProofStep(FALSE, (StepRef(1), InputRef("b"))),
     ))
     assert simplify_to_domain_reductions(p, m).steps == p.steps
 
@@ -272,9 +266,9 @@ def test_minimize_local_idempotent(jobshop):
 def test_minimize_rejects_invalid_step(jobshop):
     model, solver, _ = jobshop
     a = model.var_by_name("a")
-    bogus = AbstractProof("user", (
-        ProofStep((AtomicConstraint(a, ">=", 5),), (InputRef("p1"),), OTHER),
-        ProofStep((FALSE,), (StepRef(1), InputRef("p2")), OTHER),
+    bogus = AbstractProof((
+        ProofStep(AtomicConstraint(a, ">=", 5), (InputRef("p1"),)),
+        ProofStep(FALSE, (StepRef(1), InputRef("p2"))),
     ))
     with pytest.raises(SatInputError):
         minimize_reasons(bogus, LOCAL, model, Oracle(model.vars))
@@ -288,11 +282,11 @@ def test_local_minimization_drops_irrelevant_reason():
         "con ad: alldifferent(r1,r2)\n"
         "con h1: clause r1 == 1\n"
         "con h2: clause q == 3\n")
-    p = AbstractProof("user", (
-        ProofStep((AtomicConstraint(m.var_by_name("r2"), "==", 2),),
-                  (InputRef("ad"), InputRef("h1"), InputRef("h2")), OTHER),
-        ProofStep((FALSE,),
-                  (StepRef(1), InputRef("ad"), InputRef("h1")), OTHER),
+    p = AbstractProof((
+        ProofStep(AtomicConstraint(m.var_by_name("r2"), "==", 2),
+                  (InputRef("ad"), InputRef("h1"), InputRef("h2"))),
+        ProofStep(FALSE,
+                  (StepRef(1), InputRef("ad"), InputRef("h1"))),
     ))
     # make it a refutation: r2 == 2 and alldifferent and r1 == 1 is satisfiable,
     # so use a contradictory final step instead
@@ -302,10 +296,10 @@ def test_local_minimization_drops_irrelevant_reason():
         "con h1: clause r1 == 1\n"
         "con h2: clause q == 3\n"
         "con h3: clause r2 == 1\n")
-    p = AbstractProof("user", (
-        ProofStep((AtomicConstraint(m2.var_by_name("r2"), "==", 2),),
-                  (InputRef("ad"), InputRef("h1"), InputRef("h2")), OTHER),
-        ProofStep((FALSE,), (StepRef(1), InputRef("h3")), OTHER),
+    p = AbstractProof((
+        ProofStep(AtomicConstraint(m2.var_by_name("r2"), "==", 2),
+                  (InputRef("ad"), InputRef("h1"), InputRef("h2"))),
+        ProofStep(FALSE, (StepRef(1), InputRef("h3"))),
     ))
     out = minimize_reasons(p, LOCAL, m2, Oracle(m2.vars))
     first = out.steps[0]
@@ -414,11 +408,11 @@ def test_non_contiguous_domain_fact_roundtrip():
                     "con w: clause x <= 1 | x >= 5\n"
                     "con lo: clause x >= 2\n"
                     "con hi: clause x <= 4\n")
-    p = AbstractProof("user", (
-        ProofStep((clause_of((AtomicConstraint(m.var_by_name("x"), "<=", 1),
-                              AtomicConstraint(m.var_by_name("x"), ">=", 5))),),
-                  (InputRef("w"),), OTHER),
-        ProofStep((FALSE,), (StepRef(1), InputRef("lo"), InputRef("hi")), OTHER),
+    p = AbstractProof((
+        ProofStep(clause_of((AtomicConstraint(m.var_by_name("x"), "<=", 1),
+                             AtomicConstraint(m.var_by_name("x"), ">=", 5))),
+                  (InputRef("w"),)),
+        ProofStep(FALSE, (StepRef(1), InputRef("lo"), InputRef("hi"))),
     ))
     seq = merge_steps(simplify_to_domain_reductions(p, m), m)
     assert validate_sequence(seq, m) == []

@@ -7,20 +7,26 @@ from proofseq.errors import (
     DanglingReferenceError,
     ForwardReferenceError,
     ProofParseError,
+    ProofSerializeError,
     ProofShapeError,
     UnknownConstraintError,
 )
 from proofseq.flatten import flatten
-from proofseq.model import AtomicConstraint, Clause, FALSE, VarId, clause_of, parse_model
+from proofseq.model import (
+    AtomicConstraint,
+    Clause,
+    FALSE,
+    Linear,
+    VarId,
+    clause_of,
+    conjunction_of,
+    parse_model,
+)
 from proofseq.oracle import Oracle
 from proofseq.proofcore import (
     AbstractProof,
     InputRef,
-    NOGOOD,
-    INFERENCE,
-    OTHER,
     ProofStep,
-    SOLVER_LEVEL,
     StepRef,
     check_proof,
     check_step,
@@ -45,14 +51,12 @@ def test_parse_golden_proof_shape(jobshop):
     _, solver, proof = jobshop
     assert len(proof.steps) == 14
     last = proof.steps[-1]
-    assert last.derived == (FALSE,)
+    assert last.derived == FALSE
     assert last.reasons == (StepRef(10), StepRef(12), StepRef(13))
-    kinds = [s.kind for s in proof.steps]
-    assert kinds == [INFERENCE, NOGOOD] * 6 + [INFERENCE, OTHER]
     assert proof.is_refutation()
     # step 5 derives the reified clause over the first selector
     x1 = solver.var_by_name("_x1")
-    s5 = proof.steps[4].derived[0]
+    s5 = proof.steps[4].derived
     assert isinstance(s5, Clause) and s5.atoms[0] == AtomicConstraint(x1, ">=", 1)
     assert proof.steps[4].reasons == (InputRef("no1/2"),)
 
@@ -121,9 +125,31 @@ def test_deletion_line_validated_and_dropped(jobshop):
 
 def test_zero_step_proof_serializes_to_header(jobshop):
     _, solver, _ = jobshop
-    p = AbstractProof(SOLVER_LEVEL, ())
+    p = AbstractProof(())
     assert serialize_proof(p) == "# drcp 1\n"
     assert parse_drcp(serialize_proof(p), solver) == p
+
+
+_A = AtomicConstraint(VarId(0, "a"), "<=", 3)
+SERIALIZE_REJECTED = (
+    # mixed input and step reasons
+    ((ProofStep(_A, (InputRef("p1"),)), ProofStep(_A, (StepRef(1), InputRef("p2")))),
+     "step 2 has neither"),
+    # a non-final step with no reasons
+    ((ProofStep(_A, ()), ProofStep(FALSE, (StepRef(1),))), "step 1 has neither"),
+    # a derivation that is not a clause
+    ((ProofStep(Linear(((1, VarId(0, "a")),), "<=", 3), (InputRef("p1"),)),),
+     "step 1 derives a non-clause"),
+    # false before the last step
+    ((ProofStep(FALSE, (InputRef("p1"),)), ProofStep(_A, (StepRef(1),))),
+     "step 1 derives false before"),
+)
+
+
+def test_serialize_rejects_shapes_the_format_cannot_hold():
+    for steps, message in SERIALIZE_REJECTED:
+        with pytest.raises(ProofSerializeError, match=message):
+            serialize_proof(AbstractProof(steps))
 
 
 def test_check_step_golden_all_valid(jobshop):
@@ -200,11 +226,10 @@ def _fuzz_proof(rng: random.Random) -> AbstractProof:
         for _ in range(rng.randint(0, 3)):
             if i > 1:
                 reasons.append(StepRef(rng.randint(1, i - 1)))
-        kind = INFERENCE if len(reasons) == 1 and isinstance(reasons[0], InputRef) else NOGOOD
-        steps.append(ProofStep((derived,), tuple(dict.fromkeys(reasons)), kind))
+        steps.append(ProofStep(derived, tuple(dict.fromkeys(reasons))))
     concl_reasons: list = [StepRef(rng.randint(1, n)) for _ in range(rng.randint(0, 4))]
-    steps.append(ProofStep((FALSE,), tuple(dict.fromkeys(concl_reasons)), OTHER))
-    return AbstractProof(SOLVER_LEVEL, tuple(steps))
+    steps.append(ProofStep(FALSE, tuple(dict.fromkeys(concl_reasons))))
+    return AbstractProof(tuple(steps))
 
 
 def test_trim_fuzz_idempotent_and_trimmed():
@@ -214,7 +239,21 @@ def test_trim_fuzz_idempotent_and_trimmed():
         t = trim(p)
         assert is_trimmed(t)
         assert trim(t) == t
-        assert t.steps[-1].derived == (FALSE,)
+        assert t.steps[-1].derived == FALSE
+        # independent of trim and is_trimmed: the kept steps are exactly the
+        # steps reachable from the conclusion (one backward sweep, since every
+        # reference points at an earlier step), in order, deriving the same
+        # and citing the same steps under their new ids
+        reach = {len(p.steps)}
+        for i in range(len(p.steps), 0, -1):
+            if i in reach:
+                reach.update(r.step for r in p.steps[i - 1].reasons if isinstance(r, StepRef))
+        kept = sorted(reach)
+        new_id = {old: new for new, old in enumerate(kept, start=1)}
+        assert [s.derived for s in t.steps] == [p.steps[i - 1].derived for i in kept]
+        assert [s.reasons for s in t.steps] == [
+            tuple(StepRef(new_id[r.step]) if isinstance(r, StepRef) else r
+                  for r in p.steps[i - 1].reasons) for i in kept]
 
 
 def test_fuzz_roundtrip_through_concrete_syntax(jobshop):
@@ -262,8 +301,7 @@ def test_check_step_agrees_with_enumeration():
     """Dual-route validity: the oracle verdict matches brute-force implication
     checking (reasons entail derived iff no assignment satisfies the reasons
     while violating a derived constraint)."""
-    from proofseq.model import Domain, UserModel, VarId, Constraint, Linear
-    from proofseq.proofcore import AbstractProof, OTHER, ProofStep
+    from proofseq.model import Domain, UserModel, Constraint
     from helpers import all_assignments, brute_eval
 
     rng = random.Random(3030)
@@ -291,9 +329,9 @@ def test_check_step_agrees_with_enumeration():
         derived = [rand_expr() for _ in range(rng.randint(1, 2))]
         model = UserModel(tuple(doms),
                           tuple(Constraint(f"r{i}", e) for i, e in enumerate(reason_exprs)))
-        proof = AbstractProof("user", (
-            ProofStep(tuple(derived),
-                      tuple(InputRef(f"r{i}") for i in range(len(reason_exprs))), OTHER),))
+        proof = AbstractProof((
+            ProofStep(conjunction_of(derived),
+                      tuple(InputRef(f"r{i}") for i in range(len(reason_exprs)))),))
         got = check_step(proof, 1, model).valid
         want = True
         for alpha in all_assignments(doms):

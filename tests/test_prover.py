@@ -5,8 +5,6 @@ from proofseq.instances import generate_instance
 from proofseq.model import AllDifferent, AtomicConstraint, eval_expr, parse_model
 from proofseq.oracle import Oracle, Sat, Unsat
 from proofseq.proofcore import (
-    INFERENCE,
-    NOGOOD,
     InputRef,
     StepRef,
     check_proof,
@@ -55,10 +53,9 @@ def test_proof_steps_have_drcp_shape():
     _, text = solve_with_proof(s)
     p = parse_drcp(text, s)
     for step in p.steps[:-1]:
-        if step.kind == INFERENCE:
-            assert len(step.reasons) == 1 and isinstance(step.reasons[0], InputRef)
-        elif step.kind == NOGOOD:
-            assert step.reasons and all(isinstance(r, StepRef) for r in step.reasons)
+        inference = len(step.reasons) == 1 and isinstance(step.reasons[0], InputRef)
+        nogood = step.reasons and all(isinstance(r, StepRef) for r in step.reasons)
+        assert inference or nogood, step
 
 
 def test_log_all_leaves_room_for_trimming():
