@@ -48,11 +48,12 @@ def _budget(args) -> int:
 
 
 def _comma_list(convert):
-    """argparse type: a comma-separated list, each item through convert."""
+    """argparse type: a comma-separated list, each item through convert; a
+    repeated item is kept once, at its first position."""
 
     def parse(text: str) -> list:
         try:
-            return [convert(item) for item in text.split(",")]
+            return list(dict.fromkeys(convert(item) for item in text.split(",")))
         except ValueError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
 

@@ -17,6 +17,17 @@ alone entails the bound `value`. A ("s", value, entry) record means the bound
 slid one value, past the value that `entry` removed (-1 for a root hole), so
 it also rests on the record before it.
 
+One function, `_compile`, lowers every expression. A disjunction (nested
+ones spliced in) that is not a plain clause gets one selector slot per
+member and a cover clause; each member compiles under the guard
+`selector == 1`, where an atom or a clause gains the negated guard as a
+literal and a linear becomes half-reified.
+
+Each registered propagator is a tuple whose first item is its plain
+`Engine._prop_*` function, called as `p[0](self, p)`. A bound method there
+would make every engine a reference cycle that only the cyclic collector
+frees. `apply` and every propagator return the Conflict they hit, or None.
+
 Propagation strength: bounds reasoning for linear sums, unit propagation for
 clauses, value-based pairwise pruning for alldifferent, guard/body reasoning
 for half-reified linears. Search is complete, so weak propagation only costs
@@ -53,10 +64,8 @@ from .model import (
     Linear,
     VarId,
     as_expr,
+    disjuncts,
 )
-
-OK = 0
-NOOP = 1
 
 Atom = tuple  # (var slot, op, value)
 
@@ -97,7 +106,6 @@ class Conflict:
 class Engine:
     def __init__(self, vars_domains: Sequence[tuple[VarId, Domain]],
                  budget: int = DEFAULT_BUDGET, log_all: bool = False):
-        self.names: list[str] = []
         self.lb: list[int] = []
         self.ub: list[int] = []
         self.bound = (self.lb, self.ub)
@@ -108,7 +116,7 @@ class Engine:
         self.slot_of: dict[VarId, int] = {}
         self.internal: set[int] = set()
         for v, d in vars_domains:
-            self.slot_of[v] = self._add_slot(v.name, d)
+            self.slot_of[v] = self._add_slot(d)
         self.budget = budget
         self.log_all = log_all
 
@@ -119,7 +127,7 @@ class Engine:
         self.level = 0
         self.level_start: list[int] = [0]
 
-        self.props: list[tuple] = []
+        self.props: list[tuple] = []  # (propagator function, its arguments...)
         self.queue: list[int] = []
         self.qhead = 0
         self.in_queue: list[bool] = []
@@ -128,22 +136,20 @@ class Engine:
         self.steps: list[EngineStep] = []
         self.entry_step: dict[int, int] = {}
         self.conflicts = 0
-        self.empty_at_root = any(lo > hi for lo, hi in zip(self.lb, self.ub))
 
     # --- setup -----------------------------------------------------------
 
-    def _add_slot(self, name: str, d: Domain) -> int:
-        self.names.append(name)
+    def _add_slot(self, d: Domain) -> int:
         self.lb.append(d.lower)
         self.ub.append(d.upper)
         self.holes.append(dict.fromkeys(d.holes, -1))
         self.hist[0].append([("b", d.lower, -1)])
         self.hist[1].append([("b", d.upper, -1)])
         self.watch.append([])
-        return len(self.names) - 1
+        return len(self.lb) - 1
 
     def _fresh_internal(self) -> int:
-        s = self._add_slot(f"_sel{len(self.names)}", Domain(0, 1))
+        s = self._add_slot(Domain(0, 1))
         self.internal.add(s)
         return s
 
@@ -166,29 +172,35 @@ class Engine:
         atoms = tuple(dict.fromkeys(atoms))
         # two distinct positions to check before scanning, see _prop_clause
         hint = [0, 1] if len(atoms) > 1 else None
-        self._register(("clause", source, atoms, hint), [a[0] for a in atoms])
+        self._register((Engine._prop_clause, source, atoms, hint), [a[0] for a in atoms])
 
     def _enqueue(self, idx: int):
         if not self.in_queue[idx]:
             self.in_queue[idx] = True
             self.queue.append(idx)
 
-    def _compile(self, cid: str, e: Expr):
-        if isinstance(e, AtomicConstraint):
+    def _compile(self, cid: str, e: Expr, guard: Optional[Atom] = None):
+        """Register e under cid; with a guard atom, register guard => e."""
+        if guard is not None and isinstance(e, (AtomicConstraint, Clause)):
+            atoms = e.atoms if isinstance(e, Clause) else (e,)
+            self._add_clause(("c", cid), (_negate_atom(guard),) + tuple(map(self.atom_of, atoms)))
+        elif isinstance(e, AtomicConstraint):
             a = self.atom_of(e)
-            self._register(("atomic", cid, a), (a[0],))
+            self._register((Engine._prop_atomic, cid, a), (a[0],))
         elif isinstance(e, Clause):
             self._add_clause(("c", cid), (self.atom_of(a) for a in e.atoms))
         elif isinstance(e, Linear):
-            self._compile_linear(cid, e, guard=None)
-        elif isinstance(e, AllDifferent):
-            slots = tuple(self.slot_of[v] for v in e.vars)
-            self._register(("alldiff", cid, slots), slots)
-        elif isinstance(e, HalfReified):
-            self._compile_linear(cid, e.then, guard=self.atom_of(e.guard))
+            self._compile_linear(cid, e, guard)
         elif isinstance(e, Conjunction):
             for m in e.members:
-                self._compile(cid, m)
+                self._compile(cid, m, guard)
+        elif guard is not None:
+            raise FlattenError(f"cannot guard {type(e).__name__} inside a disjunction")
+        elif isinstance(e, AllDifferent):
+            slots = tuple(self.slot_of[v] for v in e.vars)
+            self._register((Engine._prop_alldiff, cid, slots), slots)
+        elif isinstance(e, HalfReified):
+            self._compile_linear(cid, e.then, self.atom_of(e.guard))
         elif isinstance(e, Disjunction):
             self._compile_disjunction(cid, e)
         else:
@@ -198,50 +210,24 @@ class Engine:
         terms = tuple((coef, self.slot_of[v]) for coef, v in lin.terms if coef != 0)
         slots = [s for _, s in terms] + ([guard[0]] if guard else [])
         if lin.op in ("<=", "=="):
-            self._register(("lin", cid, guard, terms, lin.rhs), slots)
+            self._register((Engine._prop_lin, cid, guard, terms, lin.rhs), slots)
         if lin.op in (">=", "=="):
             neg = tuple((-c, s) for c, s in terms)
-            self._register(("lin", cid, guard, neg, -lin.rhs), slots)
+            self._register((Engine._prop_lin, cid, guard, neg, -lin.rhs), slots)
         if lin.op == "!=":
-            self._register(("linne", cid, guard, terms, lin.rhs), slots)
+            self._register((Engine._prop_linne, cid, guard, terms, lin.rhs), slots)
 
     def _compile_disjunction(self, cid: str, e: Disjunction):
-        members: list[Expr] = []
-        stack = list(e.members)
-        while stack:
-            m = stack.pop(0)
-            if isinstance(m, Disjunction):
-                stack = list(m.members) + stack
-            elif isinstance(m, HalfReified):
-                stack = [m.guard.negated(), m.then] + stack
-            else:
-                members.append(m)
+        members = disjuncts(e)
         if len(members) == 1:
             self._compile(cid, members[0])
-            return
-        if all(isinstance(m, AtomicConstraint) for m in members):
+        elif all(isinstance(m, AtomicConstraint) for m in members):
             self._add_clause(("c", cid), (self.atom_of(m) for m in members))
-            return
-        sels = []
-        for m in members:
-            s = self._fresh_internal()
-            sels.append(s)
-            self._compile_guarded(cid, (s, "==", 1), m)
-        self._add_clause(("c", cid), ((s, ">=", 1) for s in sels))
-
-    def _compile_guarded(self, cid: str, guard: Atom, m: Expr):
-        neg_guard = _negate_atom(guard)
-        if isinstance(m, AtomicConstraint):
-            self._add_clause(("c", cid), (neg_guard, self.atom_of(m)))
-        elif isinstance(m, Linear):
-            self._compile_linear(cid, m, guard)
-        elif isinstance(m, Clause):
-            self._add_clause(("c", cid), (neg_guard,) + tuple(self.atom_of(a) for a in m.atoms))
-        elif isinstance(m, Conjunction):
-            for part in m.members:
-                self._compile_guarded(cid, guard, part)
         else:
-            raise FlattenError(f"cannot guard {type(m).__name__} inside a disjunction")
+            sels = [self._fresh_internal() for _ in members]
+            for s, m in zip(sels, members):
+                self._compile(cid, m, guard=(s, "==", 1))
+            self._add_clause(("c", cid), ((s, ">=", 1) for s in sels))
 
     # --- domain state ------------------------------------------------------
 
@@ -279,33 +265,26 @@ class Engine:
                 return out
             k -= 1
 
-    def justify_ne(self, vi: int, v: int) -> list[int]:
-        """Entries entailing v not in dom(vi)."""
-        if v < self.lb[vi]:
-            return self.justify_bound(0, vi, v + 1)
-        if v > self.ub[vi]:
-            return self.justify_bound(1, vi, v - 1)
-        e = self.holes[vi][v]
-        return [] if e < 0 else [e]
-
     def justify_false(self, atom: Atom) -> list[int]:
+        """Entries entailing that the atom is false, which it must be."""
         vi, op, val = atom
-        if op == ">=":
-            return self.justify_bound(1, vi, val - 1)
-        if op == "<=":
+        if op == "<=" or (op == "==" and val < self.lb[vi]):
             return self.justify_bound(0, vi, val + 1)
-        if op == "==":
-            return self.justify_ne(vi, val)
+        if op == ">=" or (op == "==" and val > self.ub[vi]):
+            return self.justify_bound(1, vi, val - 1)
+        if op == "==":  # a removed value inside the bounds
+            e = self.holes[vi][val]
+            return [] if e < 0 else [e]
         return self.justify_bound(0, vi, val) + self.justify_bound(1, vi, val)
 
     # --- trail -------------------------------------------------------------
 
     def apply(self, atom: Atom, reason: Optional[tuple]):
-        """Apply an atomic domain change; returns OK, NOOP or a Conflict."""
+        """Apply an atomic domain change; returns the Conflict if the atom is false."""
         vi, op, val = atom
         st = self.status(atom)
         if st is True:
-            return NOOP
+            return None
         if st is False:
             if reason is None:
                 raise AssertionError("decision on a falsified atom")
@@ -337,7 +316,7 @@ class Engine:
             self.holes[vi][val] = e
         if self.log_all and reason is not None:
             self._step_for_entry(e)
-        return OK
+        return None
 
     def _tighten(self, side: int, vi: int, v: int, kind: str, entry: int):
         """Move bound `side` of vi to v as a `kind` record of trail entry
@@ -382,29 +361,16 @@ class Engine:
             idx = self.queue[self.qhead]
             self.qhead += 1
             self.in_queue[idx] = False
-            conflict = self._run_prop(idx)
+            p = self.props[idx]
+            conflict = p[0](self, p)
             if conflict is not None:
                 return conflict
         self.queue.clear()
         self.qhead = 0
         return None
 
-    def _run_prop(self, idx: int) -> Optional[Conflict]:
-        p = self.props[idx]
-        tag = p[0]
-        if tag == "clause":
-            return self._prop_clause(p)
-        if tag == "lin":
-            return self._prop_lin(p)
-        if tag == "atomic":
-            _, cid, atom = p
-            r = self.apply(atom, ("c", cid, ()))
-            return r if isinstance(r, Conflict) else None
-        if tag == "linne":
-            return self._prop_linne(p)
-        if tag == "alldiff":
-            return self._prop_alldiff(p)
-        raise AssertionError(tag)
+    def _prop_atomic(self, p) -> Optional[Conflict]:
+        return self.apply(p[2], ("c", p[1], ()))
 
     def _prop_clause(self, p) -> Optional[Conflict]:
         _, source, atoms, hint = p
@@ -439,8 +405,7 @@ class Engine:
         for a in atoms:
             if a != unit:
                 premises.extend(self.justify_false(a))
-        r = self.apply(unit, (source[0], source[1], tuple(_stable_unique(premises))))
-        return r if isinstance(r, Conflict) else None
+        return self.apply(unit, (source[0], source[1], tuple(_stable_unique(premises))))
 
     def _prop_lin(self, p) -> Optional[Conflict]:
         # sum(coef*var) <= rhs, optionally under an atomic guard
@@ -455,8 +420,7 @@ class Engine:
             if smin <= rhs:
                 return None
             premises = self._lin_premises(terms, None)
-            r = self.apply(_negate_atom(guard), ("c", cid, tuple(_stable_unique(premises))))
-            return r if isinstance(r, Conflict) else None
+            return self.apply(_negate_atom(guard), ("c", cid, tuple(_stable_unique(premises))))
         if smin > rhs and not terms:
             # degenerate constant constraint: cite it from the conclusion
             return Conflict((), ("c", cid), ())
@@ -469,13 +433,13 @@ class Engine:
                 bound = slack // coef
                 if bound < self.ub[s]:
                     r = self.apply((s, "<=", bound), self._lin_reason(cid, guard, terms, s))
-                    if isinstance(r, Conflict):
+                    if r is not None:
                         return r
             else:
                 bound = -(slack // -coef)
                 if bound > self.lb[s]:
                     r = self.apply((s, ">=", bound), self._lin_reason(cid, guard, terms, s))
-                    if isinstance(r, Conflict):
+                    if r is not None:
                         return r
         return None
 
@@ -525,8 +489,7 @@ class Engine:
         for _, s in cited:
             if self.lb[s] == self.ub[s]:
                 premises += self.justify_bound(0, s, self.lb[s]) + self.justify_bound(1, s, self.ub[s])
-        r = self.apply(target, ("c", cid, tuple(_stable_unique(premises))))
-        return r if isinstance(r, Conflict) else None
+        return self.apply(target, ("c", cid, tuple(_stable_unique(premises))))
 
     def _prop_alldiff(self, p) -> Optional[Conflict]:
         _, cid, slots = p
@@ -537,14 +500,14 @@ class Engine:
             v = lb[s]
             premises = None
             for t in slots:
-                # a slot that already excludes v would make apply a NOOP
+                # a slot that already excludes v would make apply do nothing
                 if t == s or v < lb[t] or v > ub[t] or v in holes[t]:
                     continue
                 if premises is None:
                     premises = tuple(_stable_unique(
                         self.justify_bound(0, s, v) + self.justify_bound(1, s, v)))
                 r = self.apply((t, "!=", v), ("c", cid, premises))
-                if isinstance(r, Conflict):
+                if r is not None:
                     return r
         return None
 
@@ -568,27 +531,21 @@ class Engine:
         self.entry_step[e] = sid
         return sid
 
-    def _step_for_source(self, conflict: Conflict):
-        kind, key = conflict.source
-        if kind == "g":
-            return self.nogoods[key][1]
-        if not conflict.step_atoms:
-            # an input constraint false on its own: the conclusion cites it
-            # directly rather than through an empty-clause inference
-            return ("cid", key)
-        self.steps.append(EngineStep("i", conflict.step_atoms, cid=key))
-        return len(self.steps)
-
     # --- conflict analysis -----------------------------------------------------
 
     def _analyze(self, conflict: Conflict):
-        first = self._step_for_source(conflict)
         reasons: list[int] = []
         cid_reasons: list[str] = []
-        if isinstance(first, tuple):
-            cid_reasons.append(first[1])
+        kind, key = conflict.source
+        if kind == "g":
+            reasons.append(self.nogoods[key][1])
+        elif conflict.step_atoms:
+            self.steps.append(EngineStep("i", conflict.step_atoms, cid=key))
+            reasons.append(len(self.steps))
         else:
-            reasons.append(first)
+            # an input constraint false on its own: the conclusion cites it
+            # directly rather than through an empty-clause inference
+            cid_reasons.append(key)
         cc: dict[int, None] = dict.fromkeys(conflict.entries)
 
         def expand(e: int):
@@ -599,30 +556,27 @@ class Engine:
             for q in self.t_reason[e][2]:
                 cc.setdefault(q)
 
-        while True:
-            if not cc:
-                return ("root", reasons, cid_reasons)
-            clevel = max(self.t_level[e] for e in cc)
-            if clevel == 0:
+        clevel = max((self.t_level[e] for e in cc), default=0)
+        if clevel == 0:
+            expandable = [e for e in cc if self.t_reason[e] is not None]
+            while expandable:
+                expand(max(expandable))
                 expandable = [e for e in cc if self.t_reason[e] is not None]
-                while expandable:
-                    expand(max(expandable))
-                    expandable = [e for e in cc if self.t_reason[e] is not None]
-                if cc:
-                    raise AssertionError("unexpandable root entries")
-                return ("root", reasons, cid_reasons)
-            if cid_reasons:
-                raise AssertionError("constraint-only conflicts are root conflicts")
+            if cc:
+                raise AssertionError("unexpandable root entries")
+            return ("root", reasons, cid_reasons)
+        if cid_reasons:
+            raise AssertionError("constraint-only conflicts are root conflicts")
+        at_level = [e for e in cc if self.t_level[e] == clevel]
+        while len(at_level) > 1:
+            expand(max(at_level))
             at_level = [e for e in cc if self.t_level[e] == clevel]
-            while len(at_level) > 1:
-                expand(max(at_level))
-                at_level = [e for e in cc if self.t_level[e] == clevel]
-            return ("learn", clevel, sorted(cc), reasons)
+        return ("learn", clevel, sorted(cc), reasons)
 
     # --- search ------------------------------------------------------------------
 
     def solve(self) -> EngineResult:
-        if self.empty_at_root:
+        if any(lo > hi for lo, hi in zip(self.lb, self.ub)):  # an empty domain
             self.steps.append(EngineStep("c", ()))
             return EngineResult("unsat", steps=self.steps, used_cids=frozenset(),
                                 conflicts=self.conflicts)
@@ -648,7 +602,7 @@ class Engine:
                 continue
             vi = self._pick_var()
             if vi is None:
-                assignment = {s: self.lb[s] for s in range(len(self.names))
+                assignment = {s: self.lb[s] for s in range(len(self.lb))
                               if s not in self.internal}
                 return EngineResult("sat", assignment=assignment, steps=self.steps,
                                     conflicts=self.conflicts)
@@ -657,7 +611,7 @@ class Engine:
             self.apply((vi, "==", self.lb[vi]), None)
 
     def _pick_var(self) -> Optional[int]:
-        for s in range(len(self.names)):
+        for s in range(len(self.lb)):
             if self.lb[s] != self.ub[s]:
                 return s
         return None

@@ -31,6 +31,7 @@ from .model import (
     Linear,
     UserModel,
     VarId,
+    disjuncts,
 )
 
 
@@ -94,7 +95,7 @@ class _Flattener:
             raise FlattenError(f"constraint {c.id}: unsupported body {type(expr).__name__}")
 
     def flatten_disjunction(self, cid: str, expr: Disjunction):
-        members = _flatten_or_tree(expr)
+        members = disjuncts(expr)
         if not members:
             raise FlattenError(f"constraint {cid}: empty disjunction")
         if len(members) == 1:
@@ -124,16 +125,6 @@ class _Flattener:
                 self.emit_guarded(f"{solver_id}.{j}", guard, part, user_id)
         else:
             raise FlattenError(f"cannot reify {type(member).__name__} under a guard")
-
-
-def _flatten_or_tree(expr: Disjunction) -> list[Expr]:
-    members: list[Expr] = []
-    for m in expr.members:
-        if isinstance(m, Disjunction):
-            members.extend(_flatten_or_tree(m))
-        else:
-            members.append(m)
-    return members
 
 
 def _atom_to_linear(a: AtomicConstraint) -> Linear:

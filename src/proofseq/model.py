@@ -184,10 +184,16 @@ def conjunction_of(members: Iterable[Expr]) -> Expr:
     return Conjunction(members)
 
 
-def scope(c: Union[Expr, Constraint, Iterable]) -> frozenset[VarId]:
-    """Variables syntactically occurring in a constraint (or any iterable of them)."""
-    if isinstance(c, Constraint):
-        return scope(c.expr)
+def disjuncts(e: Disjunction) -> list[Expr]:
+    """The members of a disjunction, with nested disjunctions spliced in in order."""
+    out: list[Expr] = []
+    for m in e.members:
+        out.extend(disjuncts(m) if isinstance(m, Disjunction) else (m,))
+    return out
+
+
+def scope(c: Expr) -> frozenset[VarId]:
+    """Variables syntactically occurring in a constraint expression."""
     if isinstance(c, AtomicConstraint):
         return frozenset((c.var,))
     if isinstance(c, Clause):
@@ -201,11 +207,6 @@ def scope(c: Union[Expr, Constraint, Iterable]) -> frozenset[VarId]:
     if isinstance(c, (Disjunction, Conjunction)):
         out: frozenset[VarId] = frozenset()
         for m in c.members:
-            out |= scope(m)
-        return out
-    if isinstance(c, Iterable):
-        out = frozenset()
-        for m in c:
             out |= scope(m)
         return out
     raise TypeError(f"cannot take scope of {type(c).__name__}")

@@ -49,7 +49,7 @@ def extract_mus_indices(q: MusQuery, oracle: Oracle) -> tuple[int, ...]:
     """Indices (in soft order) of one MUS; deterministic for a fixed query."""
     hard = [as_expr(c) for c in q.hard]
     soft = [as_expr(c) for c in q.soft]
-    if oracle.satisfiable(hard + soft):
+    if oracle.model_of(hard + soft) is not None:
         raise SatInputError("soft + hard constraints are satisfiable; no MUS exists")
     if q.mode == SUBSET_MINIMAL:
         return _deletion_mus(soft, hard, oracle, range(len(soft)))
@@ -86,10 +86,9 @@ def _smallest_mus(q: MusQuery, soft, hard, oracle) -> tuple[int, ...]:
     ub = sum(weights[i] for i in best_known)
 
     while True:
-        found = _min_hitting_set(correction_sets, weights, cap=ub)
-        if found is None:
+        h = _min_hitting_set(correction_sets, weights, cap=ub)
+        if h is None:
             return best_known  # the lower bound met the incumbent's weight
-        h, _ = found
         model = oracle.model_of(hard + [soft[i] for i in sorted(h)])
         if model is None:
             # weight(h) is a lower bound on any MUS weight and h is unsat,
@@ -114,7 +113,7 @@ def _smallest_mus(q: MusQuery, soft, hard, oracle) -> tuple[int, ...]:
 
 
 def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],
-                     cap: float = float("inf")) -> Optional[tuple[frozenset[int], int]]:
+                     cap: float = float("inf")) -> Optional[frozenset[int]]:
     """Minimum-weight hitting set by branch and bound, or None when every
     hitting set weighs at least cap. Ties keep the first solution found with
     elements tried in ascending index order."""
@@ -144,6 +143,4 @@ def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],
             rec(chosen + [e], w + weights[e], [s for s in uncovered if e not in s])
 
     rec([], 0, list(sets))
-    if best is None:
-        return None
-    return best, int(best_w)
+    return best

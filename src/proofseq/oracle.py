@@ -8,8 +8,9 @@ the retractable assumptions. BudgetExceeded is a result, not an error.
 satisfiability question goes through it, bounded by the oracle's budget, and
 it counts each one. `model_of` is the one place where an oracle's budget
 exhaustion becomes BudgetExceededError, and the one implication query:
-reasons imply `derived` iff `model_of(reasons + [negate_conjunction(derived)])`
-is None.
+reasons imply `derived` iff `model_of(reasons + [negate_expr(derived)])` is
+None. `negate_expr` of a conjunction of several members is a disjunction,
+for which the engine introduces its own selector variables.
 """
 
 from __future__ import annotations
@@ -19,16 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .engine import DEFAULT_BUDGET, Engine
 from .errors import BudgetExceededError
-from .model import (
-    Conjunction,
-    Constraint,
-    Domain,
-    Expr,
-    VarId,
-    as_expr,
-    eval_expr,
-    negate_expr,
-)
+from .model import Constraint, Domain, Expr, VarId, as_expr, eval_expr
 
 ConstraintLike = Union[Expr, Constraint]
 
@@ -85,21 +77,8 @@ class Oracle:
                 raise AssertionError(f"engine returned a non-model (violates {c})")
         return Sat(assignment)
 
-    def satisfiable(self, constraints: Sequence[ConstraintLike]) -> bool:
-        return self.model_of(constraints) is not None
-
     def model_of(self, constraints: Sequence[ConstraintLike]) -> Optional[dict[VarId, int]]:
         res = self.solve(hard=tuple(constraints))
         if isinstance(res, BudgetExceeded):
             raise BudgetExceededError(f"oracle budget exhausted after {res.conflicts} conflicts")
         return res.assignment if isinstance(res, Sat) else None
-
-
-def negate_conjunction(cs: Sequence[ConstraintLike]) -> Expr:
-    """Constraint true exactly when at least one member of cs is violated.
-
-    With several members the result is a disjunction of the individual
-    negations (the engine introduces its own selector variables when it
-    compiles one); see `negate_expr`.
-    """
-    return negate_expr(Conjunction(tuple(cs)))

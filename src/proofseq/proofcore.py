@@ -253,26 +253,21 @@ def is_trimmed(p: AbstractProof) -> bool:
 # --- semantic validity ----------------------------------------------------------
 
 
-@dataclass
-class StepCheck:
-    valid: bool
-    witness: Optional[dict] = None
-
-
 def check_step(p: AbstractProof, index: int, model,
-               oracle: Optional[Oracle] = None) -> StepCheck:
-    """Is step `index` (1-based) implied by its reasons over the model's domains?
+               oracle: Optional[Oracle] = None) -> Optional[dict]:
+    """A counter-model of step `index` (1-based) over the model's domains, or
+    None when the step is valid.
 
-    Valid iff reasons plus the negated derived constraint have no model; an
-    Invalid result carries that model as its witness. Exhausting the oracle's
-    budget (default: `Oracle(model.vars)`) raises, it is not a verdict.
+    The step is valid iff its reasons plus its negated derived constraint have
+    no model; otherwise that model is returned: it satisfies every reason and
+    violates the derived constraint. Exhausting the oracle's budget (default:
+    `Oracle(model.vars)`) raises, it is not a verdict.
     """
     step = p.steps[index - 1]
     if oracle is None:
         oracle = Oracle(model.vars)
     reasons = [p.resolve(r, model) for r in step.reasons]
-    witness = oracle.model_of(reasons + [negate_expr(step.derived)])
-    return StepCheck(witness is None, witness)
+    return oracle.model_of(reasons + [negate_expr(step.derived)])
 
 
 def check_proof(p: AbstractProof, model, oracle: Optional[Oracle] = None) -> list[int]:
@@ -280,4 +275,4 @@ def check_proof(p: AbstractProof, model, oracle: Optional[Oracle] = None) -> lis
     if oracle is None:
         oracle = Oracle(model.vars)
     return [i for i in range(1, len(p.steps) + 1)
-            if not check_step(p, i, model, oracle=oracle).valid]
+            if check_step(p, i, model, oracle=oracle) is not None]

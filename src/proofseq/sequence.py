@@ -16,6 +16,7 @@ from .errors import ProofShapeError
 from .model import (
     AtomicConstraint,
     Clause,
+    Conjunction,
     Domain,
     Expr,
     FALSE,
@@ -23,8 +24,9 @@ from .model import (
     VarId,
     clause_of,
     format_expr,
+    negate_expr,
 )
-from .oracle import Oracle, negate_conjunction
+from .oracle import Oracle
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ def validate_sequence(seq: ExplanationSequence, model: UserModel,
             reasons += [f.to_expr(model.domain_of(f.var)) for f in step.reasons_facts]
             derived = [FALSE if isinstance(f, Bottom) else f.to_expr(model.domain_of(f.var))
                        for f in step.facts]
-            ok = oracle.model_of(reasons + [negate_conjunction(derived)]) is None
+            ok = oracle.model_of(reasons + [negate_expr(Conjunction(tuple(derived)))]) is None
         if not ok:
             bad.append(i)
         for f in step.facts:

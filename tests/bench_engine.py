@@ -1,4 +1,4 @@
-"""Micro-benchmarks of engine propagation and search on fixed sudoku9 inputs.
+"""Micro-benchmarks of engine compilation, propagation and search on fixed inputs.
 
     PYTHONPATH=src pytest tests/bench_engine.py --benchmark-only
 
@@ -6,6 +6,7 @@ The default test run does not collect this file: pytest only picks up
 test_*.py files unless a file is named on the command line.
 """
 
+from proofseq.engine import Engine
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
 from proofseq.oracle import Oracle, Unsat
@@ -33,3 +34,18 @@ def test_oracle_solve_sudoku9_relaxation(benchmark):
     constraints = [model.constraint_map[cid] for cid in RELAXATION]
     result = benchmark(Oracle(model.vars).solve, constraints)
     assert isinstance(result, Unsat)
+
+
+def test_compile_jobshop_user_model(benchmark):
+    """Engine set-up and compilation alone: jobshop's or() constraints go
+    through the disjunction compiler, which adds selectors and guarded members."""
+    model = generate_instance("jobshop", 1)
+
+    def compile_all():
+        eng = Engine(model.vars)
+        for c in model.constraints:
+            eng.add_constraint(c.id, c.expr)
+        return eng
+
+    eng = benchmark(compile_all)
+    assert len(eng.props) > len(model.constraints)

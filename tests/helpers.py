@@ -140,9 +140,9 @@ def verify_mus(members, q, oracle) -> bool:
     """True iff members + hard is unsat and dropping any single member makes it sat."""
     hard = [as_expr(c) for c in q.hard]
     ms = [as_expr(c) for c in members]
-    if oracle.satisfiable(hard + ms):
+    if oracle.model_of(hard + ms) is not None:
         return False
     for i in range(len(ms)):
-        if not oracle.satisfiable(hard + ms[:i] + ms[i + 1:]):
+        if oracle.model_of(hard + ms[:i] + ms[i + 1:]) is None:
             return False
     return True

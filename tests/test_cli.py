@@ -224,6 +224,15 @@ def test_bench_bad_list_option_is_a_usage_error(option, value):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("option, value", [("--variants", "trim,trim"), ("--seeds", "1,1")])
+def test_bench_repeated_list_item_runs_once(option, value):
+    code, out, _ = run_cli("bench", "--suite", "jobshop", "-n", "1", "--variants", "trim",
+                           option, value)
+    assert code == 0
+    assert len([ln for ln in out.splitlines() if ln.startswith("jobshop,")]) == 1
+    assert "# jobshop  trim           n=  1 " in out
+
+
 def test_explain_solve_log_all(tmp_path):
     mod = tmp_path / "unsat.mod"
     mod.write_text("var x 0..1\ncon a: clause x >= 1\ncon b: clause x <= 0\n")

@@ -19,7 +19,17 @@ import random
 from proofseq.engine import Engine
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
-from proofseq.model import AllDifferent, AtomicConstraint, Clause, Domain, Linear, VarId
+from proofseq.model import (
+    AllDifferent,
+    AtomicConstraint,
+    Clause,
+    Conjunction,
+    Disjunction,
+    Domain,
+    Linear,
+    VarId,
+    negate_expr,
+)
 from proofseq.pipeline import VARIANTS, run_pipeline
 from proofseq.proofcore import parse_drcp
 from proofseq.prover import solve_with_proof
@@ -154,6 +164,48 @@ def _random_engine_problem(rng):
     return doms, cons
 
 
+def _random_disjunction_problem(rng):
+    """4-6 variables with small domains (some with interior holes) under
+    disjunctions whose members are atoms, clauses, linears, conjunctions and
+    nested disjunctions, plus negated alldifferents and a few plain clauses."""
+    vs = [VarId(i, f"v{i}") for i in range(rng.randint(4, 6))]
+    doms = []
+    for v in vs:
+        hi = rng.randint(2, 4)
+        doms.append((v, Domain(0, hi, frozenset(h for h in range(1, hi) if rng.random() < 0.2))))
+    ops = ("<=", ">=", "==", "!=")
+
+    def atom():
+        return AtomicConstraint(rng.choice(vs), rng.choice(ops), rng.randint(0, 4))
+
+    def linear():
+        terms = tuple((rng.choice((-2, -1, 1, 2)), v) for v in rng.sample(vs, rng.randint(1, 3)))
+        return Linear(terms, rng.choice(ops), rng.randint(-3, 6))
+
+    def member(depth):
+        k = rng.randrange(5 if depth == 0 else 3)
+        if k == 0:
+            return atom()
+        if k == 1:
+            return Clause(tuple(atom() for _ in range(rng.randint(2, 3))))
+        if k == 2:
+            return linear()
+        if k == 3:
+            return Conjunction(tuple(rng.choice((atom, linear))() for _ in range(rng.randint(2, 3))))
+        return Disjunction(tuple(member(1) for _ in range(rng.randint(1, 3))))
+
+    cons = []
+    for _ in range(rng.randint(5, 10)):
+        k = rng.randrange(6)
+        if k <= 3:
+            cons.append(Disjunction(tuple(member(0) for _ in range(rng.randint(1, 4)))))
+        elif k == 4:
+            cons.append(negate_expr(AllDifferent(tuple(rng.sample(vs, rng.randint(2, 4))))))
+        else:
+            cons.append(Clause(tuple(atom() for _ in range(rng.randint(1, 3)))))
+    return doms, cons
+
+
 def _pigeonhole(n):
     """n variables over n - 1 values under one alldifferent: unsat, hundreds of conflicts at n = 8."""
     vs = [VarId(i, f"p{i}") for i in range(n)]
@@ -165,12 +217,15 @@ def _engine_runs():
     yield "pigeonhole 8 into 7", [(*_pigeonhole(8), False)]
     yield "random seeds 0-199", [(*_random_engine_problem(random.Random(seed)), log_all)
                                  for seed in range(200) for log_all in (False, True)]
+    yield "disjunctions seeds 0-299", [(*_random_disjunction_problem(random.Random(seed)), log_all)
+                                       for seed in range(300) for log_all in (False, True)]
 
 
 # sha256 over the sha256 of each run's complete result, in run order
 PINNED_ENGINE_RUNS = {
     "pigeonhole 8 into 7": "fbb6552ec76e98fbf0471b1fd07b2a62d9f0d130daee770b0d8c88e2c08ab50b",
     "random seeds 0-199": "bdcce81c5ace88f4037631d65b5da83de4c6975c037597de6288b2257494180b",
+    "disjunctions seeds 0-299": "c372f1232d3e0a2eb702f546fdd8e6c2404cf9add35ebc7df300c44ece9c8268",
 }
 
 

@@ -1,13 +1,25 @@
 """Property test of the engine against brute force: on small random models
 (at most 5 variables, at most 6 values per domain, interior holes, atoms,
-clauses of up to 5 atoms, alldifferents and linears), `Oracle.solve` must
-give the brute-force verdict, and every model it returns must satisfy every
-constraint by the independent evaluator in `helpers`."""
+clauses of up to 5 atoms, alldifferents, linears and disjunctions),
+`Oracle.solve` must give the brute-force verdict, and every model it returns
+must satisfy every constraint by the independent evaluator in `helpers`.
+Disjunctions draw atoms, clauses, linears, conjunctions and nested
+disjunctions as members, so the engine's selector compilation is checked as
+well."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofseq.model import AllDifferent, AtomicConstraint, Clause, Domain, Linear, VarId
+from proofseq.model import (
+    AllDifferent,
+    AtomicConstraint,
+    Clause,
+    Conjunction,
+    Disjunction,
+    Domain,
+    Linear,
+    VarId,
+)
 from proofseq.oracle import Oracle, Sat, Unsat
 
 from helpers import brute_eval, brute_satisfiable
@@ -29,17 +41,35 @@ def small_models(draw):
         return AtomicConstraint(draw(st.sampled_from(vs)), draw(st.sampled_from(OPS)),
                                 draw(st.integers(-3, 8)))
 
+    def linear():
+        xs = draw(st.lists(st.sampled_from(vs), min_size=1, max_size=3, unique=True))
+        terms = tuple((draw(st.sampled_from((-2, -1, 1, 2))), x) for x in xs)
+        return Linear(terms, draw(st.sampled_from(OPS)), draw(st.integers(-6, 10)))
+
+    def member(nested):
+        kinds = ("atom", "clause", "linear", "and") + (() if nested else ("or",))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "atom":
+            return atom()
+        if kind == "clause":
+            return Clause(tuple(atom() for _ in range(draw(st.integers(1, 3)))))
+        if kind == "linear":
+            return linear()
+        if kind == "and":
+            return Conjunction(tuple(draw(st.sampled_from((atom, linear)))() for _ in range(2)))
+        return Disjunction(tuple(member(True) for _ in range(draw(st.integers(1, 2)))))
+
     cons = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(("atom", "clause", "linear", "alldiff")))
+        kind = draw(st.sampled_from(("atom", "clause", "linear", "alldiff", "disjunction")))
         if kind == "atom":
             cons.append(atom())
         elif kind == "clause":
             cons.append(Clause(tuple(atom() for _ in range(draw(st.integers(1, 5))))))
+        elif kind == "disjunction":
+            cons.append(Disjunction(tuple(member(False) for _ in range(draw(st.integers(1, 3))))))
         elif kind == "linear" or len(vs) < 2:
-            xs = draw(st.lists(st.sampled_from(vs), min_size=1, max_size=3, unique=True))
-            terms = tuple((draw(st.sampled_from((-2, -1, 1, 2))), x) for x in xs)
-            cons.append(Linear(terms, draw(st.sampled_from(OPS)), draw(st.integers(-6, 10))))
+            cons.append(linear())
         else:
             xs = draw(st.lists(st.sampled_from(vs), min_size=2, max_size=len(vs), unique=True))
             cons.append(AllDifferent(tuple(xs)))

@@ -3,27 +3,23 @@ import random
 import pytest
 
 from proofseq.engine import Engine
-from proofseq.errors import BudgetExceededError
+from proofseq.errors import BudgetExceededError, FlattenError
 from proofseq.flatten import flatten
 from proofseq.model import (
     AllDifferent,
     AtomicConstraint,
     Clause,
     Conjunction,
+    Disjunction,
     Domain,
     Linear,
     TRUE,
     VarId,
     eval_expr,
+    negate_expr,
     parse_model,
 )
-from proofseq.oracle import (
-    BudgetExceeded,
-    Oracle,
-    Sat,
-    Unsat,
-    negate_conjunction,
-)
+from proofseq.oracle import BudgetExceeded, Oracle, Sat, Unsat
 
 from helpers import all_assignments, brute_eval, brute_satisfiable
 from test_model import JOBSHOP_MOD
@@ -80,12 +76,12 @@ def test_unsat_core_is_sound_and_subset():
 
 def test_negate_conjunction_examples():
     (x, c, d), doms = _vars("x", "c", "d")
-    n = negate_conjunction([AtomicConstraint(x, "==", 3)])
+    n = negate_expr(Conjunction((AtomicConstraint(x, "==", 3),)))
     assert n == AtomicConstraint(x, "!=", 3)
     clause = Clause((AtomicConstraint(c, "<=", 3), AtomicConstraint(d, ">=", 7)))
-    n2 = negate_conjunction([clause])
+    n2 = negate_expr(Conjunction((clause,)))
     assert n2 == Conjunction((AtomicConstraint(c, ">=", 4), AtomicConstraint(d, "<=", 6)))
-    n3 = negate_conjunction([AtomicConstraint(c, ">=", 3), AtomicConstraint(d, "<=", 1)])
+    n3 = negate_expr(Conjunction((AtomicConstraint(c, ">=", 3), AtomicConstraint(d, "<=", 1))))
     assert n3 == Clause((AtomicConstraint(c, "<=", 2), AtomicConstraint(d, ">=", 2)))
     # truth-table cross-check on c,d in 0..6
     for alpha in all_assignments(doms[1:]):
@@ -94,14 +90,14 @@ def test_negate_conjunction_examples():
 
 
 def test_negate_conjunction_of_bottom_is_trivially_true():
-    assert negate_conjunction([Clause(())]) == TRUE
-    sat = negate_conjunction([])
+    assert negate_expr(Conjunction((Clause(()),))) == TRUE
+    sat = negate_expr(Conjunction(()))
     assert sat == Clause(())  # nothing can be violated
 
 
 def test_negated_linear_boundaries():
     (x,), doms = _vars("x")
-    n = negate_conjunction([Linear(((1, x),), "<=", 3)])
+    n = negate_expr(Conjunction((Linear(((1, x),), "<=", 3),)))
     assert n == Linear(((1, x),), ">=", 4)
 
 
@@ -214,7 +210,7 @@ def test_oracle_with_disjunction_and_negations():
     for _ in range(120):
         doms, cons = _random_problem(rng, max_dom=3)
         derived = cons[: rng.randint(1, len(cons))]
-        neg = negate_conjunction(derived)
+        neg = negate_expr(Conjunction(tuple(derived)))
         expected = brute_satisfiable(doms, list(cons) + [neg])
         res = Oracle(doms).solve(tuple(cons) + (neg,))
         assert isinstance(res, Sat) == (expected is not None)
@@ -223,12 +219,19 @@ def test_oracle_with_disjunction_and_negations():
 def test_oracle_class_counts_calls():
     (x,), doms = _vars("x", hi=3)
     o = Oracle(doms)
-    assert o.satisfiable([AtomicConstraint(x, "<=", 1)])
-    assert not o.satisfiable([AtomicConstraint(x, "<=", -1)])
+    assert o.model_of([AtomicConstraint(x, "<=", 1)]) is not None
+    assert o.model_of([AtomicConstraint(x, "<=", -1)]) is None
     assert o.calls == 2
     with pytest.raises(BudgetExceededError):
         vs, doms8 = _vars(*[f"w{i}" for i in range(8)])
-        Oracle(doms8, budget=1).satisfiable([AllDifferent(tuple(vs))])
+        Oracle(doms8, budget=1).model_of([AllDifferent(tuple(vs))])
+
+
+def test_engine_cannot_guard_alldifferent_disjunct():
+    (x, y, z), doms = _vars("x", "y", "z")
+    d = Disjunction((AtomicConstraint(x, "==", 0), AllDifferent((y, z))))
+    with pytest.raises(FlattenError, match="cannot guard AllDifferent"):
+        Engine(doms).add_constraint("d", d)
 
 
 def test_unsat_cores_sound_on_random_problems():
