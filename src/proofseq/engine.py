@@ -17,11 +17,11 @@ alone entails the bound `value`. A ("s", value, entry) record means the bound
 slid one value, past the value that `entry` removed (-1 for a root hole), so
 it also rests on the record before it.
 
-One function, `_compile`, lowers every expression. A disjunction (nested
-ones spliced in) that is not a plain clause gets one selector slot per
-member and a cover clause; each member compiles under the guard
-`selector == 1`, where an atom or a clause gains the negated guard as a
-literal and a linear becomes half-reified.
+One function, `_compile`, lowers every expression; an atom compiles as a
+one-atom clause. A disjunction (nested ones spliced in) that is not a plain
+clause gets one selector slot per member and a cover clause; each member
+compiles under the guard `selector == 1`, where an atom or a clause gains
+the negated guard as a literal and a linear becomes half-reified.
 
 Each registered propagator is a tuple whose first item is its plain
 `Engine._prop_*` function, called as `p[0](self, p)`. A bound method there
@@ -48,7 +48,7 @@ it did, the trail is the same and the logged proofs stay byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import FlattenError
 from .model import (
@@ -56,14 +56,12 @@ from .model import (
     AtomicConstraint,
     Clause,
     Conjunction,
-    Constraint,
     Disjunction,
     Domain,
     Expr,
     HalfReified,
     Linear,
     VarId,
-    as_expr,
     disjuncts,
 )
 
@@ -156,9 +154,9 @@ class Engine:
     def atom_of(self, a: AtomicConstraint) -> Atom:
         return (self.slot_of[a.var], a.op, a.value)
 
-    def add_constraint(self, cid: str, c: Union[Expr, Constraint]):
+    def add_constraint(self, cid: str, e: Expr):
         """Compile an expression into primitive propagators registered under cid."""
-        self._compile(cid, as_expr(c))
+        self._compile(cid, e)
 
     def _register(self, prop: tuple, var_slots):
         idx = len(self.props)
@@ -169,7 +167,9 @@ class Engine:
         self._enqueue(idx)
 
     def _add_clause(self, source: tuple, atoms):
-        atoms = tuple(dict.fromkeys(atoms))
+        atoms = tuple(atoms)
+        if len(atoms) > 1:  # skipped for the most frequent clause, a single atom
+            atoms = tuple(dict.fromkeys(atoms))
         # two distinct positions to check before scanning, see _prop_clause
         hint = [0, 1] if len(atoms) > 1 else None
         self._register((Engine._prop_clause, source, atoms, hint), [a[0] for a in atoms])
@@ -181,14 +181,9 @@ class Engine:
 
     def _compile(self, cid: str, e: Expr, guard: Optional[Atom] = None):
         """Register e under cid; with a guard atom, register guard => e."""
-        if guard is not None and isinstance(e, (AtomicConstraint, Clause)):
-            atoms = e.atoms if isinstance(e, Clause) else (e,)
-            self._add_clause(("c", cid), (_negate_atom(guard),) + tuple(map(self.atom_of, atoms)))
-        elif isinstance(e, AtomicConstraint):
-            a = self.atom_of(e)
-            self._register((Engine._prop_atomic, cid, a), (a[0],))
-        elif isinstance(e, Clause):
-            self._add_clause(("c", cid), (self.atom_of(a) for a in e.atoms))
+        if isinstance(e, (AtomicConstraint, Clause)):
+            atoms = tuple(map(self.atom_of, e.atoms if isinstance(e, Clause) else (e,)))
+            self._add_clause(("c", cid), atoms if guard is None else (_negate_atom(guard),) + atoms)
         elif isinstance(e, Linear):
             self._compile_linear(cid, e, guard)
         elif isinstance(e, Conjunction):
@@ -369,9 +364,6 @@ class Engine:
         self.qhead = 0
         return None
 
-    def _prop_atomic(self, p) -> Optional[Conflict]:
-        return self.apply(p[2], ("c", p[1], ()))
-
     def _prop_clause(self, p) -> Optional[Conflict]:
         _, source, atoms, hint = p
         if hint is not None:
@@ -405,7 +397,8 @@ class Engine:
         for a in atoms:
             if a != unit:
                 premises.extend(self.justify_false(a))
-        return self.apply(unit, (source[0], source[1], tuple(_stable_unique(premises))))
+        return self.apply(unit, (source[0], source[1],
+                                 tuple(_stable_unique(premises)) if premises else ()))
 
     def _prop_lin(self, p) -> Optional[Conflict]:
         # sum(coef*var) <= rhs, optionally under an atomic guard

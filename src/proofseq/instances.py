@@ -32,7 +32,7 @@ from .model import (
     UserModel,
     VarId,
 )
-from .oracle import Oracle, Sat, Unsat
+from .oracle import Oracle
 
 KINDS = ("sudoku4", "sudoku9", "jobshop", "mutated")
 
@@ -51,14 +51,15 @@ def generate_instance(kind: str, seed: int) -> UserModel:
     raise ValueError(f"unknown instance kind {kind!r}; choose one of {', '.join(KINDS)}")
 
 
-def _solve_flat(model: UserModel):
-    """The oracle's verdict on the flattened model."""
+def _model_of(model: UserModel) -> Optional[dict[VarId, int]]:
+    """A model of the flattened model, or None when it is unsatisfiable.
+    An exhausted oracle budget raises BudgetExceededError."""
     solver = flatten(model)
-    return Oracle(solver.vars).solve(hard=[c.expr for c in solver.constraints])
+    return Oracle(solver.vars).model_of([c.expr for c in solver.constraints])
 
 
 def _is_unsat(model: UserModel) -> bool:
-    return isinstance(_solve_flat(model), Unsat)
+    return _model_of(model) is None
 
 
 # --- sudoku -------------------------------------------------------------------
@@ -232,11 +233,11 @@ def _sat_template(rng: random.Random) -> Optional[UserModel]:
         cons.append(Constraint(f"c{k}", Disjunction((Linear(((1, a), (-1, b)), "<=", -da),
                                                      Linear(((1, b), (-1, a)), "<=", -db)))))
     model = UserModel(tuple(vars_), tuple(cons))
-    return model if isinstance(_solve_flat(model), Sat) else None
+    return model if _model_of(model) is not None else None
 
 
 def _each_constraint_satisfiable(model: UserModel) -> bool:
-    return all(isinstance(_solve_flat(UserModel(model.vars, (c,))), Sat)
+    return all(_model_of(UserModel(model.vars, (c,))) is not None
                for c in model.constraints)
 
 

@@ -1,59 +1,52 @@
 """Minimal unsatisfiable subsets over soft constraints with fixed hard constraints.
 
-Two extractors:
+One entry point, `extract_mus_indices(soft, hard, oracle, weights=None)`,
+over plain expressions:
 
-* subset-minimal: one deletion pass, one oracle call per soft member,
-  deletion order = reverse declaration order (documented, deterministic);
-* smallest-weighted: exact minimum-weight MUS via the implicit hitting set
-  scheme - keep a family of correction sets, find a minimum-weight hitting
-  set by branch and bound, test it against the oracle, add the correction
-  set of the model when satisfiable, and shrink the hitting set to subset
-  minimality when unsatisfiable (its weight already matches the lower
-  bound, so the result is weight-optimal).
+* without weights, a subset-minimal MUS: one deletion pass, one oracle call
+  per soft member, deletion order = reverse declaration order (documented,
+  deterministic);
+* with one non-negative weight per soft member, an exact minimum-weight MUS
+  via the implicit hitting set scheme (Ignatiev et al., CP 2015): keep a
+  family of correction sets, find a minimum-weight hitting set h by branch
+  and bound, test h against the oracle, and add the correction set of the
+  model when satisfiable. An unsatisfiable h has the least weight of any
+  MUS. Every correction set is the complement of a satisfiable subset, so
+  an unsatisfiable subset of h hits them all too, and a proper one would be
+  a lighter hitting set unless every member it drops weighs 0. So h is
+  returned as it is, and a final deletion pass over h runs only when a
+  member of h weighs 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, SatInputError
-from .model import as_expr, eval_expr
-from .oracle import ConstraintLike, Oracle
-
-SUBSET_MINIMAL = "subset-minimal"
-SMALLEST_WEIGHTED = "smallest-weighted"
+from .model import Expr, eval_expr
+from .oracle import Oracle
 
 # smallest-weighted extraction gives up (BudgetExceededError) past this many
 MAX_CORRECTION_SETS = 10_000
 
 
-@dataclass(frozen=True)
-class MusQuery:
-    soft: tuple[ConstraintLike, ...]
-    hard: tuple[ConstraintLike, ...] = ()
-    weights: Optional[tuple[int, ...]] = None
-    mode: str = SUBSET_MINIMAL
+def extract_mus_indices(soft: Sequence[Expr], hard: Sequence[Expr], oracle: Oracle,
+                        weights: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+    """Indices (in soft order) of one MUS; deterministic for a fixed query.
 
-    def __post_init__(self):
-        if self.mode not in (SUBSET_MINIMAL, SMALLEST_WEIGHTED):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.weights is not None:
-            if len(self.weights) != len(self.soft):
-                raise ValueError("one weight per soft constraint required")
-            if any(w < 0 for w in self.weights):
-                raise ValueError("weights must be non-negative")
-
-
-def extract_mus_indices(q: MusQuery, oracle: Oracle) -> tuple[int, ...]:
-    """Indices (in soft order) of one MUS; deterministic for a fixed query."""
-    hard = [as_expr(c) for c in q.hard]
-    soft = [as_expr(c) for c in q.soft]
+    Without weights the MUS is subset-minimal; with weights it is one of
+    least total weight."""
+    soft, hard = list(soft), list(hard)
+    if weights is not None:
+        if len(weights) != len(soft):
+            raise ValueError("one weight per soft constraint required")
+        if any(w < 0 for w in weights):
+            raise ValueError("weights must be non-negative")
     if oracle.model_of(hard + soft) is not None:
         raise SatInputError("soft + hard constraints are satisfiable; no MUS exists")
-    if q.mode == SUBSET_MINIMAL:
+    if weights is None:
         return _deletion_mus(soft, hard, oracle, range(len(soft)))
-    return _smallest_mus(q, soft, hard, oracle)
+    return _smallest_mus(soft, hard, list(weights), oracle)
 
 
 def _deletion_mus(soft, hard, oracle, start: Sequence[int],
@@ -75,9 +68,8 @@ def _deletion_mus(soft, hard, oracle, start: Sequence[int],
     return tuple(keep)
 
 
-def _smallest_mus(q: MusQuery, soft, hard, oracle) -> tuple[int, ...]:
+def _smallest_mus(soft, hard, weights: list[int], oracle) -> tuple[int, ...]:
     n = len(soft)
-    weights = list(q.weights) if q.weights is not None else [1] * n
     correction_sets: list[frozenset[int]] = []
 
     # seed with a deletion pass: its result is an upper bound and every
@@ -91,8 +83,10 @@ def _smallest_mus(q: MusQuery, soft, hard, oracle) -> tuple[int, ...]:
             return best_known  # the lower bound met the incumbent's weight
         model = oracle.model_of(hard + [soft[i] for i in sorted(h)])
         if model is None:
-            # weight(h) is a lower bound on any MUS weight and h is unsat,
-            # so any minimal subset of h is a minimum-weight MUS
+            # no hitting set is lighter than h, so only members of weight 0
+            # can leave h and keep it unsat (see the module docstring)
+            if all(weights[i] for i in h):
+                return tuple(sorted(h))
             return _deletion_mus(soft, hard, oracle, sorted(h))
         # grow the satisfied set to a maximal one: the complement is then a
         # minimal correction set, which tightens the bound much faster

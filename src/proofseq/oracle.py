@@ -1,8 +1,10 @@
 """Satisfiability oracle over finite integer domains.
 
-Decides satisfiability of a constraint set (propagation + backtracking
-search with nogood learning), returns a verified model or an unsat core over
-the retractable assumptions. BudgetExceeded is a result, not an error.
+Decides satisfiability of a set of plain expressions (propagation +
+backtracking search with nogood learning), returns a verified model or an
+unsat core over the retractable assumptions. BudgetExceeded is a result, not
+an error. Callers pass `Expr`s: a model-level `Constraint` goes in as its
+`.expr`.
 
 `Oracle.solve` is the single entry point: every engine run for a
 satisfiability question goes through it, bounded by the oracle's budget, and
@@ -20,9 +22,7 @@ from typing import Optional, Sequence, Union
 
 from .engine import DEFAULT_BUDGET, Engine
 from .errors import BudgetExceededError
-from .model import Constraint, Domain, Expr, VarId, as_expr, eval_expr
-
-ConstraintLike = Union[Expr, Constraint]
+from .model import Domain, Expr, VarId, eval_expr
 
 
 @dataclass
@@ -32,7 +32,7 @@ class Sat:
 
 @dataclass
 class Unsat:
-    core: tuple[ConstraintLike, ...] = ()
+    core: tuple[Expr, ...] = ()
 
 
 @dataclass
@@ -55,17 +55,17 @@ class Oracle:
         self.budget = budget
         self.calls = 0
 
-    def solve(self, hard: Sequence[ConstraintLike] = (),
-              assumptions: Sequence[ConstraintLike] = ()) -> OracleResult:
+    def solve(self, hard: Sequence[Expr] = (),
+              assumptions: Sequence[Expr] = ()) -> OracleResult:
         """Complete within budget. An Unsat core lists the assumptions the
         refutation used; Sat assignments are re-checked by eval before return."""
         self.calls += 1
         hard, assumptions = tuple(hard), tuple(assumptions)
         eng = Engine(self.vars, budget=self.budget)
         for i, c in enumerate(hard):
-            eng.add_constraint(f"h{i}", as_expr(c))
+            eng.add_constraint(f"h{i}", c)
         for i, c in enumerate(assumptions):
-            eng.add_constraint(f"a{i}", as_expr(c))
+            eng.add_constraint(f"a{i}", c)
         res = eng.solve()
         if res.status == "budget":
             return BudgetExceeded(res.conflicts)
@@ -73,11 +73,11 @@ class Oracle:
             return Unsat(tuple(c for i, c in enumerate(assumptions) if f"a{i}" in res.used_cids))
         assignment = {v: res.assignment[eng.slot_of[v]] for v, _ in self.vars}
         for c in hard + assumptions:
-            if not eval_expr(as_expr(c), assignment):
+            if not eval_expr(c, assignment):
                 raise AssertionError(f"engine returned a non-model (violates {c})")
         return Sat(assignment)
 
-    def model_of(self, constraints: Sequence[ConstraintLike]) -> Optional[dict[VarId, int]]:
+    def model_of(self, constraints: Sequence[Expr]) -> Optional[dict[VarId, int]]:
         res = self.solve(hard=tuple(constraints))
         if isinstance(res, BudgetExceeded):
             raise BudgetExceededError(f"oracle budget exhausted after {res.conflicts} conflicts")

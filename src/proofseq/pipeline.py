@@ -43,7 +43,7 @@ from .model import (
     negate_expr,
     scope,
 )
-from .mus import MusQuery, SMALLEST_WEIGHTED, SUBSET_MINIMAL, extract_mus_indices
+from .mus import extract_mus_indices
 from .oracle import Oracle
 from .proofcore import (
     AbstractProof,
@@ -209,14 +209,12 @@ def minimize_reasons(p: AbstractProof, mode: str, user_model: UserModel,
         cand = _candidates(p, i, step, mode, user_model)
         hard = negate_expr(step.derived)
         soft = tuple(expr for _, expr in cand)
-        if mode == LOCAL:
-            query = MusQuery(soft, (hard,), mode=SUBSET_MINIMAL)
-        else:
+        weights = None
+        if mode == GLOBAL:
             nfacts = sum(1 for ref, _ in cand if isinstance(ref, StepRef))
             weights = tuple(1 if isinstance(ref, StepRef) else nfacts + 1 for ref, _ in cand)
-            query = MusQuery(soft, (hard,), weights=weights, mode=SMALLEST_WEIGHTED)
         try:
-            chosen = extract_mus_indices(query, oracle)
+            chosen = extract_mus_indices(soft, (hard,), oracle, weights)
         except SatInputError:
             raise SatInputError(f"step {i} is not implied by its candidate reasons") from None
         reasons = tuple(cand[k][0] for k in chosen)

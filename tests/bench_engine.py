@@ -31,7 +31,7 @@ def test_solve_with_proof_sudoku9(benchmark):
 def test_oracle_solve_sudoku9_relaxation(benchmark):
     """Search that learns long nogoods, so clause propagation dominates."""
     model = generate_instance("sudoku9", 19)
-    constraints = [model.constraint_map[cid] for cid in RELAXATION]
+    constraints = [model.constraint_map[cid].expr for cid in RELAXATION]
     result = benchmark(Oracle(model.vars).solve, constraints)
     assert isinstance(result, Unsat)
 

@@ -18,7 +18,6 @@ from proofseq.model import (
     Disjunction,
     HalfReified,
     Linear,
-    as_expr,
 )
 from proofseq.mus import extract_mus_indices
 
@@ -131,15 +130,14 @@ def check_projection_equivalence(m, s, cap=10**6) -> bool:
     return True
 
 
-def extract_mus(q, oracle):
+def extract_mus(soft, hard, oracle, weights=None):
     """The soft members of one MUS of the query."""
-    return tuple(q.soft[i] for i in extract_mus_indices(q, oracle))
+    return tuple(soft[i] for i in extract_mus_indices(soft, hard, oracle, weights))
 
 
-def verify_mus(members, q, oracle) -> bool:
+def verify_mus(members, hard, oracle) -> bool:
     """True iff members + hard is unsat and dropping any single member makes it sat."""
-    hard = [as_expr(c) for c in q.hard]
-    ms = [as_expr(c) for c in members]
+    hard, ms = list(hard), list(members)
     if oracle.model_of(hard + ms) is not None:
         return False
     for i in range(len(ms)):

@@ -14,11 +14,7 @@ import pytest
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
 from proofseq.model import AtomicConstraint, FALSE, parse_model
-from proofseq.mus import (
-    MusQuery,
-    SMALLEST_WEIGHTED,
-    extract_mus_indices,
-)
+from proofseq.mus import extract_mus_indices
 from proofseq.oracle import Oracle, Unsat
 from proofseq.pipeline import VARIANTS, run_pipeline, simplify_aux_vars, lift_to_user_level, \
     simplify_to_domain_reductions
@@ -144,12 +140,11 @@ def test_criterion_4_mus_oracle_equivalence():
         checked += 1
         family = brute_mus_family(doms, soft, hard)
         oracle = Oracle(doms)
-        got = extract_mus_indices(MusQuery(soft, hard), oracle)
+        got = extract_mus_indices(soft, hard, oracle)
         assert frozenset(got) in family, (soft, hard)
         weights = tuple(rng.choice([0, 1, 1, 2, 3]) for _ in soft)
         best = min(sum(weights[i] for i in fam) for fam in family)
-        got_w = extract_mus_indices(
-            MusQuery(soft, hard, weights=weights, mode=SMALLEST_WEIGHTED), oracle)
+        got_w = extract_mus_indices(soft, hard, oracle, weights)
         assert sum(weights[i] for i in got_w) == best, (soft, hard, weights)
     _report(4, checked == 200,
             f"{checked}/200 random queries: subset-minimal in brute-force family, "

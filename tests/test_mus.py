@@ -12,12 +12,7 @@ from proofseq.model import (
     VarId,
     parse_model,
 )
-from proofseq.mus import (
-    MusQuery,
-    SMALLEST_WEIGHTED,
-    SUBSET_MINIMAL,
-    extract_mus_indices,
-)
+from proofseq.mus import extract_mus_indices
 from proofseq.oracle import Oracle
 
 from helpers import brute_mus_family, extract_mus, verify_mus
@@ -36,66 +31,89 @@ def test_direct_contradiction_with_hard():
     # b >= 9 is unsatisfiable against the 0..6 domain on its own, so both it
     # and the hard-conflicting a <= 3 are singleton MUSes; the documented
     # reverse-declaration deletion order settles on a <= 3
-    q = MusQuery(soft, hard)
-    got = extract_mus(q, Oracle(doms))
+    got = extract_mus(soft, hard, Oracle(doms))
     assert got == (soft[0],)
-    assert verify_mus(got, q, Oracle(doms))
+    assert verify_mus(got, hard, Oracle(doms))
 
 
 def test_jobshop_user_constraints_mus():
     m = parse_model(JOBSHOP_MOD)
     doms = m.vars
-    soft = tuple(m.constraints)
-    q = MusQuery(soft, mode=SUBSET_MINIMAL)
-    got = extract_mus(q, Oracle(doms))
+    soft = tuple(c.expr for c in m.constraints)
+    got = extract_mus(soft, (), Oracle(doms))
     family = brute_mus_family(doms, soft, [])
     got_idx = frozenset(soft.index(g) for g in got)
     assert got_idx in family
     # the family is the two 3-subsets {no1,p1,p2} and {no2,p1,p2}
     assert family == [frozenset({0, 2, 3}), frozenset({1, 2, 3})]
-    q2 = MusQuery(soft, mode=SMALLEST_WEIGHTED)
-    got2 = extract_mus(q2, Oracle(doms))
+    got2 = extract_mus(soft, (), Oracle(doms), weights=(1,) * len(soft))
     assert frozenset(soft.index(g) for g in got2) in family
 
 
 def test_three_way_overconstrained_variable():
     (x,), doms = _vars("x")
     soft = (AtomicConstraint(x, "<=", 2), AtomicConstraint(x, ">=", 5), AtomicConstraint(x, "==", 3))
-    q = MusQuery(soft)
-    got = frozenset(soft.index(g) for g in extract_mus(q, Oracle(doms)))
+    got = frozenset(soft.index(g) for g in extract_mus(soft, (), Oracle(doms)))
     assert got in (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
-    q2 = MusQuery(soft, weights=(1, 1, 1), mode=SMALLEST_WEIGHTED)
-    got2 = extract_mus(q2, Oracle(doms))
+    got2 = extract_mus(soft, (), Oracle(doms), weights=(1, 1, 1))
     assert len(got2) == 2
 
 
 def test_sat_input_is_an_error():
     (x,), doms = _vars("x")
-    q = MusQuery((AtomicConstraint(x, "<=", 2),))
     with pytest.raises(SatInputError):
-        extract_mus(q, Oracle(doms))
+        extract_mus((AtomicConstraint(x, "<=", 2),), (), Oracle(doms))
+
+
+def test_weight_count_and_sign_are_checked():
+    (x,), doms = _vars("x")
+    soft = (AtomicConstraint(x, "<=", 2), AtomicConstraint(x, ">=", 5))
+    with pytest.raises(ValueError, match="one weight per soft constraint"):
+        extract_mus_indices(soft, (), Oracle(doms), weights=(1,))
+    with pytest.raises(ValueError, match="non-negative"):
+        extract_mus_indices(soft, (), Oracle(doms), weights=(1, -1))
 
 
 def test_correction_set_cap_raises_budget_exceeded(monkeypatch):
     (x,), doms = _vars("x")
     soft = (AtomicConstraint(x, ">=", 2), AtomicConstraint(x, "<=", 2),
             AtomicConstraint(x, "<=", 0), AtomicConstraint(x, ">=", 5))
-    q = MusQuery(soft, weights=(1, 2, 3, 1), mode=SMALLEST_WEIGHTED)
+    weights = (1, 2, 3, 1)
+    oracle = Oracle(doms)
     # the deletion seed finds {0, 2} (weight 4) and donates two correction
     # sets; the hitting-set loop then needs a third to reach {1, 3} (weight 3)
-    assert extract_mus_indices(q, Oracle(doms)) == (1, 3)
+    assert extract_mus_indices(soft, (), oracle, weights) == (1, 3)
+    # up-front check 1, deletion seed 4, hitting sets {3} (sat, then two grow
+    # probes) and {1, 3} (unsat), which is returned without a deletion pass
+    assert oracle.calls == 9
     monkeypatch.setattr(mus, "MAX_CORRECTION_SETS", 1)
     with pytest.raises(BudgetExceededError):
-        extract_mus_indices(q, Oracle(doms))
+        extract_mus_indices(soft, (), Oracle(doms), weights)
+
+
+def test_zero_weight_member_of_the_hitting_set_is_dropped():
+    # the minimum hitting set {1, 6} is unsat, but its member 1 weighs 0 and
+    # v0 >= 6 is unsat against the domain on its own, so only the deletion
+    # pass over {1, 6} reaches the MUS
+    (v0,), doms = _vars("v0", hi=2)
+    soft = (AtomicConstraint(v0, "<=", 0), AtomicConstraint(v0, ">=", 2),
+            Clause((AtomicConstraint(v0, "==", 3),)), AtomicConstraint(v0, "<=", 3),
+            AtomicConstraint(v0, "<=", 4), AtomicConstraint(v0, "==", 4),
+            AtomicConstraint(v0, ">=", 6))
+    hard = (Clause((AtomicConstraint(v0, "<=", 3), AtomicConstraint(v0, "<=", 4))),
+            AtomicConstraint(v0, ">=", -1))
+    weights = (1, 0, 1, 2, 1, 2, 0)
+    got = extract_mus_indices(soft, hard, Oracle(doms), weights)
+    assert got == (6,)
+    assert verify_mus([soft[i] for i in got], hard, Oracle(doms))
 
 
 def test_verify_mus_rejects_non_minimal_and_sat():
     (x,), doms = _vars("x")
     soft = (AtomicConstraint(x, "<=", 2), AtomicConstraint(x, ">=", 5), AtomicConstraint(x, "==", 3))
-    q = MusQuery(soft)
-    assert not verify_mus((), q, Oracle(doms))            # satisfiable, not an MUS
-    assert not verify_mus(soft, q, Oracle(doms))          # a proper subset suffices
-    assert verify_mus(soft[:2], q, Oracle(doms))
+    assert not verify_mus((), (), Oracle(doms))            # satisfiable, not an MUS
+    assert not verify_mus(soft, (), Oracle(doms))          # a proper subset suffices
+    assert verify_mus(soft[:2], (), Oracle(doms))
 
 
 def test_extraction_deterministic():
@@ -103,10 +121,9 @@ def test_extraction_deterministic():
     soft = (AtomicConstraint(x, "<=", 2), AtomicConstraint(x, ">=", 4),
             AtomicConstraint(y, "<=", 1), AtomicConstraint(y, ">=", 3),
             Linear(((1, x), (1, y)), "<=", 1))
-    q = MusQuery(soft)
-    first = extract_mus_indices(q, Oracle(doms))
+    first = extract_mus_indices(soft, (), Oracle(doms))
     for _ in range(5):
-        assert extract_mus_indices(q, Oracle(doms)) == first
+        assert extract_mus_indices(soft, (), Oracle(doms)) == first
 
 
 def _random_query(rng):
@@ -150,16 +167,15 @@ def test_random_queries_match_brute_force_family():
         checked += 1
         family = brute_mus_family(doms, soft, hard)
         oracle = Oracle(doms)
-        got = extract_mus_indices(MusQuery(soft, hard), oracle)
+        got = extract_mus_indices(soft, hard, oracle)
         assert frozenset(got) in family, (soft, hard, got, family)
 
         weights = tuple(rng.choice([0, 1, 1, 2, 3]) for _ in soft)
         best = min(sum(weights[i] for i in fam) for fam in family)
-        got_w = extract_mus_indices(
-            MusQuery(soft, hard, weights=weights, mode=SMALLEST_WEIGHTED), oracle)
+        got_w = extract_mus_indices(soft, hard, oracle, weights)
         assert sum(weights[i] for i in got_w) == best, (soft, hard, weights, got_w, family)
         assert frozenset(got_w) in family or verify_mus(
-            tuple(soft[i] for i in got_w), MusQuery(soft, hard), oracle)
+            tuple(soft[i] for i in got_w), hard, oracle)
     assert checked == 200
 
 
@@ -173,6 +189,6 @@ def test_every_output_passes_verify_mus():
             continue
         done += 1
         oracle = Oracle(doms)
-        for mode in (SUBSET_MINIMAL, SMALLEST_WEIGHTED):
-            got = extract_mus(MusQuery(soft, hard, mode=mode), oracle)
-            assert verify_mus(got, MusQuery(soft, hard), oracle)
+        for weights in (None, (1,) * len(soft)):
+            got = extract_mus(soft, hard, oracle, weights)
+            assert verify_mus(got, hard, oracle)

@@ -48,7 +48,7 @@ def test_alldiff_sat_with_model():
 
 def test_jobshop_solver_model_unsat():
     s = flatten(parse_model(JOBSHOP_MOD))
-    res = Oracle(s.vars).solve(s.constraints)
+    res = Oracle(s.vars).solve([c.expr for c in s.constraints])
     assert isinstance(res, Unsat)
 
 

@@ -1,5 +1,9 @@
+import functools
+
 import pytest
 
+from proofseq import instances
+from proofseq.errors import BudgetExceededError
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
 from proofseq.model import AllDifferent, AtomicConstraint, eval_expr, parse_model
@@ -132,6 +136,14 @@ def test_generate_mutated_each_constraint_satisfiable():
     for c in m.constraints:
         one = flatten(type(m)(m.vars, (c,)))
         assert isinstance(Oracle(one.vars).solve(hard=[x.expr for x in one.constraints]), Sat), c.id
+
+
+def test_generate_budget_exhaustion_is_an_error(monkeypatch):
+    # an exhausted budget is no verdict: with budget 0 the first conflict of
+    # a generation query must raise, not read as "satisfiable"
+    monkeypatch.setattr(instances, "Oracle", functools.partial(Oracle, budget=0))
+    with pytest.raises(BudgetExceededError):
+        generate_instance("jobshop", 1)
 
 
 def test_generate_unknown_kind():
