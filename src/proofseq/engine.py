@@ -7,6 +7,15 @@ conflict analysis can resolve backwards and emit inference/nogood steps on
 demand. Only conflict-participating propagations are logged unless log_all
 is set.
 
+A reason key is what a proof line cites: the id (a str) of the input
+constraint that propagated, or the 1-based step id (an int) of the nogood
+whose clause did, since each learned nogood is registered under its own
+step. A trail reason is (key, premise entries) and a Conflict carries the
+key of the violated clause or constraint. A step is (atoms, reasons): an
+inference cites its one constraint id, a nogood the step ids it resolves,
+and the conclusion (no atoms) its step ids, then any constraint that is
+false on its own.
+
 Bounds are kept per side: side 0 is the lower bound (`lb`), side 1 the upper
 bound (`ub`), and one code path serves both sides (`_tighten`,
 `justify_bound`, `backtrack_to`). Each side of each variable has an
@@ -48,7 +57,7 @@ it did, the trail is the same and the logged proofs stay byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import FlattenError
 from .model import (
@@ -66,25 +75,24 @@ from .model import (
 )
 
 Atom = tuple  # (var slot, op, value)
+Key = Union[str, int]  # a constraint id or a 1-based step id
 
 DEFAULT_BUDGET = 10**6  # conflicts per solve
 
 
 @dataclass
 class EngineStep:
-    """One logged proof step: an inference ('i'), a nogood ('n') or the conclusion ('c')."""
+    """One logged proof step: the clause it derives (none for the conclusion)
+    and the reason keys it cites."""
 
-    kind: str
     atoms: tuple[Atom, ...]
-    cid: Optional[str] = None      # inference source constraint
-    reasons: tuple[int, ...] = ()  # 1-based step ids (nogood / conclusion)
-    cid_reasons: tuple[str, ...] = ()  # conclusion only: directly cited constraints
+    reasons: tuple[Key, ...] = ()
 
 
 @dataclass
 class EngineResult:
     status: str                                   # "sat" | "unsat" | "budget"
-    assignment: Optional[dict[int, int]] = None   # var slot -> value (sat only)
+    assignment: Optional[dict[VarId, int]] = None  # sat only
     steps: list[EngineStep] = field(default_factory=list)
     used_cids: frozenset = frozenset()            # constraint ids reachable from the conclusion
     conflicts: int = 0
@@ -93,11 +101,11 @@ class EngineResult:
 class Conflict:
     """A violated clause: `entries` falsify every literal of `step_atoms`."""
 
-    __slots__ = ("entries", "source", "step_atoms")
+    __slots__ = ("entries", "key", "step_atoms")
 
-    def __init__(self, entries, source, step_atoms):
+    def __init__(self, entries, key, step_atoms):
         self.entries = entries          # trail indices
-        self.source = source            # ("c", cid) or ("g", nogood index)
+        self.key = key                  # reason key of the violated constraint or nogood
         self.step_atoms = step_atoms    # literals of the violated clause
 
 
@@ -112,7 +120,6 @@ class Engine:
         self.hist: tuple[list[list[tuple[str, int, int]]], ...] = ([], [])
         self.watch: list[list[int]] = []
         self.slot_of: dict[VarId, int] = {}
-        self.internal: set[int] = set()
         for v, d in vars_domains:
             self.slot_of[v] = self._add_slot(d)
         self.budget = budget
@@ -120,7 +127,7 @@ class Engine:
 
         self.t_atom: list[Atom] = []
         self.t_level: list[int] = []
-        self.t_reason: list[Optional[tuple]] = []  # None=decision, ("c",cid,entries) or ("g",gid,entries)
+        self.t_reason: list[Optional[tuple]] = []  # None: decision, else (key, premise entries)
         self.t_effects: list[list[tuple]] = []
         self.level = 0
         self.level_start: list[int] = [0]
@@ -129,7 +136,6 @@ class Engine:
         self.queue: list[int] = []
         self.qhead = 0
         self.in_queue: list[bool] = []
-        self.nogoods: list[tuple] = []  # (atoms, n-step id)
 
         self.steps: list[EngineStep] = []
         self.entry_step: dict[int, int] = {}
@@ -146,11 +152,6 @@ class Engine:
         self.watch.append([])
         return len(self.lb) - 1
 
-    def _fresh_internal(self) -> int:
-        s = self._add_slot(Domain(0, 1))
-        self.internal.add(s)
-        return s
-
     def atom_of(self, a: AtomicConstraint) -> Atom:
         return (self.slot_of[a.var], a.op, a.value)
 
@@ -166,13 +167,13 @@ class Engine:
             self.watch[s].append(idx)
         self._enqueue(idx)
 
-    def _add_clause(self, source: tuple, atoms):
+    def _add_clause(self, key: Key, atoms):
         atoms = tuple(atoms)
         if len(atoms) > 1:  # skipped for the most frequent clause, a single atom
             atoms = tuple(dict.fromkeys(atoms))
         # two distinct positions to check before scanning, see _prop_clause
         hint = [0, 1] if len(atoms) > 1 else None
-        self._register((Engine._prop_clause, source, atoms, hint), [a[0] for a in atoms])
+        self._register((Engine._prop_clause, key, atoms, hint), [a[0] for a in atoms])
 
     def _enqueue(self, idx: int):
         if not self.in_queue[idx]:
@@ -183,7 +184,7 @@ class Engine:
         """Register e under cid; with a guard atom, register guard => e."""
         if isinstance(e, (AtomicConstraint, Clause)):
             atoms = tuple(map(self.atom_of, e.atoms if isinstance(e, Clause) else (e,)))
-            self._add_clause(("c", cid), atoms if guard is None else (_negate_atom(guard),) + atoms)
+            self._add_clause(cid, atoms if guard is None else (_negate_atom(guard),) + atoms)
         elif isinstance(e, Linear):
             self._compile_linear(cid, e, guard)
         elif isinstance(e, Conjunction):
@@ -217,12 +218,12 @@ class Engine:
         if len(members) == 1:
             self._compile(cid, members[0])
         elif all(isinstance(m, AtomicConstraint) for m in members):
-            self._add_clause(("c", cid), (self.atom_of(m) for m in members))
+            self._add_clause(cid, (self.atom_of(m) for m in members))
         else:
-            sels = [self._fresh_internal() for _ in members]
+            sels = [self._add_slot(Domain(0, 1)) for _ in members]
             for s, m in zip(sels, members):
                 self._compile(cid, m, guard=(s, "==", 1))
-            self._add_clause(("c", cid), ((s, ">=", 1) for s in sels))
+            self._add_clause(cid, ((s, ">=", 1) for s in sels))
 
     # --- domain state ------------------------------------------------------
 
@@ -283,11 +284,11 @@ class Engine:
         if st is False:
             if reason is None:
                 raise AssertionError("decision on a falsified atom")
-            kind, key, premises = reason
+            key, premises = reason
             step_atoms = (atom,) + tuple(
                 _negate_atom(self.t_atom[q]) for q in _stable_unique(premises))
             entries = list(premises) + self.justify_false(atom)
-            return Conflict(_stable_unique(entries), (kind, key), step_atoms)
+            return Conflict(_stable_unique(entries), key, step_atoms)
         e = len(self.t_atom)
         self.t_atom.append(atom)
         self.t_level.append(self.level)
@@ -365,7 +366,7 @@ class Engine:
         return None
 
     def _prop_clause(self, p) -> Optional[Conflict]:
-        _, source, atoms, hint = p
+        _, key, atoms, hint = p
         if hint is not None:
             # a true atom or two undecided ones leave nothing to do; only the
             # scan below can find a unit or a conflict
@@ -392,13 +393,12 @@ class Engine:
             entries = []
             for a in atoms:
                 entries.extend(self.justify_false(a))
-            return Conflict(_stable_unique(entries), source, atoms)
+            return Conflict(_stable_unique(entries), key, atoms)
         premises = []
         for a in atoms:
             if a != unit:
                 premises.extend(self.justify_false(a))
-        return self.apply(unit, (source[0], source[1],
-                                 tuple(_stable_unique(premises)) if premises else ()))
+        return self.apply(unit, (key, tuple(_stable_unique(premises)) if premises else ()))
 
     def _prop_lin(self, p) -> Optional[Conflict]:
         # sum(coef*var) <= rhs, optionally under an atomic guard
@@ -413,10 +413,10 @@ class Engine:
             if smin <= rhs:
                 return None
             premises = self._lin_premises(terms, None)
-            return self.apply(_negate_atom(guard), ("c", cid, tuple(_stable_unique(premises))))
+            return self.apply(_negate_atom(guard), (cid, tuple(_stable_unique(premises))))
         if smin > rhs and not terms:
             # degenerate constant constraint: cite it from the conclusion
-            return Conflict((), ("c", cid), ())
+            return Conflict((), cid, ())
         # a violated sum makes the first term's bound conflict, so the violated
         # step derives a nonempty clause even with all-root premises
         for coef, s in terms:
@@ -440,7 +440,7 @@ class Engine:
         premises = self._lin_premises(terms, skip)
         if guard is not None:
             premises = self.justify_false(_negate_atom(guard)) + premises
-        return ("c", cid, tuple(_stable_unique(premises)))
+        return (cid, tuple(_stable_unique(premises)))
 
     def _lin_premises(self, terms, skip) -> list[int]:
         out: list[int] = []
@@ -470,7 +470,7 @@ class Engine:
         elif gst is not True:
             target = _negate_atom(guard)
         elif not terms:
-            return Conflict((), ("c", cid), ())
+            return Conflict((), cid, ())
         else:
             # pivot: derive the first variable's exclusion so the violated
             # step is a nonempty clause
@@ -482,7 +482,7 @@ class Engine:
         for _, s in cited:
             if self.lb[s] == self.ub[s]:
                 premises += self.justify_bound(0, s, self.lb[s]) + self.justify_bound(1, s, self.ub[s])
-        return self.apply(target, ("c", cid, tuple(_stable_unique(premises))))
+        return self.apply(target, (cid, tuple(_stable_unique(premises))))
 
     def _prop_alldiff(self, p) -> Optional[Conflict]:
         _, cid, slots = p
@@ -499,7 +499,7 @@ class Engine:
                 if premises is None:
                     premises = tuple(_stable_unique(
                         self.justify_bound(0, s, v) + self.justify_bound(1, s, v)))
-                r = self.apply((t, "!=", v), ("c", cid, premises))
+                r = self.apply((t, "!=", v), (cid, premises))
                 if r is not None:
                     return r
         return None
@@ -513,13 +513,13 @@ class Engine:
         reason = self.t_reason[e]
         if reason is None:
             raise AssertionError("decisions have no justifying step")
-        kind, key, premises = reason
-        if kind == "g":
-            sid = self.nogoods[key][1]
+        key, premises = reason
+        if isinstance(key, int):  # propagated by a nogood: its own step
+            sid = key
         else:
             atoms = (self.t_atom[e],) + tuple(
                 _negate_atom(self.t_atom[q]) for q in _stable_unique(premises))
-            self.steps.append(EngineStep("i", atoms, cid=key))
+            self.steps.append(EngineStep(atoms, (key,)))
             sid = len(self.steps)
         self.entry_step[e] = sid
         return sid
@@ -527,18 +527,16 @@ class Engine:
     # --- conflict analysis -----------------------------------------------------
 
     def _analyze(self, conflict: Conflict):
-        reasons: list[int] = []
-        cid_reasons: list[str] = []
-        kind, key = conflict.source
-        if kind == "g":
-            reasons.append(self.nogoods[key][1])
-        elif conflict.step_atoms:
-            self.steps.append(EngineStep("i", conflict.step_atoms, cid=key))
-            reasons.append(len(self.steps))
-        else:
-            # an input constraint false on its own: the conclusion cites it
-            # directly rather than through an empty-clause inference
-            cid_reasons.append(key)
+        """(conflict level, entries of the learned nogood, its reasons); at
+        level 0 no entries remain and the reasons are the conclusion's."""
+        key = conflict.key
+        if isinstance(key, str) and conflict.step_atoms:
+            # a violated input constraint: its inference is the first reason
+            self.steps.append(EngineStep(conflict.step_atoms, (key,)))
+            key = len(self.steps)
+        # a nogood's key is its own step; an input constraint false on its
+        # own is cited by the conclusion directly, not through an empty clause
+        reasons: list[Key] = [key]
         cc: dict[int, None] = dict.fromkeys(conflict.entries)
 
         def expand(e: int):
@@ -546,7 +544,7 @@ class Engine:
             sid = self._step_for_entry(e)
             if sid not in reasons:
                 reasons.append(sid)
-            for q in self.t_reason[e][2]:
+            for q in self.t_reason[e][1]:
                 cc.setdefault(q)
 
         clevel = max((self.t_level[e] for e in cc), default=0)
@@ -557,46 +555,40 @@ class Engine:
                 expandable = [e for e in cc if self.t_reason[e] is not None]
             if cc:
                 raise AssertionError("unexpandable root entries")
-            return ("root", reasons, cid_reasons)
-        if cid_reasons:
-            raise AssertionError("constraint-only conflicts are root conflicts")
-        at_level = [e for e in cc if self.t_level[e] == clevel]
-        while len(at_level) > 1:
-            expand(max(at_level))
+        else:
             at_level = [e for e in cc if self.t_level[e] == clevel]
-        return ("learn", clevel, sorted(cc), reasons)
+            while len(at_level) > 1:
+                expand(max(at_level))
+                at_level = [e for e in cc if self.t_level[e] == clevel]
+        return clevel, sorted(cc), reasons
 
     # --- search ------------------------------------------------------------------
 
     def solve(self) -> EngineResult:
         if any(lo > hi for lo, hi in zip(self.lb, self.ub)):  # an empty domain
-            self.steps.append(EngineStep("c", ()))
-            return EngineResult("unsat", steps=self.steps, used_cids=frozenset(),
-                                conflicts=self.conflicts)
+            self.steps.append(EngineStep(()))
+            return EngineResult("unsat", steps=self.steps, conflicts=self.conflicts)
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.conflicts += 1
                 if self.conflicts > self.budget:
                     return EngineResult("budget", conflicts=self.conflicts)
-                outcome = self._analyze(conflict)
-                if outcome[0] == "root":
-                    self.steps.append(EngineStep("c", (), reasons=tuple(outcome[1]),
-                                                 cid_reasons=tuple(outcome[2])))
+                clevel, cc_entries, reasons = self._analyze(conflict)
+                if clevel == 0:
+                    # step ids before constraint ids, as `c UNSAT` prints them
+                    reasons.sort(key=lambda r: isinstance(r, str))
+                    self.steps.append(EngineStep((), tuple(reasons)))
                     return EngineResult("unsat", steps=self.steps,
                                         used_cids=self._used_cids(), conflicts=self.conflicts)
-                _, clevel, cc_entries, reasons = outcome
                 nogood_atoms = tuple(_negate_atom(self.t_atom[e]) for e in cc_entries)
-                self.steps.append(EngineStep("n", nogood_atoms, reasons=tuple(reasons)))
-                gid = len(self.nogoods)
-                self.nogoods.append((nogood_atoms, len(self.steps)))
-                self.backtrack_to(max(clevel - 1, 0))
-                self._add_clause(("g", gid), nogood_atoms)
+                self.steps.append(EngineStep(nogood_atoms, tuple(reasons)))
+                self.backtrack_to(clevel - 1)
+                self._add_clause(len(self.steps), nogood_atoms)
                 continue
             vi = self._pick_var()
             if vi is None:
-                assignment = {s: self.lb[s] for s in range(len(self.lb))
-                              if s not in self.internal}
+                assignment = {v: self.lb[s] for v, s in self.slot_of.items()}
                 return EngineResult("sat", assignment=assignment, steps=self.steps,
                                     conflicts=self.conflicts)
             self.level += 1
@@ -610,18 +602,16 @@ class Engine:
         return None
 
     def _used_cids(self) -> frozenset:
-        used: set = set(self.steps[-1].cid_reasons)
+        used: set[str] = set()
         seen: set[int] = set()
         stack = list(self.steps[-1].reasons)
         while stack:
-            sid = stack.pop()
-            if sid in seen:
-                continue
-            seen.add(sid)
-            step = self.steps[sid - 1]
-            if step.kind == "i":
-                used.add(step.cid)
-            stack.extend(step.reasons)
+            key = stack.pop()
+            if isinstance(key, str):
+                used.add(key)
+            elif key not in seen:
+                seen.add(key)
+                stack.extend(self.steps[key - 1].reasons)
         return frozenset(used)
 
 

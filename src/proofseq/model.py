@@ -165,10 +165,6 @@ class Constraint:
         return f"{self.id}: {format_expr(self.expr)}"
 
 
-def as_expr(c: Union[Expr, Constraint]) -> Expr:
-    return c.expr if isinstance(c, Constraint) else c
-
-
 def clause_of(atoms: Iterable[AtomicConstraint]) -> Expr:
     """Normalizing clause constructor: one atom becomes the atom itself."""
     atoms = tuple(atoms)
@@ -212,13 +208,11 @@ def scope(c: Expr) -> frozenset[VarId]:
     raise TypeError(f"cannot take scope of {type(c).__name__}")
 
 
-def eval_expr(c: Union[Expr, Constraint], assignment: Mapping[VarId, int]) -> bool:
+def eval_expr(c: Expr, assignment: Mapping[VarId, int]) -> bool:
     """Evaluate a constraint under a total assignment of its scope.
 
     Raises KeyError when the assignment misses a scoped variable.
     """
-    if isinstance(c, Constraint):
-        return eval_expr(c.expr, assignment)
     if isinstance(c, AtomicConstraint):
         return c.holds(assignment[c.var])
     if isinstance(c, Clause):
@@ -246,9 +240,8 @@ def eval_expr(c: Union[Expr, Constraint], assignment: Mapping[VarId, int]) -> bo
     raise TypeError(f"cannot evaluate {type(c).__name__}")
 
 
-def negate_expr(c: Union[Expr, Constraint]) -> Expr:
+def negate_expr(c: Expr) -> Expr:
     """Constraint true exactly when the argument is violated."""
-    c = as_expr(c)
     if isinstance(c, AtomicConstraint):
         return c.negated()
     if isinstance(c, Clause):
@@ -279,9 +272,8 @@ def negate_expr(c: Union[Expr, Constraint]) -> Expr:
     raise TypeError(f"cannot negate {type(c).__name__}")
 
 
-def canonical_key(c: Union[Expr, Constraint]):
+def canonical_key(c: Expr):
     """Hashable, order-insensitive structural key used for constraint equality."""
-    c = as_expr(c)
     if isinstance(c, AtomicConstraint):
         return ("atom", c.var.index, c.op, c.value)
     if isinstance(c, Clause):
@@ -307,9 +299,8 @@ def canonical_key(c: Union[Expr, Constraint]):
     raise TypeError(f"cannot key {type(c).__name__}")
 
 
-def format_expr(c: Union[Expr, Constraint]) -> str:
+def format_expr(c: Expr) -> str:
     """Human-oriented rendering (not the file format; see serialize_model)."""
-    c = as_expr(c)
     if isinstance(c, AtomicConstraint):
         return str(c)
     if isinstance(c, Clause):

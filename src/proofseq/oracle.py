@@ -71,11 +71,10 @@ class Oracle:
             return BudgetExceeded(res.conflicts)
         if res.status == "unsat":
             return Unsat(tuple(c for i, c in enumerate(assumptions) if f"a{i}" in res.used_cids))
-        assignment = {v: res.assignment[eng.slot_of[v]] for v, _ in self.vars}
         for c in hard + assumptions:
-            if not eval_expr(c, assignment):
+            if not eval_expr(c, res.assignment):
                 raise AssertionError(f"engine returned a non-model (violates {c})")
-        return Sat(assignment)
+        return Sat(res.assignment)
 
     def model_of(self, constraints: Sequence[Expr]) -> Optional[dict[VarId, int]]:
         res = self.solve(hard=tuple(constraints))

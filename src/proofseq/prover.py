@@ -15,14 +15,7 @@ from typing import Union
 from .engine import DEFAULT_BUDGET, Engine
 from .errors import BudgetExceededError, FlattenError
 from .flatten import SolverModel
-from .model import (
-    AtomicConstraint,
-    Conjunction,
-    Disjunction,
-    FALSE,
-    eval_expr,
-    clause_of,
-)
+from .model import AtomicConstraint, Conjunction, Disjunction, clause_of, eval_expr
 from .oracle import Sat, Unsat
 from .proofcore import AbstractProof, InputRef, ProofStep, StepRef, serialize_proof
 
@@ -44,27 +37,14 @@ def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
     if res.status == "budget":
         raise BudgetExceededError(f"prover budget exhausted after {res.conflicts} conflicts")
     if res.status == "sat":
-        assignment = {v: res.assignment[eng.slot_of[v]] for v, _ in s.vars}
         for c in s.constraints:
-            if not eval_expr(c.expr, assignment):
+            if not eval_expr(c.expr, res.assignment):
                 raise AssertionError(f"prover returned a non-model (violates {c.id})")
-        return Sat(assignment), serialize_proof(AbstractProof(()))
+        return Sat(res.assignment), serialize_proof(AbstractProof(()))
 
     by_slot = {eng.slot_of[v]: v for v, _ in s.vars}
-
-    def atom(t) -> AtomicConstraint:
-        slot, op, val = t
-        return AtomicConstraint(by_slot[slot], op, val)
-
-    steps: list[ProofStep] = []
-    for st in res.steps:
-        if st.kind == "i":
-            steps.append(ProofStep(clause_of(atom(a) for a in st.atoms), (InputRef(st.cid),)))
-        elif st.kind == "n":
-            steps.append(ProofStep(clause_of(atom(a) for a in st.atoms),
-                                   tuple(StepRef(r) for r in st.reasons)))
-        else:
-            refs = tuple(StepRef(r) for r in st.reasons)
-            refs += tuple(InputRef(c) for c in st.cid_reasons)
-            steps.append(ProofStep(FALSE, refs))
-    return Unsat(), serialize_proof(AbstractProof(tuple(steps)))
+    steps = tuple(
+        ProofStep(clause_of(AtomicConstraint(by_slot[slot], op, val) for slot, op, val in st.atoms),
+                  tuple(InputRef(r) if isinstance(r, str) else StepRef(r) for r in st.reasons))
+        for st in res.steps)
+    return Unsat(), serialize_proof(AbstractProof(steps))

@@ -2,8 +2,7 @@
 
 A fact is a domain statement about one variable, normalized to the set of
 values it allows within the variable's declared domain; the final step
-derives false. Rendering has a human text form and a structured JSON form
-that round-trips through read_json.
+derives false. Rendering has a human text form and a structured JSON form.
 """
 
 from __future__ import annotations
@@ -192,12 +191,6 @@ def _fact_to_json(f: Fact):
     return {"var": f.var.name, "allowed": sorted(f.allowed)}
 
 
-def _fact_from_json(obj, model: UserModel) -> Fact:
-    if obj == "false":
-        return BOT
-    return DomainFact(model.var_by_name(obj["var"]), frozenset(obj["allowed"]))
-
-
 def to_json(seq: ExplanationSequence) -> str:
     doc = {
         "metrics": {
@@ -217,14 +210,3 @@ def to_json(seq: ExplanationSequence) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def read_json(text: str, model: UserModel) -> ExplanationSequence:
-    doc = json.loads(text)
-    steps = []
-    for s in doc["steps"]:
-        facts = tuple(_fact_from_json(f, model) for f in s["facts"])
-        users = tuple(s["because"]["user"])
-        fact_reasons = tuple(_fact_from_json(f, model) for f in s["because"]["facts"])
-        steps.append(ExplanationStep(facts, users, fact_reasons))
-    return ExplanationSequence(tuple(steps))

@@ -13,13 +13,15 @@ import pytest
 
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
-from proofseq.model import AtomicConstraint, FALSE, parse_model
+from proofseq.model import AtomicConstraint, FALSE, VarId, clause_of, parse_model
 from proofseq.mus import extract_mus_indices
 from proofseq.oracle import Oracle, Unsat
 from proofseq.pipeline import VARIANTS, run_pipeline, simplify_aux_vars, lift_to_user_level, \
     simplify_to_domain_reductions
 from proofseq.proofcore import (
+    AbstractProof,
     InputRef,
+    ProofStep,
     StepRef,
     check_proof,
     is_trimmed,
@@ -29,9 +31,8 @@ from proofseq.proofcore import (
 from proofseq.prover import solve_with_proof
 from proofseq.sequence import validate_sequence
 
-from helpers import brute_mus_family, brute_satisfiable
+from helpers import brute_mus_family, brute_satisfiable, verify_mus
 from test_mus import _random_query
-from test_proofcore import _fuzz_proof
 
 DATA = Path(__file__).parent / "data"
 
@@ -141,14 +142,41 @@ def test_criterion_4_mus_oracle_equivalence():
         family = brute_mus_family(doms, soft, hard)
         oracle = Oracle(doms)
         got = extract_mus_indices(soft, hard, oracle)
-        assert frozenset(got) in family, (soft, hard)
+        assert frozenset(got) in family, (soft, hard, got, family)
         weights = tuple(rng.choice([0, 1, 1, 2, 3]) for _ in soft)
         best = min(sum(weights[i] for i in fam) for fam in family)
         got_w = extract_mus_indices(soft, hard, oracle, weights)
-        assert sum(weights[i] for i in got_w) == best, (soft, hard, weights)
+        assert sum(weights[i] for i in got_w) == best, (soft, hard, weights, got_w, family)
+        assert frozenset(got_w) in family or verify_mus(
+            tuple(soft[i] for i in got_w), hard, oracle)
     _report(4, checked == 200,
             f"{checked}/200 random queries: subset-minimal in brute-force family, "
             f"smallest-weighted matches brute-force minimum weight")
+
+
+def _fuzz_proof(rng: random.Random) -> AbstractProof:
+    """Random structurally valid refutation over a small synthetic vocabulary."""
+    vars_ = [VarId(i, f"v{i}") for i in range(4)]
+    cids = [f"k{i}" for i in range(5)]
+
+    def atom():
+        return AtomicConstraint(rng.choice(vars_), rng.choice(["<=", ">=", "==", "!="]),
+                                rng.randint(0, 5))
+
+    steps = []
+    n = rng.randint(1, 12)
+    for i in range(1, n + 1):
+        derived = clause_of([atom() for _ in range(rng.randint(1, 3))])
+        reasons: list = []
+        if rng.random() < 0.8:
+            reasons.append(InputRef(rng.choice(cids)))
+        for _ in range(rng.randint(0, 3)):
+            if i > 1:
+                reasons.append(StepRef(rng.randint(1, i - 1)))
+        steps.append(ProofStep(derived, tuple(dict.fromkeys(reasons))))
+    concl_reasons: list = [StepRef(rng.randint(1, n)) for _ in range(rng.randint(0, 4))]
+    steps.append(ProofStep(FALSE, tuple(dict.fromkeys(concl_reasons))))
+    return AbstractProof(tuple(steps))
 
 
 def test_criterion_5_trimming_properties():
@@ -159,6 +187,21 @@ def test_criterion_5_trimming_properties():
         t = trim(p)
         assert is_trimmed(t)
         assert trim(t) == t
+        assert t.steps[-1].derived == FALSE
+        # independent of trim and is_trimmed: the kept steps are exactly the
+        # steps reachable from the conclusion (one backward sweep, since every
+        # reference points at an earlier step), in order, deriving the same
+        # and citing the same steps under their new ids
+        reach = {len(p.steps)}
+        for i in range(len(p.steps), 0, -1):
+            if i in reach:
+                reach.update(r.step for r in p.steps[i - 1].reasons if isinstance(r, StepRef))
+        kept = sorted(reach)
+        new_id = {old: new for new, old in enumerate(kept, start=1)}
+        assert [s.derived for s in t.steps] == [p.steps[i - 1].derived for i in kept]
+        assert [s.reasons for s in t.steps] == [
+            tuple(StepRef(new_id[r.step]) if isinstance(r, StepRef) else r
+                  for r in p.steps[i - 1].reasons) for i in kept]
     _report(5, True, f"trim idempotent and literally trimmed on {n} fuzzed proofs")
 
 

@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 from proofseq.cli import main
+from proofseq.flatten import flatten
 from proofseq.model import parse_model
-from proofseq.sequence import read_json
+from proofseq.pipeline import run_pipeline
+from proofseq.proofcore import parse_drcp
+from proofseq.sequence import to_json
 
 DATA = Path(__file__).parent / "data"
 MOD = str(DATA / "jobshop.mod")
@@ -36,15 +39,16 @@ def test_explain_check_passes():
 
 
 def test_explain_structured_roundtrip():
+    """The structured payload is `to_json` of the in-process pipeline result."""
     code, out, _ = run_cli("explain", MOD, PRF, "--variant", "trim+minglob",
                            "--format", "structured")
     assert code == 0
-    payload, metrics_line = out.rsplit("\n", 2)[0], out.strip().splitlines()[-1]
-    doc = json.loads(payload)
     model = parse_model(Path(MOD).read_text())
-    seq = read_json(payload, model)
-    assert seq.sequence_length == doc["metrics"]["sequence_length"] == 3
-    assert metrics_line == "len=3 maxstep=1"
+    solver = flatten(model)
+    seq = run_pipeline(model, parse_drcp(Path(PRF).read_text(), solver), "trim+minglob",
+                       solver).sequence
+    assert seq.sequence_length == json.loads(to_json(seq))["metrics"]["sequence_length"] == 3
+    assert out == to_json(seq) + "len=3 maxstep=1\n"
 
 
 def test_explain_satisfiable_model(tmp_path):

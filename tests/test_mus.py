@@ -151,34 +151,6 @@ def _random_query(rng):
     return doms, soft, hard
 
 
-def test_random_queries_match_brute_force_family():
-    """Acceptance-style sweep: subset-minimal results are members of the
-    brute-force MUS family; smallest-weighted results match the brute-force
-    minimum weight."""
-    rng = random.Random(2024)
-    checked = 0
-    while checked < 200:
-        doms, soft, hard = _random_query(rng)
-        from helpers import brute_satisfiable
-        if brute_satisfiable(doms, list(soft) + list(hard)) is not None:
-            continue
-        if brute_satisfiable(doms, list(hard)) is None and rng.random() < 0.8:
-            continue  # keep a few hard-only-unsat cases but mostly interesting ones
-        checked += 1
-        family = brute_mus_family(doms, soft, hard)
-        oracle = Oracle(doms)
-        got = extract_mus_indices(soft, hard, oracle)
-        assert frozenset(got) in family, (soft, hard, got, family)
-
-        weights = tuple(rng.choice([0, 1, 1, 2, 3]) for _ in soft)
-        best = min(sum(weights[i] for i in fam) for fam in family)
-        got_w = extract_mus_indices(soft, hard, oracle, weights)
-        assert sum(weights[i] for i in got_w) == best, (soft, hard, weights, got_w, family)
-        assert frozenset(got_w) in family or verify_mus(
-            tuple(soft[i] for i in got_w), hard, oracle)
-    assert checked == 200
-
-
 def test_every_output_passes_verify_mus():
     rng = random.Random(17)
     from helpers import brute_satisfiable

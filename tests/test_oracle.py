@@ -161,19 +161,21 @@ def test_engine_steps_implied_over_domains_with_holes():
             res = eng.solve()
             assert res.status == ("unsat" if expected is None else "sat")
             if res.assignment is not None:
-                alpha = {v: res.assignment[eng.slot_of[v]] for v, _ in doms}
+                alpha = res.assignment
                 assert all(alpha[v] in d for v, d in doms)
                 assert all(brute_eval(c, alpha) for c in cons)
             derived = []
             for st in res.steps:
                 clause = Clause(tuple(AtomicConstraint(var_of[s], op, val) for s, op, val in st.atoms))
-                cited = [derived[r - 1] for r in st.reasons]
-                if st.kind == "i":
-                    assert _implied(doms, [by_cid[st.cid]], clause), st
-                elif st.kind == "n":
+                cids = [by_cid[r] for r in st.reasons if isinstance(r, str)]
+                cited = [derived[r - 1] for r in st.reasons if isinstance(r, int)]
+                if not st.atoms:  # the conclusion
+                    assert brute_satisfiable(doms, cited + cids) is None
+                elif cids:  # an inference
+                    assert len(st.reasons) == 1, st
+                    assert _implied(doms, cids, clause), st
+                else:  # a nogood
                     assert _implied(doms, cited, clause), st
-                else:
-                    assert brute_satisfiable(doms, cited + [by_cid[c] for c in st.cid_reasons]) is None
                 derived.append(clause)
             n_steps += len(res.steps)
     assert n_unsat > 150 and n_steps > 1000

@@ -207,55 +207,6 @@ def test_trim_requires_refutation(jobshop):
         trim(p)
 
 
-def _fuzz_proof(rng: random.Random) -> AbstractProof:
-    """Random structurally valid refutation over a small synthetic vocabulary."""
-    vars_ = [VarId(i, f"v{i}") for i in range(4)]
-    cids = [f"k{i}" for i in range(5)]
-
-    def atom():
-        return AtomicConstraint(rng.choice(vars_), rng.choice(["<=", ">=", "==", "!="]),
-                                rng.randint(0, 5))
-
-    steps = []
-    n = rng.randint(1, 12)
-    for i in range(1, n + 1):
-        derived = clause_of([atom() for _ in range(rng.randint(1, 3))])
-        reasons: list = []
-        if rng.random() < 0.8:
-            reasons.append(InputRef(rng.choice(cids)))
-        for _ in range(rng.randint(0, 3)):
-            if i > 1:
-                reasons.append(StepRef(rng.randint(1, i - 1)))
-        steps.append(ProofStep(derived, tuple(dict.fromkeys(reasons))))
-    concl_reasons: list = [StepRef(rng.randint(1, n)) for _ in range(rng.randint(0, 4))]
-    steps.append(ProofStep(FALSE, tuple(dict.fromkeys(concl_reasons))))
-    return AbstractProof(tuple(steps))
-
-
-def test_trim_fuzz_idempotent_and_trimmed():
-    rng = random.Random(1234)
-    for _ in range(1000):
-        p = _fuzz_proof(rng)
-        t = trim(p)
-        assert is_trimmed(t)
-        assert trim(t) == t
-        assert t.steps[-1].derived == FALSE
-        # independent of trim and is_trimmed: the kept steps are exactly the
-        # steps reachable from the conclusion (one backward sweep, since every
-        # reference points at an earlier step), in order, deriving the same
-        # and citing the same steps under their new ids
-        reach = {len(p.steps)}
-        for i in range(len(p.steps), 0, -1):
-            if i in reach:
-                reach.update(r.step for r in p.steps[i - 1].reasons if isinstance(r, StepRef))
-        kept = sorted(reach)
-        new_id = {old: new for new, old in enumerate(kept, start=1)}
-        assert [s.derived for s in t.steps] == [p.steps[i - 1].derived for i in kept]
-        assert [s.reasons for s in t.steps] == [
-            tuple(StepRef(new_id[r.step]) if isinstance(r, StepRef) else r
-                  for r in p.steps[i - 1].reasons) for i in kept]
-
-
 def test_fuzz_roundtrip_through_concrete_syntax(jobshop):
     _, solver, _ = jobshop
     rng = random.Random(77)
