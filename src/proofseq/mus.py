@@ -1,11 +1,14 @@
 """Minimal unsatisfiable subsets over soft constraints with fixed hard constraints.
 
-One entry point, `extract_mus_indices(soft, hard, oracle, weights=None)`,
-over plain expressions:
+One entry point, `extract_mus_indices(soft, hard, oracle, weights=None,
+start=None)`, over plain expressions. `start` names the soft members already
+known to be unsat with the hard constraints (all of them by default); the one
+up-front satisfiability probe runs over `start`, and SatInputError is raised
+when it is satisfiable.
 
-* without weights, a subset-minimal MUS: one deletion pass, one oracle call
-  per soft member, deletion order = reverse declaration order (documented,
-  deterministic);
+* without weights, a subset-minimal MUS: one deletion pass over `start`, one
+  oracle call per member, deletion order = reverse declaration order
+  (documented, deterministic);
 * with one non-negative weight per soft member, an exact minimum-weight MUS
   via the implicit hitting set scheme (Ignatiev et al., CP 2015): keep a
   family of correction sets, find a minimum-weight hitting set h by branch
@@ -16,6 +19,19 @@ over plain expressions:
   a lighter hitting set unless every member it drops weighs 0. So h is
   returned as it is, and a final deletion pass over h runs only when a
   member of h weighs 0.
+
+Three things keep the weighted search cheap without changing its answer:
+
+* seed: a deletion pass over `start` gives the first incumbent, and each of
+  its satisfiable probes a correction set. A small `start` (a proof step's
+  own reasons) makes that pass a handful of small probes;
+* floor: the family only grows, so the last hitting set's weight is a lower
+  bound on the next one, and the branch and bound stops at the first
+  solution that reaches it; that is the solution the full search keeps;
+* grow budget: growing a model's satisfied set to a maximal one probes each
+  left-out member with at most GROW_BUDGET conflicts. A probe that runs out
+  leaves its member out: the complement of any satisfiable subset is a
+  correction set, just not always a minimal one.
 """
 
 from __future__ import annotations
@@ -24,29 +40,37 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, SatInputError
 from .model import Expr, eval_expr
-from .oracle import Oracle
+from .oracle import Oracle, Sat
 
 # smallest-weighted extraction gives up (BudgetExceededError) past this many
 MAX_CORRECTION_SETS = 10_000
+# conflicts allowed to each probe that grows a satisfied set (capped by the
+# oracle's own budget)
+GROW_BUDGET = 50
 
 
 def extract_mus_indices(soft: Sequence[Expr], hard: Sequence[Expr], oracle: Oracle,
-                        weights: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+                        weights: Optional[Sequence[int]] = None,
+                        start: Optional[Sequence[int]] = None) -> tuple[int, ...]:
     """Indices (in soft order) of one MUS; deterministic for a fixed query.
 
-    Without weights the MUS is subset-minimal; with weights it is one of
-    least total weight."""
+    Without weights the MUS is a subset-minimal subset of start; with weights
+    it is one of least total weight over all of soft. start (default: every
+    index) must be unsat with hard."""
     soft, hard = list(soft), list(hard)
     if weights is not None:
         if len(weights) != len(soft):
             raise ValueError("one weight per soft constraint required")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-    if oracle.model_of(hard + soft) is not None:
+    start = range(len(soft)) if start is None else sorted(set(start))
+    if any(not 0 <= i < len(soft) for i in start):
+        raise ValueError("start indices must index soft")
+    if oracle.model_of(hard + [soft[i] for i in start]) is not None:
         raise SatInputError("soft + hard constraints are satisfiable; no MUS exists")
     if weights is None:
-        return _deletion_mus(soft, hard, oracle, range(len(soft)))
-    return _smallest_mus(soft, hard, list(weights), oracle)
+        return _deletion_mus(soft, hard, oracle, start)
+    return _smallest_mus(soft, hard, list(weights), oracle, start)
 
 
 def _deletion_mus(soft, hard, oracle, start: Sequence[int],
@@ -68,19 +92,21 @@ def _deletion_mus(soft, hard, oracle, start: Sequence[int],
     return tuple(keep)
 
 
-def _smallest_mus(soft, hard, weights: list[int], oracle) -> tuple[int, ...]:
+def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) -> tuple[int, ...]:
     n = len(soft)
     correction_sets: list[frozenset[int]] = []
 
     # seed with a deletion pass: its result is an upper bound and every
     # satisfiable probe along the way donates a correction set
-    best_known = _deletion_mus(soft, hard, oracle, range(n), correction_sets)
+    best_known = _deletion_mus(soft, hard, oracle, start, correction_sets)
     ub = sum(weights[i] for i in best_known)
+    lb = 0
 
     while True:
-        h = _min_hitting_set(correction_sets, weights, cap=ub)
+        h = _min_hitting_set(correction_sets, weights, cap=ub, floor=lb)
         if h is None:
             return best_known  # the lower bound met the incumbent's weight
+        lb = sum(weights[i] for i in h)
         model = oracle.model_of(hard + [soft[i] for i in sorted(h)])
         if model is None:
             # no hitting set is lighter than h, so only members of weight 0
@@ -88,15 +114,16 @@ def _smallest_mus(soft, hard, weights: list[int], oracle) -> tuple[int, ...]:
             if all(weights[i] for i in h):
                 return tuple(sorted(h))
             return _deletion_mus(soft, hard, oracle, sorted(h))
-        # grow the satisfied set to a maximal one: the complement is then a
-        # minimal correction set, which tightens the bound much faster
+        # grow the satisfied set: the smaller the complement, the faster the
+        # bound tightens; a probe that is unsat or runs out of its budget
+        # leaves its member out
         sat = {i for i in range(n) if eval_expr(soft[i], model)}
         for i in range(n):
             if i in sat:
                 continue
-            m2 = oracle.model_of(hard + [soft[j] for j in sorted(sat | {i})])
-            if m2 is not None:
-                sat = {j for j in range(n) if eval_expr(soft[j], m2)}
+            res = oracle.solve(hard + [soft[j] for j in sorted(sat | {i})], budget=GROW_BUDGET)
+            if isinstance(res, Sat):
+                sat = {j for j in range(n) if eval_expr(soft[j], res.assignment)}
         cs = frozenset(range(n)) - sat
         if not cs:
             raise AssertionError("model satisfies all soft constraints of an unsat query")
@@ -107,10 +134,14 @@ def _smallest_mus(soft, hard, weights: list[int], oracle) -> tuple[int, ...]:
 
 
 def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],
-                     cap: float = float("inf")) -> Optional[frozenset[int]]:
+                     cap: float = float("inf"), floor: float = 0) -> Optional[frozenset[int]]:
     """Minimum-weight hitting set by branch and bound, or None when every
     hitting set weighs at least cap. Ties keep the first solution found with
-    elements tried in ascending index order."""
+    elements tried in ascending index order.
+
+    floor must be a lower bound on the optimum (the optimum of a subfamily
+    of sets will do): the search stops at the first solution that weighs no
+    more, which is the one the full search would keep."""
     best: Optional[frozenset[int]] = None
     best_w = cap
 
@@ -124,17 +155,18 @@ def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],
             used |= s
         return total
 
-    def rec(chosen: list[int], w: int, uncovered: list[frozenset[int]]):
+    def rec(chosen: list[int], w: int, uncovered: list[frozenset[int]]) -> bool:
+        """True once the floor is reached: the whole search stops."""
         nonlocal best, best_w
         if not uncovered:
             if w < best_w:
                 best, best_w = frozenset(chosen), w
-            return
+            return best_w <= floor
         if w + lower_bound(uncovered) >= best_w:
-            return
+            return False
         target = min(uncovered, key=len)
-        for e in sorted(target):
-            rec(chosen + [e], w + weights[e], [s for s in uncovered if e not in s])
+        return any(rec(chosen + [e], w + weights[e], [s for s in uncovered if e not in s])
+                   for e in sorted(target))
 
     rec([], 0, list(sets))
     return best

@@ -7,12 +7,13 @@ an error. Callers pass `Expr`s: a model-level `Constraint` goes in as its
 `.expr`.
 
 `Oracle.solve` is the single entry point: every engine run for a
-satisfiability question goes through it, bounded by the oracle's budget, and
-it counts each one. `model_of` is the one place where an oracle's budget
-exhaustion becomes BudgetExceededError, and the one implication query:
-reasons imply `derived` iff `model_of(reasons + [negate_expr(derived)])` is
-None. `negate_expr` of a conjunction of several members is a disjunction,
-for which the engine introduces its own selector variables.
+satisfiability question goes through it, bounded by the oracle's budget (or
+by a smaller per-call one), and it counts each one. `model_of` is the one
+place where an oracle's budget exhaustion becomes BudgetExceededError, and
+the one implication query: reasons imply `derived` iff
+`model_of(reasons + [negate_expr(derived)])` is None. `negate_expr` of a
+conjunction of several members is a disjunction, for which the engine
+introduces its own selector variables.
 """
 
 from __future__ import annotations
@@ -55,13 +56,16 @@ class Oracle:
         self.budget = budget
         self.calls = 0
 
-    def solve(self, hard: Sequence[Expr] = (),
-              assumptions: Sequence[Expr] = ()) -> OracleResult:
-        """Complete within budget. An Unsat core lists the assumptions the
+    def solve(self, hard: Sequence[Expr] = (), assumptions: Sequence[Expr] = (),
+              budget: Optional[int] = None) -> OracleResult:
+        """Complete within budget: the oracle's own, or the smaller of it and
+        `budget` when given. An Unsat core lists the assumptions the
         refutation used; Sat assignments are re-checked by eval before return."""
         self.calls += 1
         hard, assumptions = tuple(hard), tuple(assumptions)
-        eng = Engine(self.vars, budget=self.budget)
+        if budget is None or budget > self.budget:
+            budget = self.budget
+        eng = Engine(self.vars, budget=budget)
         for i, c in enumerate(hard):
             eng.add_constraint(f"h{i}", c)
         for i, c in enumerate(assumptions):

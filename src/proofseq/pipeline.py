@@ -194,7 +194,8 @@ def minimize_reasons(p: AbstractProof, mode: str, user_model: UserModel,
     global mode: candidates are all user constraints plus everything derived
     earlier; a smallest-MUS weighted to count user constraints first (weight
     F+1 for a user constraint, 1 for a derived fact, F = number of candidate
-    facts) so steps cite as few user constraints as possible.
+    facts) so steps cite as few user constraints as possible. The search is
+    seeded from the candidates equal to the step's own reasons.
     """
     if mode not in (LOCAL, GLOBAL):
         raise ValueError(f"unknown minimization mode {mode!r}")
@@ -209,14 +210,17 @@ def minimize_reasons(p: AbstractProof, mode: str, user_model: UserModel,
         cand = _candidates(p, i, step, mode, user_model)
         hard = negate_expr(step.derived)
         soft = tuple(expr for _, expr in cand)
-        weights = None
+        weights = start = None
         if mode == GLOBAL:
             nfacts = sum(1 for ref, _ in cand if isinstance(ref, StepRef))
             weights = tuple(1 if isinstance(ref, StepRef) else nfacts + 1 for ref, _ in cand)
+            # the step's own reasons are already unsat with its negation
+            own = {canonical_key(p.resolve(r, user_model)) for r in step.reasons}
+            start = [k for k, (_, expr) in enumerate(cand) if canonical_key(expr) in own]
         try:
-            chosen = extract_mus_indices(soft, (hard,), oracle, weights)
+            chosen = extract_mus_indices(soft, (hard,), oracle, weights, start)
         except SatInputError:
-            raise SatInputError(f"step {i} is not implied by its candidate reasons") from None
+            raise SatInputError(f"step {i} is not implied by its reasons") from None
         reasons = tuple(cand[k][0] for k in chosen)
         req.update(canonical_key(cand[k][1]) for k in chosen)
         kept_rev.append((i, ProofStep(step.derived, reasons)))

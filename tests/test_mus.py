@@ -65,6 +65,28 @@ def test_sat_input_is_an_error():
         extract_mus((AtomicConstraint(x, "<=", 2),), (), Oracle(doms))
 
 
+def test_satisfiable_start_is_an_error():
+    (x,), doms = _vars("x")
+    soft = (AtomicConstraint(x, "<=", 2), AtomicConstraint(x, ">=", 5), AtomicConstraint(x, "==", 3))
+    for weights in (None, (1, 1, 1)):
+        with pytest.raises(SatInputError):
+            extract_mus_indices(soft, (), Oracle(doms), weights, start=(1,))
+    with pytest.raises(ValueError, match="start"):
+        extract_mus_indices(soft, (), Oracle(doms), start=(3,))
+
+
+def test_start_bounds_the_unweighted_mus_but_not_the_weighted_one():
+    (x,), doms = _vars("x")
+    soft = (AtomicConstraint(x, "<=", 2), AtomicConstraint(x, ">=", 5), AtomicConstraint(x, "==", 3))
+    # {0, 1} is the only MUS inside start; {0, 2} weighs less
+    assert extract_mus_indices(soft, (), Oracle(doms), start=(0, 1)) == (0, 1)
+    oracle = Oracle(doms)
+    assert extract_mus_indices(soft, (), oracle, (1, 3, 1), start=(0, 1)) == (0, 2)
+    # up-front check over start, two deletion probes over start (both sat),
+    # then hitting sets {2} (sat, then two grow probes) and {0, 2} (unsat)
+    assert oracle.calls == 7
+
+
 def test_weight_count_and_sign_are_checked():
     (x,), doms = _vars("x")
     soft = (AtomicConstraint(x, "<=", 2), AtomicConstraint(x, ">=", 5))
@@ -89,6 +111,30 @@ def test_correction_set_cap_raises_budget_exceeded(monkeypatch):
     monkeypatch.setattr(mus, "MAX_CORRECTION_SETS", 1)
     with pytest.raises(BudgetExceededError):
         extract_mus_indices(soft, (), Oracle(doms), weights)
+
+
+def test_grow_probe_out_of_budget_is_no_error(monkeypatch):
+    (x,), doms = _vars("x")
+    soft = (AtomicConstraint(x, ">=", 2), AtomicConstraint(x, "<=", 2),
+            AtomicConstraint(x, "<=", 0), AtomicConstraint(x, ">=", 5))
+    weights = (1, 2, 3, 1)
+    oracle = Oracle(doms)
+    outcomes = []
+    orig = Oracle.solve
+
+    def solve(self, hard=(), assumptions=(), budget=None):
+        res = orig(self, hard, assumptions, budget)
+        if budget is not None:
+            outcomes.append(type(res).__name__)
+        return res
+
+    # with no conflicts allowed, both grow probes after hitting set {3}
+    # run out; each is still counted, and the answer is as with budget
+    monkeypatch.setattr(Oracle, "solve", solve)
+    monkeypatch.setattr(mus, "GROW_BUDGET", 0)
+    assert extract_mus_indices(soft, (), oracle, weights) == (1, 3)
+    assert outcomes == ["BudgetExceeded", "BudgetExceeded"]
+    assert oracle.calls == 9
 
 
 def test_zero_weight_member_of_the_hitting_set_is_dropped():

@@ -1,19 +1,34 @@
-"""Property test of MUS extraction against brute force: the small random
-models of `test_engine_fuzz` (atoms, clauses, linears, alldifferents and
-disjunctions over domains with holes) are split into hard and soft
-constraints, with the variables of alldifferents narrowed to a few values
-so that alldifferents take part in MUSes. A satisfiable query must raise
-SatInputError. Otherwise the subset-minimal result must be one of the
+"""Property tests of MUS extraction against brute force.
+
+The small random models of `test_engine_fuzz` (atoms, clauses, linears,
+alldifferents and disjunctions over domains with holes) are split into hard
+and soft constraints, with the variables of alldifferents narrowed to a few
+values so that alldifferents take part in MUSes. A satisfiable query must
+raise SatInputError. Otherwise the subset-minimal result must be one of the
 brute-force MUSes, and the smallest-weighted result, with weights drawn from
-0-3 and from 1-3, must be a MUS of the brute-force minimum weight."""
+0-3 and from 1-3, must be a MUS of the brute-force minimum weight. Each query
+is also answered from a random unsat `start` (a brute-force MUS plus random
+extra members) and with grow probes allowed no conflicts at all.
+
+A second strategy draws mostly zero weights and plants members that make
+the minimum hitting set carry zero-weight members a MUS does not need, so
+that returning that hitting set as it is fails.
+
+The branch and bound over hitting sets is checked on its own against brute
+force, and stopped at the previous optimum of a growing family it must
+return the very set the unbounded search returns.
+"""
+
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proofseq import mus
 from proofseq.errors import SatInputError
-from proofseq.model import AllDifferent, Domain
-from proofseq.mus import extract_mus_indices
+from proofseq.model import AllDifferent, AtomicConstraint, Domain
+from proofseq.mus import _min_hitting_set, extract_mus_indices
 from proofseq.oracle import Oracle
 
 from helpers import brute_mus_family, brute_satisfiable, verify_mus
@@ -35,25 +50,92 @@ def mus_queries(draw):
     cut = draw(st.integers(0, min(2, len(cons) - 1)))
     hard, soft = tuple(cons[:cut]), tuple(cons[cut:])
     n = len(soft)
-    with_zero = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    positive = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
-    return doms, soft, hard, (with_zero, positive)
+
+    def per_member(elements):
+        return tuple(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    weight_draws = (per_member(st.integers(0, 3)), per_member(st.integers(1, 3)))
+    # a start: the brute-force MUS at index pick (modulo their number) plus
+    # the members flagged in extra
+    pick = draw(st.integers(0, 7))
+    extra = per_member(st.booleans())
+    return doms, soft, hard, weight_draws, (pick, extra)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(mus_queries())
 def test_mus_agrees_with_brute_force(query):
-    doms, soft, hard, weight_draws = query
+    doms, soft, hard, weight_draws, (pick, extra) = query
     oracle = Oracle(doms)
     if brute_satisfiable(doms, soft + hard) is not None:
         with pytest.raises(SatInputError):
             extract_mus_indices(soft, hard, oracle)
         return
     family = brute_mus_family(doms, soft, hard)
-    assert frozenset(extract_mus_indices(soft, hard, oracle)) in family
+    start = sorted(family[pick % len(family)] | {i for i, e in enumerate(extra) if e})
+    got = extract_mus_indices(soft, hard, oracle)
+    assert frozenset(got) in family
+    got = extract_mus_indices(soft, hard, oracle, start=start)
+    assert frozenset(got) in family and set(got) <= set(start), (start, got)
     for weights in weight_draws:
-        got = extract_mus_indices(soft, hard, oracle, weights)
         best = min(sum(weights[i] for i in fam) for fam in family)
-        assert sum(weights[i] for i in got) == best, (weights, got, family)
-        assert frozenset(got) in family
-        assert verify_mus([soft[i] for i in got], hard, oracle)
+        for grow_budget in (mus.GROW_BUDGET, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mus, "GROW_BUDGET", grow_budget)
+                for seed in (None, start):
+                    got = extract_mus_indices(soft, hard, oracle, weights, seed)
+                    assert sum(weights[i] for i in got) == best, (weights, seed, got, family)
+                    assert frozenset(got) in family
+                    assert verify_mus([soft[i] for i in got], hard, oracle)
+
+
+@st.composite
+def zero_weight_queries(draw):
+    """A mus_queries query between two planted parts, all on its first
+    variable v over lo..hi: in front, v <= lo (weight 1-3) and v >= lo + 1
+    (weight 0), which contradict each other; at the end, v >= hi + 1 (weight
+    0), false on its own. The others weigh mostly 0. The deletion seed drops
+    the false member first (the pair keeps the rest unsat) and often ends on
+    a MUS of positive weight; the branch and bound then tends to pick
+    v >= lo + 1 on its way to the false member."""
+    doms, soft, hard, _, _ = draw(mus_queries())
+    v, d = doms[0]
+    soft = ((AtomicConstraint(v, "<=", d.lower), AtomicConstraint(v, ">=", d.lower + 1))
+            + soft + (AtomicConstraint(v, ">=", d.upper + 1),))
+    middle = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2)),
+                           min_size=len(soft) - 3, max_size=len(soft) - 3))
+    weights = (draw(st.integers(1, 3)), 0, *middle, 0)
+    return doms, soft, hard, weights
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(zero_weight_queries())
+def test_zero_weight_members_do_not_pad_the_mus(query):
+    doms, soft, hard, weights = query
+    family = brute_mus_family(doms, soft, hard)
+    got = extract_mus_indices(soft, hard, Oracle(doms), weights)
+    assert frozenset(got) in family, (weights, got)
+    assert sum(weights[i] for i in got) == 0  # the false member alone weighs 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n),
+    st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=10),
+    st.one_of(st.none(), st.integers(0, 12)))))
+def test_floor_at_the_previous_optimum_changes_no_hitting_set(case):
+    weights, sets, cap = case
+    cap = float("inf") if cap is None else cap
+    subsets = [frozenset(c) for r in range(len(weights) + 1)
+               for c in itertools.combinations(range(len(weights)), r)]
+    floor = 0
+    for k in range(1, len(sets) + 1):
+        family = sets[:k]
+        full = _min_hitting_set(family, weights, cap)
+        assert _min_hitting_set(family, weights, cap, floor=floor) == full
+        best = min(sum(weights[i] for i in h) for h in subsets if all(h & s for s in family))
+        if best >= cap:
+            assert full is None
+            break  # no hitting set is lighter than the cap, nor for any larger family
+        assert all(full & s for s in family) and sum(weights[i] for i in full) == best
+        floor = best

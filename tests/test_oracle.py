@@ -59,6 +59,16 @@ def test_budget_exceeded_is_result():
     assert isinstance(res, BudgetExceeded)
 
 
+def test_per_call_budget_is_capped_by_the_oracle_budget():
+    vs, doms = _vars(*[f"v{i}" for i in range(8)])
+    pigeonhole = (AllDifferent(tuple(vs)),)
+    small, large = Oracle(doms, budget=2), Oracle(doms)
+    assert small.solve(pigeonhole, budget=10**9) == BudgetExceeded(3)
+    assert large.solve(pigeonhole, budget=4) == BudgetExceeded(5)
+    assert isinstance(large.solve(pigeonhole), Unsat)
+    assert (small.calls, large.calls) == (1, 2)
+
+
 def test_unsat_core_is_sound_and_subset():
     (x,), doms = _vars("x")
     assumptions = (
