@@ -7,6 +7,22 @@ conflict analysis can resolve backwards and emit inference/nogood steps on
 demand. Only conflict-participating propagations are logged unless log_all
 is set.
 
+With `proof=False` the engine logs no proof: conflict analysis computes only
+the conflict level and the learned nogood's entries (no steps, no reasons),
+a root conflict ends the solve as unsat without being resolved, and the
+result has no steps and no used constraint ids. The trail, the learned
+nogoods, the model and the conflict count are the same as with proof
+logging, because the resolution that picks the nogood's entries does not
+depend on the steps. Every key is still stored but never read, so a nogood
+is registered under key 0.
+
+The root slot state of a variable set is a `RootSlots`, which an engine
+copies; `Oracle` builds one per variable set and reuses it on every call.
+`add_compiled` registers the propagators that `record` caught while another
+engine over the same root slots compiled an expression, in the same order
+and with the same watches, so the engine is the one that compiling it anew
+would give.
+
 A reason key is what a proof line cites: the id (a str) of the input
 constraint that propagated, or the 1-based step id (an int) of the nogood
 whose clause did, since each learned nogood is registered under its own
@@ -48,10 +64,18 @@ excludes the value) and justifies a fixed slot only before its first real
 removal. Each clause and nogood keeps two distinct hinted positions (the
 two watched literals of Chaff and MiniSat, used here only as a scan
 shortcut): if either hinted atom is true, or both are undecided, the clause
-can neither propagate nor fail, so the scan is skipped; otherwise the scan
-runs as before and refreshes the hint. The hint needs no undo on backtrack.
-Wake-ups and queue order are unchanged, so every propagator still runs when
-it did, the trail is the same and the logged proofs stay byte-identical.
+can neither propagate nor fail. Otherwise the other atoms are looked at
+circularly from the one after the second hint, for a true atom or a second
+undecided one, and the hint moves to what is found, as in MiniSat, whose
+look starts past the watches so that old false atoms at the front of a
+learned nogood are not read on every wake-up. The look order cannot change
+the answer: the clause does nothing when some atom is true or two are
+undecided, propagates its one undecided atom, or fails when all are false,
+whatever order the atoms are read in. Its premises come from a separate
+in-order pass, run only for a unit or a conflict. The hint needs no undo on
+backtrack. Wake-ups and queue order are unchanged, so every propagator still
+runs when it did, the trail is the same and the logged proofs stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -106,24 +130,44 @@ class Conflict:
     def __init__(self, entries, key, step_atoms):
         self.entries = entries          # trail indices
         self.key = key                  # reason key of the violated constraint or nogood
-        self.step_atoms = step_atoms    # literals of the violated clause
+        self.step_atoms = step_atoms    # literals of the violated clause (None: no proof logging)
+
+
+class RootSlots:
+    """The root slot state of a variable set: one slot per variable, in order.
+
+    Built once and copied into each `Engine` over the same variables; only
+    `slot_of` is shared, since no engine changes it."""
+
+    __slots__ = ("slot_of", "lb", "ub", "holes", "roots")
+
+    def __init__(self, vars_domains: Sequence[tuple[VarId, Domain]]):
+        self.slot_of: dict[VarId, int] = {v: s for s, (v, _) in enumerate(vars_domains)}
+        doms = [d for _, d in vars_domains]
+        self.lb: list[int] = [d.lower for d in doms]
+        self.ub: list[int] = [d.upper for d in doms]
+        self.holes: list[dict[int, int]] = [dict.fromkeys(d.holes, -1) for d in doms]
+        # the first history record of each side of each slot
+        self.roots = tuple([("b", x, -1) for x in bound] for bound in (self.lb, self.ub))
 
 
 class Engine:
-    def __init__(self, vars_domains: Sequence[tuple[VarId, Domain]],
-                 budget: int = DEFAULT_BUDGET, log_all: bool = False):
-        self.lb: list[int] = []
-        self.ub: list[int] = []
+    def __init__(self, vars_domains: Union[RootSlots, Sequence[tuple[VarId, Domain]]],
+                 budget: int = DEFAULT_BUDGET, log_all: bool = False, proof: bool = True):
+        root = vars_domains if isinstance(vars_domains, RootSlots) else RootSlots(vars_domains)
+        self.lb: list[int] = root.lb.copy()
+        self.ub: list[int] = root.ub.copy()
         self.bound = (self.lb, self.ub)
-        self.holes: list[dict[int, int]] = []  # value -> entry that removed it (-1: root)
+        # value -> entry that removed it (-1: root)
+        self.holes: list[dict[int, int]] = [h.copy() for h in root.holes]
         # per side, per variable: (kind, value, entry) records, see the module docstring
-        self.hist: tuple[list[list[tuple[str, int, int]]], ...] = ([], [])
-        self.watch: list[list[int]] = []
-        self.slot_of: dict[VarId, int] = {}
-        for v, d in vars_domains:
-            self.slot_of[v] = self._add_slot(d)
+        self.hist: tuple[list[list[tuple[str, int, int]]], ...] = tuple(
+            [[r] for r in side] for side in root.roots)
+        self.watch: list[list[int]] = [[] for _ in root.lb]
+        self.slot_of: dict[VarId, int] = root.slot_of
         self.budget = budget
         self.log_all = log_all
+        self.proof = proof  # False: no steps at all, so no log_all either
 
         self.t_atom: list[Atom] = []
         self.t_level: list[int] = []
@@ -136,6 +180,8 @@ class Engine:
         self.queue: list[int] = []
         self.qhead = 0
         self.in_queue: list[bool] = []
+        # when a list, _install also appends each (propagator, watched slots) to it
+        self.record: Optional[list[tuple]] = None
 
         self.steps: list[EngineStep] = []
         self.entry_step: dict[int, int] = {}
@@ -159,13 +205,27 @@ class Engine:
         """Compile an expression into primitive propagators registered under cid."""
         self._compile(cid, e)
 
+    def add_compiled(self, compiled: Sequence[tuple]):
+        """Register the (propagator, watched slots) pairs that `record` caught
+        while an engine over the same root slots compiled an expression that
+        added no slot. Each clause gets a fresh hint, its only mutable part."""
+        for prop, slots in compiled:
+            if prop[0] is Engine._prop_clause and prop[3] is not None:
+                prop = prop[:3] + ([0, 1],)
+            self._install(prop, slots)
+
     def _register(self, prop: tuple, var_slots):
+        self._install(prop, tuple(set(var_slots)))
+
+    def _install(self, prop: tuple, slots: tuple):
         idx = len(self.props)
         self.props.append(prop)
-        self.in_queue.append(False)
-        for s in set(var_slots):
+        for s in slots:
             self.watch[s].append(idx)
-        self._enqueue(idx)
+        self.in_queue.append(True)
+        self.queue.append(idx)
+        if self.record is not None:
+            self.record.append((prop, slots))
 
     def _add_clause(self, key: Key, atoms):
         atoms = tuple(atoms)
@@ -174,11 +234,6 @@ class Engine:
         # two distinct positions to check before scanning, see _prop_clause
         hint = [0, 1] if len(atoms) > 1 else None
         self._register((Engine._prop_clause, key, atoms, hint), [a[0] for a in atoms])
-
-    def _enqueue(self, idx: int):
-        if not self.in_queue[idx]:
-            self.in_queue[idx] = True
-            self.queue.append(idx)
 
     def _compile(self, cid: str, e: Expr, guard: Optional[Atom] = None):
         """Register e under cid; with a guard atom, register guard => e."""
@@ -285,8 +340,10 @@ class Engine:
             if reason is None:
                 raise AssertionError("decision on a falsified atom")
             key, premises = reason
-            step_atoms = (atom,) + tuple(
-                _negate_atom(self.t_atom[q]) for q in _stable_unique(premises))
+            step_atoms = None
+            if self.proof:
+                step_atoms = (atom,) + tuple(
+                    _negate_atom(self.t_atom[q]) for q in _stable_unique(premises))
             entries = list(premises) + self.justify_false(atom)
             return Conflict(_stable_unique(entries), key, step_atoms)
         e = len(self.t_atom)
@@ -294,8 +351,11 @@ class Engine:
         self.t_level.append(self.level)
         self.t_reason.append(reason)
         self.t_effects.append([])
+        in_queue, queue = self.in_queue, self.queue
         for idx in self.watch[vi]:
-            self._enqueue(idx)
+            if not in_queue[idx]:
+                in_queue[idx] = True
+                queue.append(idx)
         if op == ">=":
             self._tighten(0, vi, val, "b", e)
         elif op == "<=":
@@ -367,33 +427,51 @@ class Engine:
 
     def _prop_clause(self, p) -> Optional[Conflict]:
         _, key, atoms, hint = p
-        if hint is not None:
-            # a true atom or two undecided ones leave nothing to do; only the
-            # scan below can find a unit or a conflict
-            st0 = self.status(atoms[hint[0]])
+        status = self.status
+        if hint is None:  # at most one atom
+            unit_at = -1
+            if atoms:
+                st = status(atoms[0])
+                if st is True:
+                    return None
+                if st is None:
+                    unit_at = 0
+        else:
+            # a true atom or two undecided ones leave nothing to do
+            h0, h1 = hint
+            st0 = status(atoms[h0])
             if st0 is True:
                 return None
-            st1 = self.status(atoms[hint[1]])
+            st1 = status(atoms[h1])
             if st1 is True or (st0 is None and st1 is None):
                 return None
-        unit = None
-        for i, a in enumerate(atoms):
-            st = self.status(a)
-            if st is True:
-                if hint is not None:
-                    # neither hinted atom is true, so i differs from hint[0]
-                    hint[:] = (i, hint[0])
-                return None
-            if st is None:
-                if unit is not None:
-                    hint[:] = (unit_at, i)
+            unit_at = h0 if st0 is None else (h1 if st1 is None else -1)
+            # look at every other atom, circularly from the one after h1, for
+            # a true atom or a second undecided one, and hint at what it finds
+            n = len(atoms)
+            for j in range(h1 + 1, h1 + n):
+                if j >= n:
+                    j -= n
+                if j == h0:
+                    continue
+                st = status(atoms[j])
+                if st is False:
+                    continue
+                if st is True:
+                    hint[0] = j
                     return None
-                unit, unit_at = a, i
-        if unit is None:
+                if unit_at >= 0:
+                    hint[:] = (unit_at, j)
+                    return None
+                unit_at = j
+            if unit_at >= 0 and unit_at != h1:
+                hint[0] = unit_at  # true once propagated
+        if unit_at < 0:
             entries = []
             for a in atoms:
                 entries.extend(self.justify_false(a))
             return Conflict(_stable_unique(entries), key, atoms)
+        unit = atoms[unit_at]
         premises = []
         for a in atoms:
             if a != unit:
@@ -528,27 +606,34 @@ class Engine:
 
     def _analyze(self, conflict: Conflict):
         """(conflict level, entries of the learned nogood, its reasons); at
-        level 0 no entries remain and the reasons are the conclusion's."""
-        key = conflict.key
-        if isinstance(key, str) and conflict.step_atoms:
-            # a violated input constraint: its inference is the first reason
-            self.steps.append(EngineStep(conflict.step_atoms, (key,)))
-            key = len(self.steps)
-        # a nogood's key is its own step; an input constraint false on its
-        # own is cited by the conclusion directly, not through an empty clause
-        reasons: list[Key] = [key]
+        level 0 no entries remain and the reasons are the conclusion's.
+        Without proof logging the reasons are None and a root conflict is
+        not resolved at all."""
+        reasons: Optional[list[Key]] = None
+        if self.proof:
+            key = conflict.key
+            if isinstance(key, str) and conflict.step_atoms:
+                # a violated input constraint: its inference is the first reason
+                self.steps.append(EngineStep(conflict.step_atoms, (key,)))
+                key = len(self.steps)
+            # a nogood's key is its own step; an input constraint false on its
+            # own is cited by the conclusion directly, not through an empty clause
+            reasons = [key]
         cc: dict[int, None] = dict.fromkeys(conflict.entries)
 
         def expand(e: int):
             del cc[e]
-            sid = self._step_for_entry(e)
-            if sid not in reasons:
-                reasons.append(sid)
+            if reasons is not None:
+                sid = self._step_for_entry(e)
+                if sid not in reasons:
+                    reasons.append(sid)
             for q in self.t_reason[e][1]:
                 cc.setdefault(q)
 
         clevel = max((self.t_level[e] for e in cc), default=0)
         if clevel == 0:
+            if reasons is None:
+                return 0, [], None
             expandable = [e for e in cc if self.t_reason[e] is not None]
             while expandable:
                 expand(max(expandable))
@@ -576,14 +661,18 @@ class Engine:
                     return EngineResult("budget", conflicts=self.conflicts)
                 clevel, cc_entries, reasons = self._analyze(conflict)
                 if clevel == 0:
+                    if reasons is None:
+                        return EngineResult("unsat", conflicts=self.conflicts)
                     # step ids before constraint ids, as `c UNSAT` prints them
                     reasons.sort(key=lambda r: isinstance(r, str))
                     self.steps.append(EngineStep((), tuple(reasons)))
                     return EngineResult("unsat", steps=self.steps,
                                         used_cids=self._used_cids(), conflicts=self.conflicts)
                 nogood_atoms = tuple(_negate_atom(self.t_atom[e]) for e in cc_entries)
-                self.steps.append(EngineStep(nogood_atoms, tuple(reasons)))
+                if reasons is not None:
+                    self.steps.append(EngineStep(nogood_atoms, tuple(reasons)))
                 self.backtrack_to(clevel - 1)
+                # its own step id; 0 without proof logging, where no key is read
                 self._add_clause(len(self.steps), nogood_atoms)
                 continue
             vi = self._pick_var()

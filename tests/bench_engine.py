@@ -1,4 +1,5 @@
-"""Micro-benchmarks of engine compilation, propagation and search on fixed inputs.
+"""Micro-benchmarks of engine compilation, propagation and search, and of
+oracle call overhead, on fixed inputs.
 
     PYTHONPATH=src pytest tests/bench_engine.py --benchmark-only
 
@@ -6,10 +7,14 @@ The default test run does not collect this file: pytest only picks up
 test_*.py files unless a file is named on the command line.
 """
 
+import pytest
+
+from proofseq import mus, pipeline
 from proofseq.engine import Engine
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
-from proofseq.oracle import Oracle, Unsat
+from proofseq.oracle import Oracle, Sat, Unsat
+from proofseq.proofcore import parse_drcp
 from proofseq.prover import solve_with_proof
 
 # constraint ids of sudoku9 seed 19 that one of its trim+minloc probes sends
@@ -49,3 +54,50 @@ def test_compile_jobshop_user_model(benchmark):
 
     eng = benchmark(compile_all)
     assert len(eng.props) > len(model.constraints)
+
+
+class _FirstQueryDone(Exception):
+    pass
+
+
+@pytest.fixture(scope="module")
+def minglob_oracle_calls():
+    """(variables, calls, results) of the first query that the `minglob`
+    variant sends to `extract_mus_indices` on sudoku4 seed 1: each call is
+    the (hard, assumptions, budget) that `Oracle.solve` received."""
+    model = generate_instance("sudoku4", 1)
+    solver = flatten(model)
+    proof = parse_drcp(solve_with_proof(solver)[1], solver)
+    calls, results = [], []
+    solve = Oracle.solve
+
+    def record(oracle, hard=(), assumptions=(), budget=None):
+        calls.append((tuple(hard), tuple(assumptions), budget))
+        results.append(solve(oracle, hard, assumptions, budget))
+        return results[-1]
+
+    def first_query(soft, hard, oracle, weights=None, start=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Oracle, "solve", record)
+            mus.extract_mus_indices(soft, hard, oracle, weights, start)
+        raise _FirstQueryDone(oracle.vars)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "extract_mus_indices", first_query)
+        with pytest.raises(_FirstQueryDone) as done:
+            pipeline.run_pipeline(model, proof, "minglob", solver)
+    return done.value.args[0], calls, results
+
+
+def test_oracle_calls_of_a_minglob_query(benchmark, minglob_oracle_calls):
+    """Per-call overhead: every oracle call of one global-minimization query,
+    mostly cheap ones, replayed through one new Oracle, as the pipeline
+    makes them through its own."""
+    vars_, calls, expected = minglob_oracle_calls
+
+    def replay():
+        oracle = Oracle(vars_)
+        return [oracle.solve(hard, assumptions, budget) for hard, assumptions, budget in calls]
+
+    assert benchmark(replay) == expected
+    assert {type(r) for r in expected} == {Sat, Unsat}

@@ -1,16 +1,31 @@
-"""Micro-benchmarks of MUS extraction on one fixed global-minimization query.
+"""Micro-benchmarks of MUS extraction on fixed global-minimization queries.
 
     PYTHONPATH=src pytest tests/bench_mus.py --benchmark-only
 
-The query is the first one that the `minglob` variant sends to
+The sudoku4 query is the first one that the `minglob` variant sends to
 `extract_mus_indices` on sudoku4 seed 1 (the final step, against every user
-constraint and earlier fact, seeded from the step's own reasons), and the
+constraint and earlier fact, seeded from the step's own reasons), and its
 families are the correction sets that `_min_hitting_set` receives while that
 query is answered, each replayed with the cap and floor it was given. Both
-are collected at run time, so they follow the current pipeline. The default
-test run does not collect this file: pytest only picks up test_*.py files
-unless a file is named on the command line.
+are collected at run time, so they follow the current pipeline. Seeded from
+the step's own reasons, that query gives a single small family, so it times
+little more than the call itself.
+
+The sudoku9 families load the hitting set: they are every `_min_hitting_set`
+call that `trim+minglob` makes on sudoku9 seed 1, recorded once in
+`tests/data/sudoku9_seed1_hitting_sets.json` because the run takes over a
+minute. Per query the file holds the weights and the final family of
+correction sets (a family only grows within a query), and per call the
+number of sets it saw, its cap and its floor; `results` holds every call's
+hitting set (sorted indices, or null). Re-record it when the pipeline
+changes which correction sets it collects.
+
+The default test run does not collect this file: pytest only picks up
+test_*.py files unless a file is named on the command line.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -80,3 +95,28 @@ def test_extract_mus_indices_global_query(benchmark, global_query):
     soft, hard, weights, start, vars_ = global_query
     got = benchmark(lambda: mus.extract_mus_indices(soft, hard, Oracle(vars_), weights, start))
     assert got
+
+
+@pytest.fixture(scope="module")
+def sudoku9_families():
+    """(sets, weights, cap, floor) of every recorded call, and the results."""
+    path = Path(__file__).parent / "data" / "sudoku9_seed1_hitting_sets.json"
+    data = json.loads(path.read_text())
+    calls = []
+    for q in data["queries"]:
+        sets = [frozenset(s) for s in q["sets"]]
+        calls.extend((sets[:n], q["weights"], cap, floor) for n, cap, floor in q["calls"])
+    expected = [None if h is None else frozenset(h) for h in data["results"]]
+    return calls, expected
+
+
+def test_min_hitting_set_sudoku9_families(benchmark, sudoku9_families):
+    """Branch and bound over every correction-set family of sudoku9 seed 1's
+    `trim+minglob` run, each with its recorded cap and floor: the hitting
+    set's share of that run (one round, as it takes tens of seconds)."""
+    calls, expected = sudoku9_families
+
+    def run_all():
+        return [mus._min_hitting_set(sets, ws, cap, floor) for sets, ws, cap, floor in calls]
+
+    assert benchmark.pedantic(run_all, rounds=1, iterations=1) == expected

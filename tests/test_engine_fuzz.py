@@ -1,15 +1,33 @@
-"""Property test of the engine against brute force: on small random models
-(at most 5 variables, at most 6 values per domain, interior holes, atoms,
-clauses of up to 5 atoms, alldifferents, linears and disjunctions),
-`Oracle.solve` must give the brute-force verdict, and every model it returns
-must satisfy every constraint by the independent evaluator in `helpers`.
-Disjunctions draw atoms, clauses, linears, conjunctions and nested
-disjunctions as members, so the engine's selector compilation is checked as
-well."""
+"""Property tests of the engine.
 
+On small random models (at most 5 variables, at most 6 values per domain,
+interior holes, atoms, clauses of up to 5 atoms, alldifferents, linears and
+disjunctions):
+
+- `Oracle.solve` must give the brute-force verdict, and every model it
+  returns must satisfy every constraint by the independent evaluator in
+  `helpers`. Disjunctions draw atoms, clauses, linears, conjunctions and
+  nested disjunctions as members, so the engine's selector compilation is
+  checked as well;
+- `Oracle.solve`, which runs without proof logging, copies its root slots
+  and replays the propagators it compiled in earlier calls, must run the
+  engine that a fresh proof-logging `Engine` over the same constraints in
+  the same order is: the same propagators, watches and final trail, and the
+  same status, assignment and conflict count, under small budgets too, over
+  repeated and reordered queries on one oracle.
+
+On random clauses over random domain states, a clause wake-up, which looks
+circularly from its hints, must reach the verdict and the premises of a
+scan from atom 0.
+"""
+
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proofseq.engine import DEFAULT_BUDGET, Conflict, Engine, _negate_atom, _stable_unique
 from proofseq.model import (
     AllDifferent,
     AtomicConstraint,
@@ -20,7 +38,7 @@ from proofseq.model import (
     Linear,
     VarId,
 )
-from proofseq.oracle import Oracle, Sat, Unsat
+from proofseq.oracle import BudgetExceeded, Oracle, Sat, Unsat
 
 from helpers import brute_eval, brute_satisfiable
 
@@ -88,3 +106,122 @@ def test_oracle_agrees_with_brute_force(model):
         assert isinstance(res, Sat)
         assert all(res.assignment[v] in d for v, d in doms)
         assert all(brute_eval(c, res.assignment) for c in cons)
+
+
+def _reference(doms, cons, budget):
+    """A fresh proof-logging engine over cons, compiled in order, and its result."""
+    eng = Engine(doms, budget=budget)
+    for i, c in enumerate(cons):
+        eng.add_constraint(f"h{i}", c)
+    return eng, eng.solve()
+
+
+def _solve_and_catch_engine(oracle, query, budget):
+    """oracle.solve(query, budget=budget) and the engine it ran."""
+    engines = []
+    solve = Engine.solve
+
+    def catch(eng):
+        engines.append(eng)
+        return solve(eng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "solve", catch)
+        res = oracle.solve(query, budget=budget)
+    return res, engines[0]
+
+
+def _props_without_keys(eng):
+    """Each propagator without its reason key and clause hint, in registration order."""
+    return [(p[0],) + tuple(x for x in p[2:] if not isinstance(x, list)) for p in eng.props]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_models(), st.data())
+def test_oracle_matches_a_proof_logging_engine(model, data):
+    doms, cons = model
+    oracle = Oracle(doms)
+    # each query repeats and reorders the constraints of the one before
+    for _ in range(data.draw(st.integers(1, 4))):
+        query = data.draw(st.lists(st.sampled_from(cons), min_size=1, max_size=len(cons) + 2))
+        budget = data.draw(st.sampled_from((None, 0, 1, 2, 4)))
+        ref_eng, ref = _reference(doms, query, DEFAULT_BUDGET if budget is None else budget)
+        res, eng = _solve_and_catch_engine(oracle, query, budget)
+        # the same propagators (learned nogoods too), watches and final trail
+        assert _props_without_keys(eng) == _props_without_keys(ref_eng)
+        assert eng.watch == ref_eng.watch
+        assert eng.t_atom == ref_eng.t_atom
+        if ref.status == "budget":
+            assert res == BudgetExceeded(ref.conflicts)
+            continue
+        if ref.status == "sat":
+            assert res == Sat(ref.assignment)
+        else:
+            assert res == Unsat()
+        if ref.conflicts:
+            # one conflict fewer runs out at the same conflict
+            assert oracle.solve(query, budget=ref.conflicts - 1) == BudgetExceeded(ref.conflicts)
+
+
+def _scan_from_atom_0(eng, atoms):
+    """What a clause wake-up must do, from an in-order scan: None (nothing),
+    ("unit", atom, premise entries) or ("conflict", entries)."""
+    statuses = [eng.status(a) for a in atoms]
+    if True in statuses:
+        return None
+    undecided = [a for a, st in zip(atoms, statuses) if st is None]
+    if len(undecided) > 1:
+        return None
+    if not undecided:
+        entries = [e for a in atoms for e in eng.justify_false(a)]
+        return ("conflict", _stable_unique(entries))
+    premises = [e for a in atoms if a != undecided[0] for e in eng.justify_false(a)]
+    return ("unit", undecided[0], tuple(_stable_unique(premises)))
+
+
+def test_clause_look_order_does_not_change_the_answer():
+    rng = random.Random(5)
+    seen = {"unit": 0, "conflict": 0}
+    for _ in range(5000):
+        doms = []
+        for i in range(rng.randint(1, 5)):
+            lo = rng.randint(-2, 2)
+            hi = lo + rng.randint(0, 5)
+            holes = frozenset(v for v in range(lo + 1, hi) if rng.random() < 0.3)
+            doms.append((VarId(i, f"x{i}"), Domain(lo, hi, holes)))
+        eng = Engine(doms)
+
+        def atom():
+            return (rng.randrange(len(doms)), rng.choice(OPS), rng.randint(-3, 8))
+
+        # a domain state: decisions on levels 1, 2, ..., each on a still-undecided atom
+        for _ in range(rng.randint(0, 6)):
+            a = atom()
+            if eng.status(a) is None:
+                eng.level += 1
+                eng.level_start.append(len(eng.t_atom))
+                assert eng.apply(a, None) is None
+        # negated decisions are false, so units and conflicts are common
+        false = [_negate_atom(a) for a in eng.t_atom]
+        atoms = tuple(dict.fromkeys(
+            rng.choice(false) if false and rng.random() < 0.5 else atom()
+            for _ in range(rng.randint(2, 6))))
+        if len(atoms) < 2:
+            continue
+        hint = rng.sample(range(len(atoms)), 2)
+        expected = _scan_from_atom_0(eng, atoms)
+        trail = len(eng.t_atom)
+        got = eng._prop_clause((Engine._prop_clause, "c", atoms, hint))
+        assert hint[0] != hint[1] and set(hint) <= set(range(len(atoms)))
+        if expected is None:
+            assert got is None and len(eng.t_atom) == trail
+            continue
+        seen[expected[0]] += 1
+        if expected[0] == "unit":
+            # the unit atom is undecided, so apply adds it to the trail
+            assert got is None and len(eng.t_atom) == trail + 1
+            assert (eng.t_atom[-1], eng.t_reason[-1]) == (expected[1], ("c", expected[2]))
+        else:
+            assert isinstance(got, Conflict)
+            assert (got.entries, got.key, got.step_atoms) == (expected[1], "c", atoms)
+    assert min(seen.values()) >= 200
