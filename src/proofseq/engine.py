@@ -18,10 +18,12 @@ is registered under key 0.
 
 The root slot state of a variable set is a `RootSlots`, which an engine
 copies; `Oracle` builds one per variable set and reuses it on every call.
-`add_compiled` registers the propagators that `record` caught while another
-engine over the same root slots compiled an expression, in the same order
-and with the same watches, so the engine is the one that compiling it anew
-would give.
+`add_cached` is `add_constraint` with a compile cache that engines over the
+same root slots share: an expression compiled once is registered again from
+its cached propagators, in the same order, with the same watches, under the
+new constraint id and with fresh clause hints, so the engine is the one that
+compiling it anew would give, keys included. An expression whose compile
+adds selector slots is not cached, so slot numbering stays as it was.
 
 A reason key is what a proof line cites: the id (a str) of the input
 constraint that propagated, or the 1-based step id (an int) of the nogood
@@ -176,12 +178,11 @@ class Engine:
         self.level = 0
         self.level_start: list[int] = [0]
 
-        self.props: list[tuple] = []  # (propagator function, its arguments...)
+        self.props: list[tuple] = []  # (propagator function, its key, its arguments...)
+        self.prop_slots: list[tuple[int, ...]] = []  # the slots each propagator watches
         self.queue: list[int] = []
         self.qhead = 0
         self.in_queue: list[bool] = []
-        # when a list, _install also appends each (propagator, watched slots) to it
-        self.record: Optional[list[tuple]] = None
 
         self.steps: list[EngineStep] = []
         self.entry_step: dict[int, int] = {}
@@ -205,13 +206,24 @@ class Engine:
         """Compile an expression into primitive propagators registered under cid."""
         self._compile(cid, e)
 
-    def add_compiled(self, compiled: Sequence[tuple]):
-        """Register the (propagator, watched slots) pairs that `record` caught
-        while an engine over the same root slots compiled an expression that
-        added no slot. Each clause gets a fresh hint, its only mutable part."""
-        for prop, slots in compiled:
+    def add_cached(self, cache: dict[int, tuple], cid: str, e: Expr):
+        """`add_constraint(cid, e)`, registering the propagators in `cache`
+        when an engine over the same root slots compiled e before. The cache
+        maps id(e) to (e, its (propagator, watched slots) pairs); the entry
+        pins e, so that its id is not reused. Each propagator is registered
+        under cid, and each clause with a fresh hint, its only mutable part."""
+        hit = cache.get(id(e))
+        if hit is None:
+            n_props, n_slots = len(self.props), len(self.lb)
+            self.add_constraint(cid, e)
+            if len(self.lb) == n_slots:
+                cache[id(e)] = (e, list(zip(self.props[n_props:], self.prop_slots[n_props:])))
+            return
+        for prop, slots in hit[1]:
             if prop[0] is Engine._prop_clause and prop[3] is not None:
-                prop = prop[:3] + ([0, 1],)
+                prop = (prop[0], cid, prop[2], [0, 1])
+            else:
+                prop = (prop[0], cid) + prop[2:]
             self._install(prop, slots)
 
     def _register(self, prop: tuple, var_slots):
@@ -220,12 +232,11 @@ class Engine:
     def _install(self, prop: tuple, slots: tuple):
         idx = len(self.props)
         self.props.append(prop)
+        self.prop_slots.append(slots)
         for s in slots:
             self.watch[s].append(idx)
         self.in_queue.append(True)
         self.queue.append(idx)
-        if self.record is not None:
-            self.record.append((prop, slots))
 
     def _add_clause(self, key: Key, atoms):
         atoms = tuple(atoms)

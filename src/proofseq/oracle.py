@@ -19,17 +19,16 @@ Each call runs one new `Engine`, which pays only for its search:
 
 - its root slot state is copied from a `RootSlots` that the oracle builds
   once;
+- it compiles each expression at most once per oracle: `Engine.add_cached`
+  keeps the propagators of each expression in the oracle's cache, and later
+  calls register them again, so that the engine equals a freshly compiled
+  one, constraint ids included. An expression whose compile adds selector
+  slots (a disjunction that is not a plain clause) is compiled on every
+  call;
 - without assumptions no core is needed, so the engine runs without proof
-  logging (see `engine`);
-- such a call compiles each expression at most once per oracle: the
-  propagators it registers are recorded, keyed by the expression's identity
-  with the expression pinned in the entry, and later calls register them
-  again in the same order, each clause with a fresh hint. An expression
-  whose compile adds selector slots (a disjunction that is not a plain
-  clause) is compiled on every call, so slot numbering stays as it was;
-- with assumptions the engine logs its proof, compiling every expression
-  under the id that its proof lines cite (`h<i>`, `a<i>`), and the core is
-  the assumptions whose ids the refutation reaches.
+  logging (see `engine`). With assumptions it logs its proof, whose lines
+  cite each expression by its id (`h<i>`, `a<i>`), and the core is the
+  assumptions whose ids the refutation reaches.
 """
 
 from __future__ import annotations
@@ -72,9 +71,8 @@ class Oracle:
         self.budget = budget
         self.calls = 0
         self._root = RootSlots(self.vars)
-        # id(expr) -> (expr, its recorded propagators, or None when its
-        # compile adds selector slots); the entry pins expr, so its id is not reused
-        self._compiled: dict[int, tuple[Expr, Optional[list[tuple]]]] = {}
+        # the compile cache of Engine.add_cached: id(expr) -> (expr, its propagators)
+        self._compiled: dict[int, tuple[Expr, list[tuple]]] = {}
 
     def solve(self, hard: Sequence[Expr] = (), assumptions: Sequence[Expr] = (),
               budget: Optional[int] = None) -> OracleResult:
@@ -85,17 +83,12 @@ class Oracle:
         hard, assumptions = tuple(hard), tuple(assumptions)
         if budget is None or budget > self.budget:
             budget = self.budget
-        if assumptions:
-            # the core is read off the proof, whose lines cite these ids
-            eng = Engine(self._root, budget=budget)
-            for i, c in enumerate(hard):
-                eng.add_constraint(f"h{i}", c)
-            for i, c in enumerate(assumptions):
-                eng.add_constraint(f"a{i}", c)
-        else:
-            eng = Engine(self._root, budget=budget, proof=False)
-            for i, c in enumerate(hard):
-                self._add(eng, f"h{i}", c)
+        # only a core needs a proof; its lines cite these ids
+        eng = Engine(self._root, budget=budget, proof=bool(assumptions))
+        for i, c in enumerate(hard):
+            eng.add_cached(self._compiled, f"h{i}", c)
+        for i, c in enumerate(assumptions):
+            eng.add_cached(self._compiled, f"a{i}", c)
         res = eng.solve()
         if res.status == "budget":
             return BudgetExceeded(res.conflicts)
@@ -105,23 +98,6 @@ class Oracle:
             if not eval_expr(c, res.assignment):
                 raise AssertionError(f"engine returned a non-model (violates {c})")
         return Sat(res.assignment)
-
-    def _add(self, eng: Engine, cid: str, e: Expr):
-        """Register e in a proof-free engine, replaying its propagators when
-        an earlier call compiled it; their keys may name another cid, which
-        nothing reads without proof logging."""
-        hit = self._compiled.get(id(e))
-        if hit is not None:
-            if hit[1] is None:
-                eng.add_constraint(cid, e)
-            else:
-                eng.add_compiled(hit[1])
-            return
-        n_slots = len(eng.lb)
-        eng.record = []
-        eng.add_constraint(cid, e)
-        self._compiled[id(e)] = (e, eng.record if len(eng.lb) == n_slots else None)
-        eng.record = None
 
     def model_of(self, constraints: Sequence[Expr]) -> Optional[dict[VarId, int]]:
         res = self.solve(hard=tuple(constraints))

@@ -9,12 +9,13 @@ disjunctions):
   `helpers`. Disjunctions draw atoms, clauses, linears, conjunctions and
   nested disjunctions as members, so the engine's selector compilation is
   checked as well;
-- `Oracle.solve`, which runs without proof logging, copies its root slots
-  and replays the propagators it compiled in earlier calls, must run the
-  engine that a fresh proof-logging `Engine` over the same constraints in
-  the same order is: the same propagators, watches and final trail, and the
-  same status, assignment and conflict count, under small budgets too, over
-  repeated and reordered queries on one oracle.
+- `Oracle.solve`, which copies its root slots, replays the propagators it
+  compiled in earlier calls and logs no proof without assumptions, must run
+  the engine that a fresh proof-logging `Engine` over the same constraints
+  in the same order is: the same propagators (constraint ids included),
+  watches and final trail, and the same status, assignment, core and
+  conflict count, under small budgets too, over repeated and reordered
+  queries on one oracle. With assumptions the proof steps must match too.
 
 On random clauses over random domain states, a clause wake-up, which looks
 circularly from its hints, must reach the verdict and the premises of a
@@ -108,16 +109,19 @@ def test_oracle_agrees_with_brute_force(model):
         assert all(brute_eval(c, res.assignment) for c in cons)
 
 
-def _reference(doms, cons, budget):
-    """A fresh proof-logging engine over cons, compiled in order, and its result."""
+def _reference(doms, hard, assumptions, budget):
+    """A fresh proof-logging engine over hard and assumptions, compiled in
+    order under the ids that `Oracle.solve` gives them, and its result."""
     eng = Engine(doms, budget=budget)
-    for i, c in enumerate(cons):
+    for i, c in enumerate(hard):
         eng.add_constraint(f"h{i}", c)
+    for i, c in enumerate(assumptions):
+        eng.add_constraint(f"a{i}", c)
     return eng, eng.solve()
 
 
-def _solve_and_catch_engine(oracle, query, budget):
-    """oracle.solve(query, budget=budget) and the engine it ran."""
+def _solve_and_catch_engine(oracle, hard, assumptions, budget):
+    """oracle.solve(hard, assumptions, budget) and the engine it ran."""
     engines = []
     solve = Engine.solve
 
@@ -127,13 +131,14 @@ def _solve_and_catch_engine(oracle, query, budget):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Engine, "solve", catch)
-        res = oracle.solve(query, budget=budget)
+        res = oracle.solve(hard, assumptions, budget)
     return res, engines[0]
 
 
-def _props_without_keys(eng):
-    """Each propagator without its reason key and clause hint, in registration order."""
-    return [(p[0],) + tuple(x for x in p[2:] if not isinstance(x, list)) for p in eng.props]
+def _props(eng):
+    """The propagators in registration order, learned nogoods without their
+    key, which is a step id only with proof logging."""
+    return [p if isinstance(p[1], str) else (p[0], None) + p[2:] for p in eng.props]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -144,23 +149,34 @@ def test_oracle_matches_a_proof_logging_engine(model, data):
     # each query repeats and reorders the constraints of the one before
     for _ in range(data.draw(st.integers(1, 4))):
         query = data.draw(st.lists(st.sampled_from(cons), min_size=1, max_size=len(cons) + 2))
+        # a tail of assumptions, when there is one, takes the proof-logging core path
+        cut = data.draw(st.integers(0, len(query)))
+        hard, assumptions = tuple(query[:cut]), tuple(query[cut:])
         budget = data.draw(st.sampled_from((None, 0, 1, 2, 4)))
-        ref_eng, ref = _reference(doms, query, DEFAULT_BUDGET if budget is None else budget)
-        res, eng = _solve_and_catch_engine(oracle, query, budget)
-        # the same propagators (learned nogoods too), watches and final trail
-        assert _props_without_keys(eng) == _props_without_keys(ref_eng)
+        ref_eng, ref = _reference(doms, hard, assumptions,
+                                  DEFAULT_BUDGET if budget is None else budget)
+        res, eng = _solve_and_catch_engine(oracle, hard, assumptions, budget)
+        assert eng.proof == bool(assumptions)
+        # the same propagators (keys, clause hints and learned nogoods too),
+        # watches and final trail
+        assert _props(eng) == _props(ref_eng)
         assert eng.watch == ref_eng.watch
         assert eng.t_atom == ref_eng.t_atom
+        if assumptions:
+            assert eng.props == ref_eng.props
+            assert eng.steps == ref_eng.steps
         if ref.status == "budget":
             assert res == BudgetExceeded(ref.conflicts)
             continue
         if ref.status == "sat":
             assert res == Sat(ref.assignment)
         else:
-            assert res == Unsat()
+            assert res == Unsat(tuple(
+                c for i, c in enumerate(assumptions) if f"a{i}" in ref.used_cids))
         if ref.conflicts:
             # one conflict fewer runs out at the same conflict
-            assert oracle.solve(query, budget=ref.conflicts - 1) == BudgetExceeded(ref.conflicts)
+            assert oracle.solve(hard, assumptions, ref.conflicts - 1) == \
+                BudgetExceeded(ref.conflicts)
 
 
 def _scan_from_atom_0(eng, atoms):
