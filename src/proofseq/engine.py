@@ -78,6 +78,17 @@ in-order pass, run only for a unit or a conflict. The hint needs no undo on
 backtrack. Wake-ups and queue order are unchanged, so every propagator still
 runs when it did, the trail is the same and the logged proofs stay
 byte-identical.
+
+A linear `!=` (`_prop_linne`) can act only once at most one of its terms is
+unfixed, and most wake-ups find two. So it makes one pass over its terms,
+subtracting each fixed term from the right-hand side as it goes, and returns
+at the second unfixed term it meets; the sum it acts on is the one a full
+pass would give.
+
+Conflict analysis expands, while more than one conflict entry is at the
+conflict level (at the root: while any entry has a reason), the latest such
+entry. Expanding an entry adds only earlier ones, so this is one descending
+walk over the trail, and the steps it logs come in the same order.
 """
 
 from __future__ import annotations
@@ -269,8 +280,16 @@ class Engine:
             raise FlattenError(f"engine cannot compile {type(e).__name__}")
 
     def _compile_linear(self, cid: str, lin: Linear, guard: Optional[Atom]):
-        terms = tuple((coef, self.slot_of[v]) for coef, v in lin.terms if coef != 0)
-        slots = [s for _, s in terms] + ([guard[0]] if guard else [])
+        slot_of = self.slot_of
+        terms, slots = [], []
+        for coef, v in lin.terms:
+            if coef != 0:
+                s = slot_of[v]
+                terms.append((coef, s))
+                slots.append(s)
+        terms = tuple(terms)
+        if guard:
+            slots.append(guard[0])
         if lin.op in ("<=", "=="):
             self._register((Engine._prop_lin, cid, guard, terms, lin.rhs), slots)
         if lin.op in (">=", "=="):
@@ -544,13 +563,18 @@ class Engine:
         gst = True if guard is None else self.status(guard)
         if gst is False:
             return None
-        unfixed = [(coef, s) for coef, s in terms if self.lb[s] != self.ub[s]]
-        if len(unfixed) > 1:
-            return None
-        rem = rhs - sum(coef * self.lb[s] for coef, s in terms if self.lb[s] == self.ub[s])
+        lb, ub = self.lb, self.ub
+        rem, unfixed = rhs, None
+        for coef, s in terms:
+            if lb[s] == ub[s]:
+                rem -= coef * lb[s]
+            elif unfixed is None:
+                unfixed = (coef, s)
+            else:
+                return None
         cited = terms
-        if unfixed:
-            coef, s = unfixed[0]
+        if unfixed is not None:
+            coef, s = unfixed
             if gst is not True or rem % coef != 0:
                 return None
             target = (s, "!=", rem // coef)
@@ -631,31 +655,32 @@ class Engine:
             # own is cited by the conclusion directly, not through an empty clause
             reasons = [key]
         cc: dict[int, None] = dict.fromkeys(conflict.entries)
-
-        def expand(e: int):
+        clevel = max((self.t_level[e] for e in cc), default=0)
+        if clevel == 0 and reasons is None:
+            return 0, [], None
+        # levels only grow along the trail, so the entries from lo on are the
+        # ones at the conflict level (see the module docstring for the walk)
+        lo = self.level_start[clevel]
+        at_level = sum(1 for e in cc if e >= lo)
+        t_reason = self.t_reason
+        for e in range(max(cc, default=-1), -1, -1):
+            if clevel and at_level <= 1:
+                break
+            # at the root every entry with a reason is expanded
+            if e not in cc or t_reason[e] is None:
+                continue
             del cc[e]
+            at_level -= 1
             if reasons is not None:
                 sid = self._step_for_entry(e)
                 if sid not in reasons:
                     reasons.append(sid)
-            for q in self.t_reason[e][1]:
-                cc.setdefault(q)
-
-        clevel = max((self.t_level[e] for e in cc), default=0)
-        if clevel == 0:
-            if reasons is None:
-                return 0, [], None
-            expandable = [e for e in cc if self.t_reason[e] is not None]
-            while expandable:
-                expand(max(expandable))
-                expandable = [e for e in cc if self.t_reason[e] is not None]
-            if cc:
-                raise AssertionError("unexpandable root entries")
-        else:
-            at_level = [e for e in cc if self.t_level[e] == clevel]
-            while len(at_level) > 1:
-                expand(max(at_level))
-                at_level = [e for e in cc if self.t_level[e] == clevel]
+            for q in t_reason[e][1]:
+                if q not in cc:
+                    cc[q] = None
+                    at_level += q >= lo
+        if clevel == 0 and cc:
+            raise AssertionError("unexpandable root entries")
         return clevel, sorted(cc), reasons
 
     # --- search ------------------------------------------------------------------

@@ -14,6 +14,12 @@ The module also implements the line-oriented model file format:
 with <op> one of <=, >=, ==, != and or() bodies restricted to lin, clause,
 bare atoms and nested or(). Variable names match [A-Za-z][A-Za-z0-9_]* so
 that names starting with '_' stay reserved for generated auxiliaries.
+
+`VarId` is a `NamedTuple` of (index, name) rather than a dataclass: every
+slot, domain, scope and evaluation lookup hashes one, and a tuple's hash is
+computed in C. It equals the frozen dataclass's `hash((index, name))`, so set
+and dict iteration orders, and every output built from them, are unchanged;
+so are its repr, its equality between variables and its ordering.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import EmptyDomainWarning, ModelParseError
 
@@ -32,8 +38,7 @@ _NEGATED_OP = {"<=": ">=", ">=": "<=", "==": "!=", "!=": "=="}
 _NEGATED_SHIFT = {"<=": 1, ">=": -1, "==": 0, "!=": 0}
 
 
-@dataclass(frozen=True, order=True)
-class VarId:
+class VarId(NamedTuple):
     index: int
     name: str
 

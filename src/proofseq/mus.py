@@ -87,8 +87,11 @@ def _deletion_mus(soft, hard, oracle, start: Sequence[int],
         if model is None:
             keep = trial
         elif correction_sets is not None:
-            correction_sets.append(
-                frozenset(k for k in range(len(soft)) if not eval_expr(soft[k], model)))
+            # the model satisfies trial (Oracle.solve checked it), so only
+            # the other members can be violated
+            in_trial = set(trial)
+            correction_sets.append(frozenset(
+                k for k in range(len(soft)) if k not in in_trial and not eval_expr(soft[k], model)))
     return tuple(keep)
 
 
@@ -117,13 +120,14 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) 
         # grow the satisfied set: the smaller the complement, the faster the
         # bound tightens; a probe that is unsat or runs out of its budget
         # leaves its member out
-        sat = {i for i in range(n) if eval_expr(soft[i], model)}
+        sat = _satisfied(soft, model, h)
         for i in range(n):
             if i in sat:
                 continue
-            res = oracle.solve(hard + [soft[j] for j in sorted(sat | {i})], budget=GROW_BUDGET)
+            tried = sat | {i}
+            res = oracle.solve(hard + [soft[j] for j in sorted(tried)], budget=GROW_BUDGET)
             if isinstance(res, Sat):
-                sat = {j for j in range(n) if eval_expr(soft[j], res.assignment)}
+                sat = _satisfied(soft, res.assignment, tried)
         cs = frozenset(range(n)) - sat
         if not cs:
             raise AssertionError("model satisfies all soft constraints of an unsat query")
@@ -131,6 +135,13 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) 
         if len(correction_sets) > MAX_CORRECTION_SETS:
             raise BudgetExceededError(
                 f"more than {MAX_CORRECTION_SETS} correction sets accumulated")
+
+
+def _satisfied(soft, model, known) -> set[int]:
+    """Indices of the soft members that model satisfies. The call that
+    returned model had the members in known as constraints, and Oracle.solve
+    checked them, so only the others are evaluated."""
+    return {j for j in range(len(soft)) if j in known or eval_expr(soft[j], model)}
 
 
 def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],

@@ -128,7 +128,7 @@ def simplify_aux_vars(p: AbstractProof, solver_model: SolverModel) -> AbstractPr
     aux = solver_model.aux_vars
 
     def no_aux(step: ProofStep) -> bool:
-        return not (scope(step.derived) & aux)
+        return not aux or not (scope(step.derived) & aux)
 
     return simplify(p, no_aux)
 
@@ -165,8 +165,9 @@ def lift_to_user_level(p: AbstractProof, solver_model: SolverModel) -> AbstractP
     constraint mentions auxiliaries: a user constraint restricted to the
     user variables is at least as strong as any constraint flattened from it,
     so implication of aux-free derivations is preserved."""
+    aux = solver_model.aux_vars
     for i, step in enumerate(p.steps, start=1):
-        bad = scope(step.derived) & solver_model.aux_vars
+        bad = aux and scope(step.derived) & aux
         if bad:
             names = ", ".join(sorted(v.name for v in bad))
             raise LiftBeforeSimplifyError(

@@ -16,6 +16,13 @@ last one). A deletion hint must cite one earlier step; it is then dropped,
 so it never removes a step and serialization writes none. The line tag is
 not stored: it follows from the step (false, one input reason, or only step
 reasons). Trimming is an explicit backward-reachability pass.
+
+`parse_drcp` remembers, for one call only, each atom token and each ref
+token it has validated, and reuses the object it built. A token it has not
+validated before, and so every malformed one, goes through the checked path
+with its error class, message and line number. A valid `s:k` stays valid for
+the rest of the parse, because the number of steps only grows; a remembered
+`c:` token is still rejected where only step refs are allowed.
 """
 
 from __future__ import annotations
@@ -89,23 +96,30 @@ _SREF_RE = re.compile(r"^s:(\d+)$")
 _CREF_RE = re.compile(r"^c:(\S+)$")
 
 
-def _parse_atom(tok: str, var_by_name, lineno: int) -> AtomicConstraint:
-    m = _ATOM_RE.match(tok)
+def _parse_atom(tok: str, var_by_name, lineno: int, seen: dict) -> AtomicConstraint:
+    """The checked path for an atom token not seen before; a valid one is
+    stored in seen."""
+    m = _ATOM_RE.match(tok.strip())
     if not m:
-        raise ProofParseError(f"malformed atom {tok!r}", lineno)
+        raise ProofParseError(f"malformed atom {tok.strip()!r}", lineno)
     name, op, val = m.group(1), m.group(2), int(m.group(3))
     try:
         var = var_by_name(name)
     except KeyError:
         raise ProofParseError(f"unknown variable {name!r}", lineno) from None
-    return AtomicConstraint(var, op, val)
+    a = seen[tok] = AtomicConstraint(var, op, val)
+    return a
 
 
 def _parse_refs(text: str, nsteps: int, constraint_ids, lineno: int,
-                steps_only: bool) -> tuple[ReasonRef, ...]:
+                steps_only: bool, seen: dict) -> tuple[ReasonRef, ...]:
     refs: list[ReasonRef] = []
-    for tok in text.split(","):
-        tok = tok.strip()
+    for raw in text.split(","):
+        ref = seen.get(raw)
+        if ref is not None and not (steps_only and isinstance(ref, InputRef)):
+            refs.append(ref)
+            continue
+        tok = raw.strip()
         m = _SREF_RE.match(tok)
         if m:
             sid = int(m.group(1))
@@ -113,14 +127,14 @@ def _parse_refs(text: str, nsteps: int, constraint_ids, lineno: int,
                 raise ForwardReferenceError(f"reference to step {sid} before it exists", lineno)
             if sid < 1:
                 raise DanglingReferenceError(f"reference to step {sid}", lineno)
-            refs.append(StepRef(sid))
+            refs.append(seen.setdefault(raw, StepRef(sid)))
             continue
         m = _CREF_RE.match(tok)
         if m and not steps_only:
             cid = m.group(1)
             if cid not in constraint_ids:
                 raise UnknownConstraintError(f"unknown constraint id {cid!r}", lineno)
-            refs.append(InputRef(cid))
+            refs.append(seen.setdefault(raw, InputRef(cid)))
             continue
         raise ProofParseError(f"malformed reference {tok!r}", lineno)
     return tuple(refs)
@@ -131,8 +145,11 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
 
     A proof with no UNSAT conclusion is accepted; is_refutation() is then False.
     """
-    var_names = {v.name: v for v, _ in solver_model.vars}
+    var_by_name = {v.name: v for v, _ in solver_model.vars}.__getitem__
     cids = set(solver_model.constraint_map)
+    # validated tokens of this parse: atom text -> atom, ref text -> ref
+    seen_atoms: dict[str, AtomicConstraint] = {}
+    seen_refs: dict[str, ReasonRef] = {}
     steps: list[ProofStep] = []
     concluded = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -149,14 +166,14 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
             if not atoms_text:
                 raise ProofParseError("inference step needs atoms and a constraint ref" if inference
                                       else "nogood step needs atoms and step refs", lineno)
-            atoms = tuple(_parse_atom(t.strip(), var_names.__getitem__, lineno)
-                          for t in atoms_text.split("|"))
-            refs = _parse_refs(ref_text, len(steps), cids, lineno, steps_only=not inference)
+            atoms = tuple([seen_atoms.get(t) or _parse_atom(t, var_by_name, lineno, seen_atoms)
+                           for t in atoms_text.split("|")])
+            refs = _parse_refs(ref_text, len(steps), cids, lineno, not inference, seen_refs)
             if inference and (len(refs) != 1 or not isinstance(refs[0], InputRef)):
                 raise ProofParseError("inference step needs exactly one c:<id> reason", lineno)
             steps.append(ProofStep(clause_of(atoms), refs))
         elif tag == "d":
-            refs = _parse_refs(rest, len(steps), cids, lineno, steps_only=True)
+            refs = _parse_refs(rest, len(steps), cids, lineno, True, seen_refs)
             if len(refs) != 1:
                 raise ProofParseError("deletion hint takes exactly one s:<id>", lineno)
         elif tag == "c":
@@ -165,16 +182,12 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
                 raise ProofParseError(f"unknown conclusion {kw!r}", lineno)
             refs = ()
             if ref_text.strip():
-                refs = _parse_refs(ref_text.strip(), len(steps), cids, lineno, steps_only=False)
+                refs = _parse_refs(ref_text.strip(), len(steps), cids, lineno, False, seen_refs)
             steps.append(ProofStep(FALSE, refs))
             concluded = True
         else:
             raise ProofParseError(f"unknown line tag {tag!r}", lineno)
     return AbstractProof(tuple(steps))
-
-
-def _format_atom(a: AtomicConstraint) -> str:
-    return f"{a.var.name}{a.op}{a.value}"
 
 
 def serialize_proof(p: AbstractProof) -> str:
@@ -187,7 +200,8 @@ def serialize_proof(p: AbstractProof) -> str:
     lines = ["# drcp 1"]
     for i, step in enumerate(p.steps, start=1):
         d, reasons = step.derived, step.reasons
-        refs = ",".join(str(r) for r in reasons)
+        refs = ",".join([f"c:{r.cid}" if isinstance(r, InputRef) else f"s:{r.step}"
+                         for r in reasons])
         if d == FALSE:
             if i != len(p.steps):
                 raise ProofSerializeError(f"step {i} derives false before the conclusion")
@@ -199,7 +213,7 @@ def serialize_proof(p: AbstractProof) -> str:
             atoms = d.atoms
         else:
             raise ProofSerializeError(f"step {i} derives a non-clause {type(d).__name__}")
-        body = "|".join(_format_atom(a) for a in atoms)
+        body = "|".join([f"{a.var.name}{a.op}{a.value}" for a in atoms])
         if len(reasons) == 1 and isinstance(reasons[0], InputRef):
             lines.append(f"i {body} {refs}")
         elif reasons and all(isinstance(r, StepRef) for r in reasons):
@@ -235,7 +249,9 @@ def renumber(kept: list[tuple[int, ProofStep]]) -> AbstractProof:
     new_id = {old: new for new, (old, _) in enumerate(kept, start=1)}
 
     def moved(r: ReasonRef) -> ReasonRef:
-        return StepRef(new_id[r.step]) if isinstance(r, StepRef) else r
+        if isinstance(r, InputRef) or new_id[r.step] == r.step:
+            return r
+        return StepRef(new_id[r.step])
 
     return AbstractProof(tuple(ProofStep(s.derived, tuple(map(moved, s.reasons)))
                                for _, s in kept))

@@ -17,7 +17,7 @@ from .errors import BudgetExceededError, FlattenError
 from .flatten import SolverModel
 from .model import AtomicConstraint, Conjunction, Disjunction, clause_of, eval_expr
 from .oracle import Sat, Unsat
-from .proofcore import AbstractProof, InputRef, ProofStep, StepRef, serialize_proof
+from .proofcore import AbstractProof, InputRef, ProofStep, ReasonRef, StepRef, serialize_proof
 
 
 def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
@@ -42,9 +42,21 @@ def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
                 raise AssertionError(f"prover returned a non-model (violates {c.id})")
         return Sat(res.assignment), serialize_proof(AbstractProof(()))
 
+    # one AtomicConstraint per engine atom and one ref per reason key
     by_slot = {eng.slot_of[v]: v for v, _ in s.vars}
+    atoms: dict[tuple, AtomicConstraint] = {}
+    refs: dict[Union[str, int], ReasonRef] = {}
+
+    def atom(a: tuple) -> AtomicConstraint:
+        c = atoms[a] = AtomicConstraint(by_slot[a[0]], a[1], a[2])
+        return c
+
+    def ref(key: Union[str, int]) -> ReasonRef:
+        r = refs[key] = InputRef(key) if isinstance(key, str) else StepRef(key)
+        return r
+
     steps = tuple(
-        ProofStep(clause_of(AtomicConstraint(by_slot[slot], op, val) for slot, op, val in st.atoms),
-                  tuple(InputRef(r) if isinstance(r, str) else StepRef(r) for r in st.reasons))
+        ProofStep(clause_of([atoms.get(a) or atom(a) for a in st.atoms]),
+                  tuple([refs.get(k) or ref(k) for k in st.reasons]))
         for st in res.steps)
     return Unsat(), serialize_proof(AbstractProof(steps))

@@ -33,6 +33,20 @@ def test_solve_with_proof_sudoku9(benchmark):
     assert isinstance(result, Unsat)
 
 
+def test_proof_round_trip_sudoku9_decomposed(benchmark):
+    """The proof round trip of one `sudoku9-proof` operation before its
+    rewrite stages: flatten with decomposed alldifferent, prove with every
+    propagation logged, and parse the proof text back."""
+    model = generate_instance("sudoku9", 1)
+
+    def round_trip():
+        solver = flatten(model, decompose_alldiff=True)
+        return parse_drcp(solve_with_proof(solver, log_all=True)[1], solver)
+
+    proof = benchmark(round_trip)
+    assert proof.is_refutation()
+
+
 def test_oracle_solve_sudoku9_relaxation(benchmark):
     """Search that learns long nogoods, so clause propagation dominates."""
     model = generate_instance("sudoku9", 19)

@@ -43,6 +43,23 @@ def _vars(*names, lo=0, hi=6):
     return [VarId(i, n) for i, n in enumerate(names)], Domain(lo, hi)
 
 
+def test_varid_hashes_orders_and_prints_as_before():
+    """Set and dict iteration orders over variables, and with them every
+    proof, explanation and digest, depend on hash(VarId): it must stay
+    hash((index, name)), the hash of the frozen dataclass VarId once was."""
+    for index, name in ((0, "a"), (7, "r1c1"), (12, "_x3")):
+        v = VarId(index, name)
+        assert hash(v) == hash((index, name))
+        assert v == VarId(index=index, name=name)
+        assert (v.index, v.name) == (index, name)
+        assert repr(v) == f"VarId(index={index}, name={name!r})"
+        assert str(v) == name
+    assert VarId(0, "b") < VarId(1, "a") < VarId(1, "b")
+    assert sorted([VarId(2, "a"), VarId(0, "z"), VarId(0, "y")]) == [
+        VarId(0, "y"), VarId(0, "z"), VarId(2, "a")]
+    assert max(VarId(3, "c"), VarId(3, "d")) == VarId(3, "d")
+
+
 def test_parse_jobshop_counts():
     m = parse_model(JOBSHOP_MOD)
     assert len(m.vars) == 4

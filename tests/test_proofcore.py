@@ -106,6 +106,63 @@ def test_parse_rejects_malformed_line_shapes(jobshop):
         assert type(info.value) is error, text
 
 
+def _parse_error(text, solver):
+    with pytest.raises(ProofParseError) as info:
+        parse_drcp(text, solver)
+    return type(info.value), info.value.line, str(info.value)
+
+
+def test_parse_memo_keeps_forward_reference_checks(jobshop):
+    """A step token remembered as valid must have been checked at its first
+    valid use: used too early, it still fails at that early line."""
+    _, solver, _ = jobshop
+    ok = "i a<=3|b>=7 c:p1\ni b>=7 c:p1\nn a<=3 s:2\nn b>=3 s:2,s:1\n"
+    p = parse_drcp(ok, solver)
+    assert p.steps[3].reasons == (StepRef(2), StepRef(1))
+    early = "i a<=3|b>=7 c:p1\nn a<=3 s:2\ni b>=7 c:p1\nn b>=3 s:2\n"
+    assert _parse_error(early, solver) == (
+        ForwardReferenceError, 2, "line 2: reference to step 2 before it exists")
+
+
+def test_parse_memo_rechecks_bad_atoms_and_refs(jobshop):
+    """Malformed and unknown tokens take the checked path every time, with
+    the same error class, message and line, also right after a valid token
+    of the same variable or kind, and in a second parse (every memo is
+    local to one call)."""
+    _, solver, _ = jobshop
+    cases = (
+        ("i a<=3 c:p1\ni a<=3|a<3 c:p1\n",
+         (ProofParseError, 2, "line 2: malformed atom 'a<3'")),
+        ("i a<=3 c:p1\ni a<=3| a<=x c:p1\n",
+         (ProofParseError, 2, "line 2: malformed atom 'a<=x'")),
+        ("i a<=3 c:p1\ni a<=3|aa<=3 c:p1\n",
+         (ProofParseError, 2, "line 2: unknown variable 'aa'")),
+        ("i a<=3 c:p1\ni a<=3 c:nope\ni a<=3 c:nope\n",
+         (UnknownConstraintError, 2, "line 2: unknown constraint id 'nope'")),
+        ("i a<=3 c:p1\nn a<=3 c:p1\n",  # a valid c: token is still no nogood reason
+         (ProofParseError, 2, "line 2: malformed reference 'c:p1'")),
+    )
+    for text, expected in cases:
+        assert _parse_error(text, solver) == expected, text
+        assert _parse_error(text, solver) == expected, text
+
+
+@pytest.mark.parametrize("decompose", [False, True])
+@pytest.mark.parametrize("log_all", [False, True])
+def test_prover_proofs_roundtrip(log_all, decompose):
+    from proofseq.instances import generate_instance
+    from proofseq.prover import solve_with_proof
+
+    for suite in ("sudoku4", "jobshop", "mutated"):
+        for seed in (1, 2, 3):
+            solver = flatten(generate_instance(suite, seed), decompose_alldiff=decompose)
+            text = solve_with_proof(solver, log_all=log_all)[1]
+            p = parse_drcp(text, solver)
+            assert p.is_refutation(), (suite, seed)
+            assert serialize_proof(p) == text, (suite, seed)
+            assert parse_drcp(serialize_proof(p), solver) == p, (suite, seed)
+
+
 def test_serialize_roundtrip_golden(jobshop):
     _, solver, proof = jobshop
     text = serialize_proof(proof)
