@@ -112,7 +112,7 @@ from .model import (
 )
 
 Atom = tuple  # (var slot, op, value)
-Key = Union[str, int]  # a constraint id or a 1-based step id
+Key = Union[str, int]  # a constraint id or a 1-based step id; also the proof's ReasonRef
 
 DEFAULT_BUDGET = 10**6  # conflicts per solve
 

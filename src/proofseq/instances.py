@@ -21,7 +21,6 @@ import random
 from typing import Optional
 
 from .errors import GenerationError
-from .flatten import flatten
 from .model import (
     AllDifferent,
     AtomicConstraint,
@@ -52,10 +51,10 @@ def generate_instance(kind: str, seed: int) -> UserModel:
 
 
 def _model_of(model: UserModel) -> Optional[dict[VarId, int]]:
-    """A model of the flattened model, or None when it is unsatisfiable.
-    An exhausted oracle budget raises BudgetExceededError."""
-    solver = flatten(model)
-    return Oracle(solver.vars).model_of([c.expr for c in solver.constraints])
+    """A model of the user model, or None when it is unsatisfiable. The
+    engine compiles or() itself, so no flattening is needed. An exhausted
+    oracle budget raises BudgetExceededError."""
+    return Oracle(model.vars).model_of([c.expr for c in model.constraints])
 
 
 def _is_unsat(model: UserModel) -> bool:
@@ -237,8 +236,8 @@ def _sat_template(rng: random.Random) -> Optional[UserModel]:
 
 
 def _each_constraint_satisfiable(model: UserModel) -> bool:
-    return all(_model_of(UserModel(model.vars, (c,))) is not None
-               for c in model.constraints)
+    oracle = Oracle(model.vars)
+    return all(oracle.model_of([c.expr]) is not None for c in model.constraints)
 
 
 def _tighten(c: Constraint, rng: random.Random) -> Optional[Constraint]:

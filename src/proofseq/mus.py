@@ -87,11 +87,8 @@ def _deletion_mus(soft, hard, oracle, start: Sequence[int],
         if model is None:
             keep = trial
         elif correction_sets is not None:
-            # the model satisfies trial (Oracle.solve checked it), so only
-            # the other members can be violated
-            in_trial = set(trial)
-            correction_sets.append(frozenset(
-                k for k in range(len(soft)) if k not in in_trial and not eval_expr(soft[k], model)))
+            sat = _satisfied(soft, model, set(trial))
+            correction_sets.append(frozenset(range(len(soft))) - sat)
     return tuple(keep)
 
 

@@ -47,10 +47,8 @@ from .mus import extract_mus_indices
 from .oracle import Oracle
 from .proofcore import (
     AbstractProof,
-    InputRef,
     ProofStep,
     ReasonRef,
-    StepRef,
     check_proof,
     renumber,
     trim,
@@ -111,8 +109,8 @@ def simplify(p: AbstractProof, pred: Callable[[ProofStep], bool]) -> AbstractPro
     for i, step in enumerate(p.steps, start=1):
         reasons: list[ReasonRef] = []
         for ref in step.reasons:
-            if isinstance(ref, StepRef) and ref.step in subst:
-                reasons.extend(subst[ref.step])
+            if ref in subst:  # keys are step ids; a str never equals an int
+                reasons.extend(subst[ref])
             else:
                 reasons.append(ref)
         reasons = list(dict.fromkeys(reasons))
@@ -124,8 +122,13 @@ def simplify(p: AbstractProof, pred: Callable[[ProofStep], bool]) -> AbstractPro
 
 
 def simplify_aux_vars(p: AbstractProof, solver_model: SolverModel) -> AbstractProof:
-    """Drop every step whose derived constraint mentions auxiliary variables."""
+    """Drop every step whose derived constraint mentions auxiliary variables.
+
+    Without auxiliaries, and with no step citing a reason twice, nothing is
+    dropped or deduplicated, so the proof is returned as it is."""
     aux = solver_model.aux_vars
+    if not aux and all(len(set(s.reasons)) == len(s.reasons) for s in p.steps):
+        return p
 
     def no_aux(step: ProofStep) -> bool:
         return not aux or not (scope(step.derived) & aux)
@@ -176,8 +179,7 @@ def lift_to_user_level(p: AbstractProof, solver_model: SolverModel) -> AbstractP
     steps = []
     for step in p.steps:
         reasons = tuple(dict.fromkeys(
-            InputRef(prov[r.cid]) if isinstance(r, InputRef) else r
-            for r in step.reasons))
+            prov[r] if isinstance(r, str) else r for r in step.reasons))
         steps.append(ProofStep(step.derived, reasons))
     return AbstractProof(tuple(steps))
 
@@ -213,8 +215,8 @@ def minimize_reasons(p: AbstractProof, mode: str, user_model: UserModel,
         soft = tuple(expr for _, expr in cand)
         weights = start = None
         if mode == GLOBAL:
-            nfacts = sum(1 for ref, _ in cand if isinstance(ref, StepRef))
-            weights = tuple(1 if isinstance(ref, StepRef) else nfacts + 1 for ref, _ in cand)
+            nfacts = sum(1 for ref, _ in cand if isinstance(ref, int))
+            weights = tuple(1 if isinstance(ref, int) else nfacts + 1 for ref, _ in cand)
             # the step's own reasons are already unsat with its negation
             own = {canonical_key(p.resolve(r, user_model)) for r in step.reasons}
             start = [k for k, (_, expr) in enumerate(cand) if canonical_key(expr) in own]
@@ -244,12 +246,12 @@ def _candidates(p: AbstractProof, i: int, step: ProofStep, mode: str,
     # the cheaper reason under the stepsize objective)
     out = {}
     for c in user_model.constraints:
-        out[canonical_key(c.expr)] = (InputRef(c.id), c.expr)
+        out[canonical_key(c.expr)] = (c.id, c.expr)
     for j in range(1, i):
         d = p.steps[j - 1].derived
         key = canonical_key(d)
-        if key not in out or isinstance(out[key][0], InputRef):
-            out[key] = (StepRef(j), d)
+        if key not in out or isinstance(out[key][0], str):
+            out[key] = (j, d)
     return list(out.values())
 
 
@@ -280,12 +282,12 @@ def merge_steps(p: AbstractProof, user_model: UserModel) -> ExplanationSequence:
         users: list[str] = []
         fact_reasons: list[DomainFact] = []
         for ref in step.reasons:
-            if isinstance(ref, InputRef):
-                users.append(ref.cid)
-            elif isinstance(facts[ref.step - 1], Bottom):
+            if isinstance(ref, str):
+                users.append(ref)
+            elif isinstance(facts[ref - 1], Bottom):
                 raise ProofShapeError("a step references a false derivation")
             else:
-                fact_reasons.append(facts[ref.step - 1])
+                fact_reasons.append(facts[ref - 1])
         facts.append(fact)
         reasons_of.append((tuple(dict.fromkeys(users)), tuple(dict.fromkeys(fact_reasons))))
 

@@ -17,20 +17,24 @@ so it never removes a step and serialization writes none. The line tag is
 not stored: it follows from the step (false, one input reason, or only step
 reasons). Trimming is an explicit backward-reachability pass.
 
-`parse_drcp` remembers, for one call only, each atom token and each ref
-token it has validated, and reuses the object it built. A token it has not
-validated before, and so every malformed one, goes through the checked path
-with its error class, message and line number. A valid `s:k` stays valid for
-the rest of the parse, because the number of steps only grows; a remembered
-`c:` token is still rejected where only step refs are allowed.
+A reason is the engine's own key (`engine.Key`): a constraint id (`str`,
+written `c:<id>`) or a 1-based step id (`int`, written `s:<id>`). A `str`
+never equals an `int`, so a numeric-looking constraint id such as `1` stays
+apart from step 1.
+
+`parse_drcp` remembers, for one call only, each atom token it has validated,
+and reuses the atom it built. An atom token it has not validated before, and
+so every malformed one, goes through the checked path with its error class,
+message and line number. Every ref token takes the checked path.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
+from .engine import Key
 from .errors import (
     DanglingReferenceError,
     ForwardReferenceError,
@@ -50,23 +54,9 @@ from .model import (
 from .oracle import Oracle
 
 
-@dataclass(frozen=True)
-class InputRef:
-    cid: str
-
-    def __str__(self) -> str:
-        return f"c:{self.cid}"
-
-
-@dataclass(frozen=True)
-class StepRef:
-    step: int  # 1-based step id
-
-    def __str__(self) -> str:
-        return f"s:{self.step}"
-
-
-ReasonRef = Union[InputRef, StepRef]
+InputRef = str  # a constraint id, written c:<id>
+StepRef = int  # a 1-based step id, written s:<id>
+ReasonRef = Key
 
 
 @dataclass(frozen=True)
@@ -84,9 +74,9 @@ class AbstractProof:
 
     def resolve(self, ref: ReasonRef, model) -> Expr:
         """The constraint a reason reference denotes; model supplies input ids."""
-        if isinstance(ref, InputRef):
-            return model.constraint_by_id(ref.cid).expr
-        return self.steps[ref.step - 1].derived
+        if isinstance(ref, str):
+            return model.constraint_by_id(ref).expr
+        return self.steps[ref - 1].derived
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -112,13 +102,9 @@ def _parse_atom(tok: str, var_by_name, lineno: int, seen: dict) -> AtomicConstra
 
 
 def _parse_refs(text: str, nsteps: int, constraint_ids, lineno: int,
-                steps_only: bool, seen: dict) -> tuple[ReasonRef, ...]:
+                steps_only: bool) -> tuple[ReasonRef, ...]:
     refs: list[ReasonRef] = []
     for raw in text.split(","):
-        ref = seen.get(raw)
-        if ref is not None and not (steps_only and isinstance(ref, InputRef)):
-            refs.append(ref)
-            continue
         tok = raw.strip()
         m = _SREF_RE.match(tok)
         if m:
@@ -127,14 +113,14 @@ def _parse_refs(text: str, nsteps: int, constraint_ids, lineno: int,
                 raise ForwardReferenceError(f"reference to step {sid} before it exists", lineno)
             if sid < 1:
                 raise DanglingReferenceError(f"reference to step {sid}", lineno)
-            refs.append(seen.setdefault(raw, StepRef(sid)))
+            refs.append(sid)
             continue
         m = _CREF_RE.match(tok)
         if m and not steps_only:
             cid = m.group(1)
             if cid not in constraint_ids:
                 raise UnknownConstraintError(f"unknown constraint id {cid!r}", lineno)
-            refs.append(seen.setdefault(raw, InputRef(cid)))
+            refs.append(cid)
             continue
         raise ProofParseError(f"malformed reference {tok!r}", lineno)
     return tuple(refs)
@@ -147,9 +133,8 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
     """
     var_by_name = {v.name: v for v, _ in solver_model.vars}.__getitem__
     cids = set(solver_model.constraint_map)
-    # validated tokens of this parse: atom text -> atom, ref text -> ref
+    # validated atom tokens of this parse: atom text -> atom
     seen_atoms: dict[str, AtomicConstraint] = {}
-    seen_refs: dict[str, ReasonRef] = {}
     steps: list[ProofStep] = []
     concluded = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -168,12 +153,12 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
                                       else "nogood step needs atoms and step refs", lineno)
             atoms = tuple([seen_atoms.get(t) or _parse_atom(t, var_by_name, lineno, seen_atoms)
                            for t in atoms_text.split("|")])
-            refs = _parse_refs(ref_text, len(steps), cids, lineno, not inference, seen_refs)
-            if inference and (len(refs) != 1 or not isinstance(refs[0], InputRef)):
+            refs = _parse_refs(ref_text, len(steps), cids, lineno, not inference)
+            if inference and (len(refs) != 1 or not isinstance(refs[0], str)):
                 raise ProofParseError("inference step needs exactly one c:<id> reason", lineno)
             steps.append(ProofStep(clause_of(atoms), refs))
         elif tag == "d":
-            refs = _parse_refs(rest, len(steps), cids, lineno, True, seen_refs)
+            refs = _parse_refs(rest, len(steps), cids, lineno, True)
             if len(refs) != 1:
                 raise ProofParseError("deletion hint takes exactly one s:<id>", lineno)
         elif tag == "c":
@@ -182,7 +167,7 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
                 raise ProofParseError(f"unknown conclusion {kw!r}", lineno)
             refs = ()
             if ref_text.strip():
-                refs = _parse_refs(ref_text.strip(), len(steps), cids, lineno, False, seen_refs)
+                refs = _parse_refs(ref_text.strip(), len(steps), cids, lineno, False)
             steps.append(ProofStep(FALSE, refs))
             concluded = True
         else:
@@ -200,8 +185,7 @@ def serialize_proof(p: AbstractProof) -> str:
     lines = ["# drcp 1"]
     for i, step in enumerate(p.steps, start=1):
         d, reasons = step.derived, step.reasons
-        refs = ",".join([f"c:{r.cid}" if isinstance(r, InputRef) else f"s:{r.step}"
-                         for r in reasons])
+        refs = ",".join([f"c:{r}" if isinstance(r, str) else f"s:{r}" for r in reasons])
         if d == FALSE:
             if i != len(p.steps):
                 raise ProofSerializeError(f"step {i} derives false before the conclusion")
@@ -214,9 +198,9 @@ def serialize_proof(p: AbstractProof) -> str:
         else:
             raise ProofSerializeError(f"step {i} derives a non-clause {type(d).__name__}")
         body = "|".join([f"{a.var.name}{a.op}{a.value}" for a in atoms])
-        if len(reasons) == 1 and isinstance(reasons[0], InputRef):
+        if len(reasons) == 1 and isinstance(reasons[0], str):
             lines.append(f"i {body} {refs}")
-        elif reasons and all(isinstance(r, StepRef) for r in reasons):
+        elif reasons and all(isinstance(r, int) for r in reasons):
             lines.append(f"n {body} {refs}")
         else:
             raise ProofSerializeError(f"step {i} has neither one c: reason nor only s: reasons")
@@ -237,9 +221,9 @@ def trim(p: AbstractProof) -> AbstractProof:
     while stack:
         i = stack.pop()
         for ref in p.steps[i - 1].reasons:
-            if isinstance(ref, StepRef) and ref.step not in seen:
-                seen.add(ref.step)
-                stack.append(ref.step)
+            if isinstance(ref, int) and ref not in seen:
+                seen.add(ref)
+                stack.append(ref)
     return renumber([(i, p.steps[i - 1]) for i in sorted(seen)])
 
 
@@ -247,14 +231,9 @@ def renumber(kept: list[tuple[int, ProofStep]]) -> AbstractProof:
     """The proof made of the kept steps, given in order as (old 1-based id,
     step) pairs, with every step reference re-pointed at the new ids."""
     new_id = {old: new for new, (old, _) in enumerate(kept, start=1)}
-
-    def moved(r: ReasonRef) -> ReasonRef:
-        if isinstance(r, InputRef) or new_id[r.step] == r.step:
-            return r
-        return StepRef(new_id[r.step])
-
-    return AbstractProof(tuple(ProofStep(s.derived, tuple(map(moved, s.reasons)))
-                               for _, s in kept))
+    return AbstractProof(tuple(
+        ProofStep(s.derived, tuple([r if isinstance(r, str) else new_id[r] for r in s.reasons]))
+        for _, s in kept))
 
 
 def is_trimmed(p: AbstractProof) -> bool:
@@ -262,7 +241,7 @@ def is_trimmed(p: AbstractProof) -> bool:
     a later step, and the final step derives false."""
     if not p.is_refutation():
         return False
-    cited = {r.step for s in p.steps for r in s.reasons if isinstance(r, StepRef)}
+    cited = {r for s in p.steps for r in s.reasons if isinstance(r, int)}
     return cited >= set(range(1, len(p.steps)))
 
 

@@ -5,7 +5,8 @@ logged steps into a parseable, fully checkable proof: every propagation that
 participates in a conflict becomes an inference line, conflict analysis
 contributes nogood lines, and the root conflict concludes with UNSAT. With
 log_all=True every propagation is logged, which leaves plenty of unused
-steps for trimming to remove.
+steps for trimming to remove. Each engine step's reason keys (constraint
+ids and step ids) are the proof step's reasons as they are.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import BudgetExceededError, FlattenError
 from .flatten import SolverModel
 from .model import AtomicConstraint, Conjunction, Disjunction, clause_of, eval_expr
 from .oracle import Sat, Unsat
-from .proofcore import AbstractProof, InputRef, ProofStep, ReasonRef, StepRef, serialize_proof
+from .proofcore import AbstractProof, ProofStep, serialize_proof
 
 
 def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
@@ -42,21 +43,14 @@ def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
                 raise AssertionError(f"prover returned a non-model (violates {c.id})")
         return Sat(res.assignment), serialize_proof(AbstractProof(()))
 
-    # one AtomicConstraint per engine atom and one ref per reason key
+    # one AtomicConstraint per engine atom; the reason keys are the proof's refs
     by_slot = {eng.slot_of[v]: v for v, _ in s.vars}
     atoms: dict[tuple, AtomicConstraint] = {}
-    refs: dict[Union[str, int], ReasonRef] = {}
 
     def atom(a: tuple) -> AtomicConstraint:
         c = atoms[a] = AtomicConstraint(by_slot[a[0]], a[1], a[2])
         return c
 
-    def ref(key: Union[str, int]) -> ReasonRef:
-        r = refs[key] = InputRef(key) if isinstance(key, str) else StepRef(key)
-        return r
-
-    steps = tuple(
-        ProofStep(clause_of([atoms.get(a) or atom(a) for a in st.atoms]),
-                  tuple([refs.get(k) or ref(k) for k in st.reasons]))
-        for st in res.steps)
+    steps = tuple(ProofStep(clause_of([atoms.get(a) or atom(a) for a in st.atoms]), st.reasons)
+                  for st in res.steps)
     return Unsat(), serialize_proof(AbstractProof(steps))

@@ -1,5 +1,5 @@
-"""Micro-benchmarks of engine compilation, propagation and search, and of
-oracle call overhead, on fixed inputs.
+"""Micro-benchmarks of engine compilation, propagation and search, of the
+proof rewrite stages, and of oracle call overhead, on fixed inputs.
 
     PYTHONPATH=src pytest tests/bench_engine.py --benchmark-only
 
@@ -45,6 +45,17 @@ def test_proof_round_trip_sudoku9_decomposed(benchmark):
 
     proof = benchmark(round_trip)
     assert proof.is_refutation()
+
+
+def test_pipeline_trim_sudoku9_decomposed(benchmark):
+    """The rewrite stages of one `sudoku9-proof` operation, merge_steps
+    included: `run_pipeline` with `trim` on a `log_all` proof of the
+    decomposed model, parsed once outside the timed region."""
+    model = generate_instance("sudoku9", 1)
+    solver = flatten(model, decompose_alldiff=True)
+    proof = parse_drcp(solve_with_proof(solver, log_all=True)[1], solver)
+    result = benchmark(pipeline.run_pipeline, model, proof, "trim", solver)
+    assert result.oracle_calls == 0 and result.sequence.derives_false()
 
 
 def test_oracle_solve_sudoku9_relaxation(benchmark):

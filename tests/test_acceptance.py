@@ -195,12 +195,12 @@ def test_criterion_5_trimming_properties():
         reach = {len(p.steps)}
         for i in range(len(p.steps), 0, -1):
             if i in reach:
-                reach.update(r.step for r in p.steps[i - 1].reasons if isinstance(r, StepRef))
+                reach.update(r for r in p.steps[i - 1].reasons if isinstance(r, StepRef))
         kept = sorted(reach)
         new_id = {old: new for new, old in enumerate(kept, start=1)}
         assert [s.derived for s in t.steps] == [p.steps[i - 1].derived for i in kept]
         assert [s.reasons for s in t.steps] == [
-            tuple(StepRef(new_id[r.step]) if isinstance(r, StepRef) else r
+            tuple(new_id[r] if isinstance(r, StepRef) else r
                   for r in p.steps[i - 1].reasons) for i in kept]
     _report(5, True, f"trim idempotent and literally trimmed on {n} fuzzed proofs")
 

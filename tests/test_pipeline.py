@@ -454,3 +454,43 @@ def test_minimize_local_idempotent_on_generated_instances():
         once = minimize_reasons(p, LOCAL, model, Oracle(model.vars))
         twice = minimize_reasons(once, LOCAL, model, Oracle(model.vars))
         assert once == twice, (kind, seed)
+
+
+def test_every_stage_keeps_reasons_plain_keys():
+    """A reason is exactly a constraint id (str) or a step id (int) in the
+    parsed prover proof and after every rewrite stage."""
+    from proofseq.instances import generate_instance
+    from proofseq.prover import solve_with_proof
+
+    def check(p, where):
+        for i, s in enumerate(p.steps, start=1):
+            assert all(type(r) in (str, int) for r in s.reasons), (where, i, s.reasons)
+
+    for kind in ("sudoku4", "jobshop", "mutated"):
+        model = generate_instance(kind, 1)
+        solver = flatten(model)
+        proof = parse_drcp(solve_with_proof(solver)[1], solver)
+        check(proof, (kind, "proof"))
+        no_aux = simplify_aux_vars(proof, solver)
+        check(no_aux, (kind, "no_aux"))
+        lifted = lift_to_user_level(no_aux, solver)
+        check(lifted, (kind, "user_cons"))
+        for name, out in (("trim", trim(lifted)),
+                          (LOCAL, minimize_reasons(lifted, LOCAL, model, Oracle(model.vars))),
+                          (GLOBAL, minimize_reasons(lifted, GLOBAL, model, Oracle(model.vars)))):
+            check(out, (kind, name))
+            check(simplify_to_domain_reductions(out, model), (kind, name, "domain_red"))
+
+
+def test_simplify_aux_vars_returns_an_unchanged_proof_itself():
+    """Without auxiliaries and repeated reasons nothing changes, so the
+    input comes back; a repeated reason is still deduplicated."""
+    model = parse_model("var x 0..3\ncon a: x >= 2\ncon b: x <= 1\n")
+    solver = flatten(model)
+    p = AbstractProof((
+        ProofStep(AtomicConstraint(model.var_by_name("x"), ">=", 2), (InputRef("a"),)),
+        ProofStep(FALSE, (StepRef(1), InputRef("b"))),
+    ))
+    assert simplify_aux_vars(p, solver) is p
+    twice = AbstractProof((p.steps[0], ProofStep(FALSE, (StepRef(1), InputRef("b"), StepRef(1)))))
+    assert simplify_aux_vars(twice, solver) == p

@@ -257,6 +257,35 @@ def test_trim_removes_unused_step(jobshop):
     assert is_trimmed(t)
 
 
+def test_numeric_constraint_id_stays_apart_from_step_ids():
+    """A constraint id may look like a number: c:1 is the str "1" and s:1
+    the int 1, through parsing, serialization, trimming and lifting."""
+    from proofseq.flatten import SolverModel
+    from proofseq.pipeline import lift_to_user_level
+
+    user = parse_model("var x 0..3\nvar y 0..3\ncon 1: x >= 2\ncon 2: lin 1*x - 1*y <= -2\n")
+    solver = SolverModel(vars=user.vars, constraints=user.constraints, aux_vars=frozenset(),
+                         provenance={"1": "hint", "2": "gap"})
+    text = ("# drcp 1\n"
+            "i x>=2 c:1\n"
+            "i x<=1 c:2\n"      # never referenced, though the conclusion cites c:2
+            "n x>=2 s:1\n"
+            "c UNSAT s:3,c:2\n")
+    p = parse_drcp(text, solver)
+    assert [s.reasons for s in p.steps] == [("1",), ("2",), (1,), (3, "2")]
+    assert [type(r) for s in p.steps for r in s.reasons] == [str, str, int, int, str]
+    assert serialize_proof(p) == text
+    assert parse_drcp(serialize_proof(p), solver) == p
+    assert check_proof(p, solver) == []
+
+    t = trim(p)
+    assert [s.derived for s in t.steps] == [p.steps[0].derived, p.steps[2].derived, FALSE]
+    assert [s.reasons for s in t.steps] == [("1",), (1,), (2, "2")]
+
+    lifted = lift_to_user_level(p, solver)
+    assert [s.reasons for s in lifted.steps] == [("hint",), ("gap",), (1,), (3, "gap")]
+
+
 def test_trim_requires_refutation(jobshop):
     _, solver, _ = jobshop
     p = parse_drcp("i a<=3|b>=7 c:p1\n", solver)
