@@ -7,14 +7,14 @@ conflict analysis can resolve backwards and emit inference/nogood steps on
 demand. Only conflict-participating propagations are logged unless log_all
 is set.
 
-With `proof=False` the engine logs no proof: conflict analysis computes only
-the conflict level and the learned nogood's entries (no steps, no reasons),
-a root conflict ends the solve as unsat without being resolved, and the
-result has no steps and no used constraint ids. The trail, the learned
-nogoods, the model and the conflict count are the same as with proof
-logging, because the resolution that picks the nogood's entries does not
-depend on the steps. Every key is still stored but never read, so a nogood
-is registered under key 0.
+With `proof=False`, as in every oracle call (only the prover logs a proof),
+the engine logs no proof: conflict analysis computes only the conflict level
+and the learned nogood's entries (no steps, no reasons), a root conflict
+ends the solve as unsat without being resolved, and the result has no
+steps. The trail, the learned nogoods, the model and the conflict count are
+the same as with proof logging, because the resolution that picks the
+nogood's entries does not depend on the steps. Every key is still stored but
+never read, so a nogood is registered under key 0.
 
 The root slot state of a variable set is a `RootSlots`, which an engine
 copies; `Oracle` builds one per variable set and reuses it on every call.
@@ -131,7 +131,6 @@ class EngineResult:
     status: str                                   # "sat" | "unsat" | "budget"
     assignment: Optional[dict[VarId, int]] = None  # sat only
     steps: list[EngineStep] = field(default_factory=list)
-    used_cids: frozenset = frozenset()            # constraint ids reachable from the conclusion
     conflicts: int = 0
 
 
@@ -702,8 +701,7 @@ class Engine:
                     # step ids before constraint ids, as `c UNSAT` prints them
                     reasons.sort(key=lambda r: isinstance(r, str))
                     self.steps.append(EngineStep((), tuple(reasons)))
-                    return EngineResult("unsat", steps=self.steps,
-                                        used_cids=self._used_cids(), conflicts=self.conflicts)
+                    return EngineResult("unsat", steps=self.steps, conflicts=self.conflicts)
                 nogood_atoms = tuple(_negate_atom(self.t_atom[e]) for e in cc_entries)
                 if reasons is not None:
                     self.steps.append(EngineStep(nogood_atoms, tuple(reasons)))
@@ -725,19 +723,6 @@ class Engine:
             if self.lb[s] != self.ub[s]:
                 return s
         return None
-
-    def _used_cids(self) -> frozenset:
-        used: set[str] = set()
-        seen: set[int] = set()
-        stack = list(self.steps[-1].reasons)
-        while stack:
-            key = stack.pop()
-            if isinstance(key, str):
-                used.add(key)
-            elif key not in seen:
-                seen.add(key)
-                stack.extend(self.steps[key - 1].reasons)
-        return frozenset(used)
 
 
 def _negate_atom(atom: Atom) -> Atom:

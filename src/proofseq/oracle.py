@@ -1,10 +1,9 @@
 """Satisfiability oracle over finite integer domains.
 
 Decides satisfiability of a set of plain expressions (propagation +
-backtracking search with nogood learning), returns a verified model or an
-unsat core over the retractable assumptions. BudgetExceeded is a result, not
-an error. Callers pass `Expr`s: a model-level `Constraint` goes in as its
-`.expr`.
+backtracking search with nogood learning) and returns a verified model, or
+Unsat. BudgetExceeded is a result, not an error. Callers pass `Expr`s: a
+model-level `Constraint` goes in as its `.expr`.
 
 `Oracle.solve` is the single entry point: every engine run for a
 satisfiability question goes through it, bounded by the oracle's budget (or
@@ -25,10 +24,7 @@ Each call runs one new `Engine`, which pays only for its search:
   one, constraint ids included. An expression whose compile adds selector
   slots (a disjunction that is not a plain clause) is compiled on every
   call;
-- without assumptions no core is needed, so the engine runs without proof
-  logging (see `engine`). With assumptions it logs its proof, whose lines
-  cite each expression by its id (`h<i>`, `a<i>`), and the core is the
-  assumptions whose ids the refutation reaches.
+- it logs no proof (see `engine`): the prover alone logs one.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ class Sat:
 
 @dataclass
 class Unsat:
-    core: tuple[Expr, ...] = ()
+    """No assignment satisfies the constraints."""
 
 
 @dataclass
@@ -74,27 +70,22 @@ class Oracle:
         # the compile cache of Engine.add_cached: id(expr) -> (expr, its propagators)
         self._compiled: dict[int, tuple[Expr, list[tuple]]] = {}
 
-    def solve(self, hard: Sequence[Expr] = (), assumptions: Sequence[Expr] = (),
-              budget: Optional[int] = None) -> OracleResult:
+    def solve(self, hard: Sequence[Expr] = (), budget: Optional[int] = None) -> OracleResult:
         """Complete within budget: the oracle's own, or the smaller of it and
-        `budget` when given. An Unsat core lists the assumptions the
-        refutation used; Sat assignments are re-checked by eval before return."""
+        `budget` when given. Sat assignments are re-checked by eval before return."""
         self.calls += 1
-        hard, assumptions = tuple(hard), tuple(assumptions)
+        hard = tuple(hard)
         if budget is None or budget > self.budget:
             budget = self.budget
-        # only a core needs a proof; its lines cite these ids
-        eng = Engine(self._root, budget=budget, proof=bool(assumptions))
+        eng = Engine(self._root, budget=budget, proof=False)
         for i, c in enumerate(hard):
             eng.add_cached(self._compiled, f"h{i}", c)
-        for i, c in enumerate(assumptions):
-            eng.add_cached(self._compiled, f"a{i}", c)
         res = eng.solve()
         if res.status == "budget":
             return BudgetExceeded(res.conflicts)
         if res.status == "unsat":
-            return Unsat(tuple(c for i, c in enumerate(assumptions) if f"a{i}" in res.used_cids))
-        for c in hard + assumptions:
+            return Unsat()
+        for c in hard:
             if not eval_expr(c, res.assignment):
                 raise AssertionError(f"engine returned a non-model (violates {c})")
         return Sat(res.assignment)

@@ -322,7 +322,7 @@ class PipelineResult:
         return {s.name: s.steps for s in self.stages}
 
 
-def run_pipeline(user_model: UserModel, proof: AbstractProof, var: PipelineVariant | str,
+def run_pipeline(user_model: UserModel, proof: AbstractProof, variant_name: str,
                  solver_model: SolverModel, budget: int = DEFAULT_BUDGET,
                  debug: bool = False) -> PipelineResult:
     """Execute one pipeline variant on a parsed solver-level proof.
@@ -330,8 +330,7 @@ def run_pipeline(user_model: UserModel, proof: AbstractProof, var: PipelineVaria
     With debug=True every intermediate proof is oracle-checked step by step
     (these calls are counted separately from the pipeline's own oracle use).
     """
-    if isinstance(var, str):
-        var = variant(var)
+    var = variant(variant_name)
     oracle = Oracle(user_model.vars, budget=budget)
 
     def minimize(mode: Optional[str]):

@@ -54,8 +54,6 @@ from .model import (
 from .oracle import Oracle
 
 
-InputRef = str  # a constraint id, written c:<id>
-StepRef = int  # a 1-based step id, written s:<id>
 ReasonRef = Key
 
 
@@ -131,8 +129,7 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
 
     A proof with no UNSAT conclusion is accepted; is_refutation() is then False.
     """
-    var_by_name = {v.name: v for v, _ in solver_model.vars}.__getitem__
-    cids = set(solver_model.constraint_map)
+    var_by_name, cids = solver_model.var_by_name, solver_model.constraint_map
     # validated atom tokens of this parse: atom text -> atom
     seen_atoms: dict[str, AtomicConstraint] = {}
     steps: list[ProofStep] = []

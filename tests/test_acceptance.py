@@ -20,9 +20,7 @@ from proofseq.pipeline import VARIANTS, run_pipeline, simplify_aux_vars, lift_to
     simplify_to_domain_reductions
 from proofseq.proofcore import (
     AbstractProof,
-    InputRef,
     ProofStep,
-    StepRef,
     check_proof,
     is_trimmed,
     parse_drcp,
@@ -98,11 +96,11 @@ def test_criterion_2_golden_lifting(golden):
         p.steps[k].derived == AtomicConstraint(model.var_by_name(n), op, v)
         for k, (n, op, v) in enumerate(names)) and p.steps[4].derived == FALSE
     reasons_ok = (
-        p.steps[0].reasons == (InputRef("p1"),)
-        and p.steps[1].reasons == (InputRef("p1"),)
-        and p.steps[2].reasons == (StepRef(1), InputRef("no1"))
-        and p.steps[3].reasons == (StepRef(2), InputRef("no2"))
-        and p.steps[4].reasons == (StepRef(3), StepRef(4), InputRef("p2")))
+        p.steps[0].reasons == ("p1",)
+        and p.steps[1].reasons == ("p1",)
+        and p.steps[2].reasons == (1, "no1")
+        and p.steps[3].reasons == (2, "no2")
+        and p.steps[4].reasons == (3, 4, "p2"))
     elapsed = time.perf_counter() - t0
     ok = facts_ok and reasons_ok and elapsed < 1.0
     _report(2, ok, f"lifted five-step table reproduced exactly "
@@ -169,12 +167,12 @@ def _fuzz_proof(rng: random.Random) -> AbstractProof:
         derived = clause_of([atom() for _ in range(rng.randint(1, 3))])
         reasons: list = []
         if rng.random() < 0.8:
-            reasons.append(InputRef(rng.choice(cids)))
+            reasons.append(rng.choice(cids))
         for _ in range(rng.randint(0, 3)):
             if i > 1:
-                reasons.append(StepRef(rng.randint(1, i - 1)))
+                reasons.append(rng.randint(1, i - 1))
         steps.append(ProofStep(derived, tuple(dict.fromkeys(reasons))))
-    concl_reasons: list = [StepRef(rng.randint(1, n)) for _ in range(rng.randint(0, 4))]
+    concl_reasons: list = [rng.randint(1, n) for _ in range(rng.randint(0, 4))]
     steps.append(ProofStep(FALSE, tuple(dict.fromkeys(concl_reasons))))
     return AbstractProof(tuple(steps))
 
@@ -195,12 +193,12 @@ def test_criterion_5_trimming_properties():
         reach = {len(p.steps)}
         for i in range(len(p.steps), 0, -1):
             if i in reach:
-                reach.update(r for r in p.steps[i - 1].reasons if isinstance(r, StepRef))
+                reach.update(r for r in p.steps[i - 1].reasons if isinstance(r, int))
         kept = sorted(reach)
         new_id = {old: new for new, old in enumerate(kept, start=1)}
         assert [s.derived for s in t.steps] == [p.steps[i - 1].derived for i in kept]
         assert [s.reasons for s in t.steps] == [
-            tuple(new_id[r] if isinstance(r, StepRef) else r
+            tuple(new_id[r] if isinstance(r, int) else r
                   for r in p.steps[i - 1].reasons) for i in kept]
     _report(5, True, f"trim idempotent and literally trimmed on {n} fuzzed proofs")
 
@@ -246,7 +244,7 @@ def test_criterion_8_degenerate_collapse(golden):
     p = parse_drcp(text, solver)
     out = simplify_aux_vars(p, solver)
     ok = (len(out.steps) == 1 and out.steps[0].derived == FALSE
-          and set(out.steps[0].reasons) == {InputRef("no1/2"), InputRef("no2/1")})
+          and set(out.steps[0].reasons) == {"no1/2", "no2/1"})
     _report(8, ok, "all-auxiliary proof collapses to a single false step "
                    "reasoned by solver constraints")
 

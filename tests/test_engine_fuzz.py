@@ -9,13 +9,15 @@ disjunctions):
   `helpers`. Disjunctions draw atoms, clauses, linears, conjunctions and
   nested disjunctions as members, so the engine's selector compilation is
   checked as well;
-- `Oracle.solve`, which copies its root slots, replays the propagators it
-  compiled in earlier calls and logs no proof without assumptions, must run
-  the engine that a fresh proof-logging `Engine` over the same constraints
-  in the same order is: the same propagators (constraint ids included),
-  watches and final trail, and the same status, assignment, core and
+- `Oracle.solve`, which copies its root slots and replays the propagators
+  it compiled in earlier calls, must run the engine that a fresh `Engine`
+  without proof logging over the same constraints in the same order is: the
+  same propagators (constraint ids, clause hints and learned nogoods
+  included), watches and final trail, and the same status, assignment and
   conflict count, under small budgets too, over repeated and reordered
-  queries on one oracle. With assumptions the proof steps must match too.
+  queries on one oracle. A proof-logging `Engine` must search the same way:
+  the same trail, learned nogoods (but for their keys), status, assignment
+  and conflict count.
 
 On random clauses over random domain states, a clause wake-up, which looks
 circularly from its hints, must reach the verdict and the premises of a
@@ -109,19 +111,17 @@ def test_oracle_agrees_with_brute_force(model):
         assert all(brute_eval(c, res.assignment) for c in cons)
 
 
-def _reference(doms, hard, assumptions, budget):
-    """A fresh proof-logging engine over hard and assumptions, compiled in
-    order under the ids that `Oracle.solve` gives them, and its result."""
-    eng = Engine(doms, budget=budget)
+def _reference(doms, hard, budget, proof):
+    """A fresh engine over hard, compiled in order under the ids that
+    `Oracle.solve` gives them, and its result."""
+    eng = Engine(doms, budget=budget, proof=proof)
     for i, c in enumerate(hard):
         eng.add_constraint(f"h{i}", c)
-    for i, c in enumerate(assumptions):
-        eng.add_constraint(f"a{i}", c)
     return eng, eng.solve()
 
 
-def _solve_and_catch_engine(oracle, hard, assumptions, budget):
-    """oracle.solve(hard, assumptions, budget) and the engine it ran."""
+def _solve_and_catch_engine(oracle, hard, budget):
+    """oracle.solve(hard, budget) and the engine it ran."""
     engines = []
     solve = Engine.solve
 
@@ -131,7 +131,7 @@ def _solve_and_catch_engine(oracle, hard, assumptions, budget):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Engine, "solve", catch)
-        res = oracle.solve(hard, assumptions, budget)
+        res = oracle.solve(hard, budget)
     return res, engines[0]
 
 
@@ -143,40 +143,36 @@ def _props(eng):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(small_models(), st.data())
-def test_oracle_matches_a_proof_logging_engine(model, data):
+def test_oracle_matches_a_fresh_engine(model, data):
     doms, cons = model
     oracle = Oracle(doms)
     # each query repeats and reorders the constraints of the one before
     for _ in range(data.draw(st.integers(1, 4))):
-        query = data.draw(st.lists(st.sampled_from(cons), min_size=1, max_size=len(cons) + 2))
-        # a tail of assumptions, when there is one, takes the proof-logging core path
-        cut = data.draw(st.integers(0, len(query)))
-        hard, assumptions = tuple(query[:cut]), tuple(query[cut:])
+        hard = tuple(data.draw(st.lists(st.sampled_from(cons), min_size=1,
+                                        max_size=len(cons) + 2)))
         budget = data.draw(st.sampled_from((None, 0, 1, 2, 4)))
-        ref_eng, ref = _reference(doms, hard, assumptions,
-                                  DEFAULT_BUDGET if budget is None else budget)
-        res, eng = _solve_and_catch_engine(oracle, hard, assumptions, budget)
-        assert eng.proof == bool(assumptions)
+        ref_budget = DEFAULT_BUDGET if budget is None else budget
+        ref_eng, ref = _reference(doms, hard, ref_budget, proof=False)
+        res, eng = _solve_and_catch_engine(oracle, hard, budget)
+        assert not eng.proof
         # the same propagators (keys, clause hints and learned nogoods too),
         # watches and final trail
-        assert _props(eng) == _props(ref_eng)
+        assert eng.props == ref_eng.props
         assert eng.watch == ref_eng.watch
         assert eng.t_atom == ref_eng.t_atom
-        if assumptions:
-            assert eng.props == ref_eng.props
-            assert eng.steps == ref_eng.steps
+        # proof logging changes only the nogoods' keys
+        log_eng, logged = _reference(doms, hard, ref_budget, proof=True)
+        assert _props(log_eng) == _props(ref_eng)
+        assert log_eng.t_atom == ref_eng.t_atom
+        assert (logged.status, logged.assignment, logged.conflicts) == \
+            (ref.status, ref.assignment, ref.conflicts)
         if ref.status == "budget":
             assert res == BudgetExceeded(ref.conflicts)
             continue
-        if ref.status == "sat":
-            assert res == Sat(ref.assignment)
-        else:
-            assert res == Unsat(tuple(
-                c for i, c in enumerate(assumptions) if f"a{i}" in ref.used_cids))
+        assert res == (Sat(ref.assignment) if ref.status == "sat" else Unsat())
         if ref.conflicts:
             # one conflict fewer runs out at the same conflict
-            assert oracle.solve(hard, assumptions, ref.conflicts - 1) == \
-                BudgetExceeded(ref.conflicts)
+            assert oracle.solve(hard, ref.conflicts - 1) == BudgetExceeded(ref.conflicts)
 
 
 def _scan_from_atom_0(eng, atoms):

@@ -122,8 +122,8 @@ def test_grow_probe_out_of_budget_is_no_error(monkeypatch):
     outcomes = []
     orig = Oracle.solve
 
-    def solve(self, hard=(), assumptions=(), budget=None):
-        res = orig(self, hard, assumptions, budget)
+    def solve(self, hard=(), budget=None):
+        res = orig(self, hard, budget)
         if budget is not None:
             outcomes.append(type(res).__name__)
         return res

@@ -69,22 +69,6 @@ def test_per_call_budget_is_capped_by_the_oracle_budget():
     assert (small.calls, large.calls) == (1, 2)
 
 
-def test_unsat_core_is_sound_and_subset():
-    (x,), doms = _vars("x")
-    assumptions = (
-        AtomicConstraint(x, "<=", 2),
-        AtomicConstraint(x, ">=", 5),
-        AtomicConstraint(x, "!=", 3),
-    )
-    res = Oracle(doms).solve((), assumptions)
-    assert isinstance(res, Unsat)
-    # with no hard constraints a refutation needs assumptions: the two bounds
-    assert res.core == assumptions[:2]
-    # re-solving with the core as hard constraints stays unsat
-    again = Oracle(doms).solve(res.core)
-    assert isinstance(again, Unsat)
-
-
 def test_negate_conjunction_examples():
     (x, c, d), doms = _vars("x", "c", "d")
     n = negate_expr(Conjunction((AtomicConstraint(x, "==", 3),)))
@@ -245,24 +229,3 @@ def test_engine_cannot_guard_alldifferent_disjunct():
     d = Disjunction((AtomicConstraint(x, "==", 0), AllDifferent((y, z))))
     with pytest.raises(FlattenError, match="cannot guard AllDifferent"):
         Engine(doms).add_constraint("d", d)
-
-
-def test_unsat_cores_sound_on_random_problems():
-    rng = random.Random(91)
-    n_unsat = n_needed = 0
-    while n_unsat < 60:
-        doms, cons = _random_problem(rng)
-        cut = rng.randint(0, len(cons))
-        hard, assumptions = tuple(cons[:cut]), tuple(cons[cut:])
-        res = Oracle(doms).solve(hard, assumptions)
-        if not isinstance(res, Unsat):
-            continue
-        n_unsat += 1
-        assert set(map(id, res.core)) <= set(map(id, assumptions))
-        if isinstance(Oracle(doms).solve(hard), Sat):
-            # the hard constraints alone are satisfiable, so the core is not empty
-            n_needed += 1
-            assert res.core
-        again = Oracle(doms).solve(hard + tuple(res.core))
-        assert isinstance(again, Unsat)
-    assert n_needed >= 20

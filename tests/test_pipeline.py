@@ -32,9 +32,7 @@ from proofseq.pipeline import (
 )
 from proofseq.proofcore import (
     AbstractProof,
-    InputRef,
     ProofStep,
-    StepRef,
     check_proof,
     is_trimmed,
     parse_drcp,
@@ -67,7 +65,7 @@ def test_simplify_aux_vars_surviving_steps(jobshop):
     # the step deriving c>=3 absorbed the two reified halves of no1
     c_step = p.steps[4]
     assert c_step.derived == AtomicConstraint(model.var_by_name("c"), ">=", 3)
-    assert c_step.reasons == (StepRef(2), InputRef("no1/2"), InputRef("no1/1"))
+    assert c_step.reasons == (2, "no1/2", "no1/1")
     assert check_proof(p, solver) == []
 
 
@@ -94,7 +92,7 @@ def test_degenerate_collapse_to_single_step(jobshop):
     out = simplify_aux_vars(p, solver)
     assert len(out.steps) == 1
     assert out.steps[0].derived == FALSE
-    assert set(out.steps[0].reasons) == {InputRef("no1/2"), InputRef("no2/1")}
+    assert set(out.steps[0].reasons) == {"no1/2", "no2/1"}
 
 
 def test_lift_rejects_leftover_aux_vars(jobshop):
@@ -107,9 +105,9 @@ def test_lift_dedupes_and_maps_to_user_ids(jobshop):
     model, solver, proof = jobshop
     p = lift_to_user_level(simplify_aux_vars(proof, solver), solver)
     c_step = p.steps[4]
-    assert c_step.reasons == (StepRef(2), InputRef("no1"))
+    assert c_step.reasons == (2, "no1")
     d_step = p.steps[5]
-    assert d_step.reasons == (StepRef(4), InputRef("no2"))
+    assert d_step.reasons == (4, "no2")
     assert check_proof(p, model) == []
 
 
@@ -127,7 +125,7 @@ def test_lift_decomposed_alldiff_reason():
     s = flatten(m, decompose_alldiff=True)
     p = parse_drcp("i x!=1|y!=1 c:ad/1\n", s)
     lifted = lift_to_user_level(p, s)
-    assert lifted.steps[0].reasons == (InputRef("ad"),)
+    assert lifted.steps[0].reasons == ("ad",)
     assert check_proof(lifted, m) == []
 
 
@@ -151,11 +149,11 @@ def test_domain_reduction_matches_lifted_table(jobshop):
     for k, (name, op, val) in enumerate(GOLDEN_FIVE):
         assert atoms[k] == AtomicConstraint(model.var_by_name(name), op, val)
     assert atoms[4] == FALSE
-    assert p.steps[0].reasons == (InputRef("p1"),)
-    assert p.steps[1].reasons == (InputRef("p1"),)
-    assert p.steps[2].reasons == (StepRef(1), InputRef("no1"))
-    assert p.steps[3].reasons == (StepRef(2), InputRef("no2"))
-    assert p.steps[4].reasons == (StepRef(3), StepRef(4), InputRef("p2"))
+    assert p.steps[0].reasons == ("p1",)
+    assert p.steps[1].reasons == ("p1",)
+    assert p.steps[2].reasons == (1, "no1")
+    assert p.steps[3].reasons == (2, "no2")
+    assert p.steps[4].reasons == (3, 4, "p2")
     assert is_trimmed(p)
     assert check_proof(p, model) == []
 
@@ -170,16 +168,16 @@ def test_global_minimization_reaches_three_steps(jobshop):
     assert check_proof(out, model) == []
     # each step cites exactly one user constraint
     for s in out.steps:
-        assert sum(1 for r in s.reasons if isinstance(r, InputRef)) == 1
+        assert sum(1 for r in s.reasons if isinstance(r, str)) == 1
     atoms = _derived_atoms(out)
     a = model.var_by_name("a")
     c = model.var_by_name("c")
     if atoms[0] == AtomicConstraint(a, "<=", 3):
         # the a/c chain: a<=3 from p1; c>=3 from fact+no1; false from fact+p2
-        assert out.steps[0].reasons == (InputRef("p1"),)
-        assert out.steps[1].reasons == (InputRef("no1"), StepRef(1))
+        assert out.steps[0].reasons == ("p1",)
+        assert out.steps[1].reasons == ("no1", 1)
         assert atoms[1] == AtomicConstraint(c, ">=", 3)
-        assert out.steps[2].reasons == (InputRef("p2"), StepRef(2))
+        assert out.steps[2].reasons == ("p2", 2)
     else:
         # the mirror through b/d is equally minimal; require the same shape
         b = model.var_by_name("b")
@@ -234,14 +232,14 @@ def test_minimize_identity_on_irreducible_singletons():
                     "con a: clause x >= 4\n"
                     "con b: clause x <= 3\n")
     p = AbstractProof((
-        ProofStep(AtomicConstraint(m.var_by_name("x"), ">=", 4), (InputRef("a"),)),
-        ProofStep(FALSE, (StepRef(1), InputRef("b"))),
+        ProofStep(AtomicConstraint(m.var_by_name("x"), ">=", 4), ("a",)),
+        ProofStep(FALSE, (1, "b")),
     ))
     for mode in (LOCAL, GLOBAL):
         out = minimize_reasons(p, mode, m, Oracle(m.vars))
         assert [s.derived for s in out.steps] == [s.derived for s in p.steps]
-        assert set(out.steps[0].reasons) == {InputRef("a")}
-        assert set(out.steps[1].reasons) == {StepRef(1), InputRef("b")}
+        assert set(out.steps[0].reasons) == {"a"}
+        assert set(out.steps[1].reasons) == {1, "b"}
 
 
 def test_domain_reduction_identity_on_unary_proof():
@@ -249,8 +247,8 @@ def test_domain_reduction_identity_on_unary_proof():
                     "con a: clause x >= 4\n"
                     "con b: clause x <= 3\n")
     p = AbstractProof((
-        ProofStep(AtomicConstraint(m.var_by_name("x"), ">=", 4), (InputRef("a"),)),
-        ProofStep(FALSE, (StepRef(1), InputRef("b"))),
+        ProofStep(AtomicConstraint(m.var_by_name("x"), ">=", 4), ("a",)),
+        ProofStep(FALSE, (1, "b")),
     ))
     assert simplify_to_domain_reductions(p, m).steps == p.steps
 
@@ -267,8 +265,8 @@ def test_minimize_rejects_invalid_step(jobshop):
     model, solver, _ = jobshop
     a = model.var_by_name("a")
     bogus = AbstractProof((
-        ProofStep(AtomicConstraint(a, ">=", 5), (InputRef("p1"),)),
-        ProofStep(FALSE, (StepRef(1), InputRef("p2"))),
+        ProofStep(AtomicConstraint(a, ">=", 5), ("p1",)),
+        ProofStep(FALSE, (1, "p2")),
     ))
     with pytest.raises(SatInputError):
         minimize_reasons(bogus, LOCAL, model, Oracle(model.vars))
@@ -283,10 +281,8 @@ def test_local_minimization_drops_irrelevant_reason():
         "con h1: clause r1 == 1\n"
         "con h2: clause q == 3\n")
     p = AbstractProof((
-        ProofStep(AtomicConstraint(m.var_by_name("r2"), "==", 2),
-                  (InputRef("ad"), InputRef("h1"), InputRef("h2"))),
-        ProofStep(FALSE,
-                  (StepRef(1), InputRef("ad"), InputRef("h1"))),
+        ProofStep(AtomicConstraint(m.var_by_name("r2"), "==", 2), ("ad", "h1", "h2")),
+        ProofStep(FALSE, (1, "ad", "h1")),
     ))
     # make it a refutation: r2 == 2 and alldifferent and r1 == 1 is satisfiable,
     # so use a contradictory final step instead
@@ -297,14 +293,13 @@ def test_local_minimization_drops_irrelevant_reason():
         "con h2: clause q == 3\n"
         "con h3: clause r2 == 1\n")
     p = AbstractProof((
-        ProofStep(AtomicConstraint(m2.var_by_name("r2"), "==", 2),
-                  (InputRef("ad"), InputRef("h1"), InputRef("h2"))),
-        ProofStep(FALSE, (StepRef(1), InputRef("h3"))),
+        ProofStep(AtomicConstraint(m2.var_by_name("r2"), "==", 2), ("ad", "h1", "h2")),
+        ProofStep(FALSE, (1, "h3")),
     ))
     out = minimize_reasons(p, LOCAL, m2, Oracle(m2.vars))
     first = out.steps[0]
-    assert InputRef("h2") not in first.reasons
-    assert set(first.reasons) == {InputRef("ad"), InputRef("h1")}
+    assert "h2" not in first.reasons
+    assert set(first.reasons) == {"ad", "h1"}
 
 
 def test_merge_steps_on_worked_example(jobshop):
@@ -411,8 +406,8 @@ def test_non_contiguous_domain_fact_roundtrip():
     p = AbstractProof((
         ProofStep(clause_of((AtomicConstraint(m.var_by_name("x"), "<=", 1),
                              AtomicConstraint(m.var_by_name("x"), ">=", 5))),
-                  (InputRef("w"),)),
-        ProofStep(FALSE, (StepRef(1), InputRef("lo"), InputRef("hi"))),
+                  ("w",)),
+        ProofStep(FALSE, (1, "lo", "hi")),
     ))
     seq = merge_steps(simplify_to_domain_reductions(p, m), m)
     assert validate_sequence(seq, m) == []
@@ -488,9 +483,9 @@ def test_simplify_aux_vars_returns_an_unchanged_proof_itself():
     model = parse_model("var x 0..3\ncon a: x >= 2\ncon b: x <= 1\n")
     solver = flatten(model)
     p = AbstractProof((
-        ProofStep(AtomicConstraint(model.var_by_name("x"), ">=", 2), (InputRef("a"),)),
-        ProofStep(FALSE, (StepRef(1), InputRef("b"))),
+        ProofStep(AtomicConstraint(model.var_by_name("x"), ">=", 2), ("a",)),
+        ProofStep(FALSE, (1, "b")),
     ))
     assert simplify_aux_vars(p, solver) is p
-    twice = AbstractProof((p.steps[0], ProofStep(FALSE, (StepRef(1), InputRef("b"), StepRef(1)))))
+    twice = AbstractProof((p.steps[0], ProofStep(FALSE, (1, "b", 1))))
     assert simplify_aux_vars(twice, solver) == p

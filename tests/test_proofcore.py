@@ -25,9 +25,7 @@ from proofseq.model import (
 from proofseq.oracle import Oracle
 from proofseq.proofcore import (
     AbstractProof,
-    InputRef,
     ProofStep,
-    StepRef,
     check_proof,
     check_step,
     is_trimmed,
@@ -52,13 +50,13 @@ def test_parse_golden_proof_shape(jobshop):
     assert len(proof.steps) == 14
     last = proof.steps[-1]
     assert last.derived == FALSE
-    assert last.reasons == (StepRef(10), StepRef(12), StepRef(13))
+    assert last.reasons == (10, 12, 13)
     assert proof.is_refutation()
     # step 5 derives the reified clause over the first selector
     x1 = solver.var_by_name("_x1")
     s5 = proof.steps[4].derived
     assert isinstance(s5, Clause) and s5.atoms[0] == AtomicConstraint(x1, ">=", 1)
-    assert proof.steps[4].reasons == (InputRef("no1/2"),)
+    assert proof.steps[4].reasons == ("no1/2",)
 
 
 def test_parse_empty_proof_not_a_refutation(jobshop):
@@ -118,7 +116,7 @@ def test_parse_memo_keeps_forward_reference_checks(jobshop):
     _, solver, _ = jobshop
     ok = "i a<=3|b>=7 c:p1\ni b>=7 c:p1\nn a<=3 s:2\nn b>=3 s:2,s:1\n"
     p = parse_drcp(ok, solver)
-    assert p.steps[3].reasons == (StepRef(2), StepRef(1))
+    assert p.steps[3].reasons == (2, 1)
     early = "i a<=3|b>=7 c:p1\nn a<=3 s:2\ni b>=7 c:p1\nn b>=3 s:2\n"
     assert _parse_error(early, solver) == (
         ForwardReferenceError, 2, "line 2: reference to step 2 before it exists")
@@ -190,15 +188,15 @@ def test_zero_step_proof_serializes_to_header(jobshop):
 _A = AtomicConstraint(VarId(0, "a"), "<=", 3)
 SERIALIZE_REJECTED = (
     # mixed input and step reasons
-    ((ProofStep(_A, (InputRef("p1"),)), ProofStep(_A, (StepRef(1), InputRef("p2")))),
+    ((ProofStep(_A, ("p1",)), ProofStep(_A, (1, "p2"))),
      "step 2 has neither"),
     # a non-final step with no reasons
-    ((ProofStep(_A, ()), ProofStep(FALSE, (StepRef(1),))), "step 1 has neither"),
+    ((ProofStep(_A, ()), ProofStep(FALSE, (1,))), "step 1 has neither"),
     # a derivation that is not a clause
-    ((ProofStep(Linear(((1, VarId(0, "a")),), "<=", 3), (InputRef("p1"),)),),
+    ((ProofStep(Linear(((1, VarId(0, "a")),), "<=", 3), ("p1",)),),
      "step 1 derives a non-clause"),
     # false before the last step
-    ((ProofStep(FALSE, (InputRef("p1"),)), ProofStep(_A, (StepRef(1),))),
+    ((ProofStep(FALSE, ("p1",)), ProofStep(_A, (1,))),
      "step 1 derives false before"),
 )
 
@@ -253,7 +251,7 @@ def test_trim_removes_unused_step(jobshop):
     p = parse_drcp(text, solver)
     t = trim(p)
     assert len(t.steps) == 3
-    assert t.steps[-1].reasons == (StepRef(2),)
+    assert t.steps[-1].reasons == (2,)
     assert is_trimmed(t)
 
 
@@ -368,7 +366,7 @@ def test_check_step_agrees_with_enumeration():
                           tuple(Constraint(f"r{i}", e) for i, e in enumerate(reason_exprs)))
         proof = AbstractProof((
             ProofStep(conjunction_of(derived),
-                      tuple(InputRef(f"r{i}") for i in range(len(reason_exprs)))),))
+                      tuple(f"r{i}" for i in range(len(reason_exprs)))),))
         got = check_step(proof, 1, model) is None
         want = True
         for alpha in all_assignments(doms):

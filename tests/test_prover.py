@@ -9,8 +9,6 @@ from proofseq.instances import generate_instance
 from proofseq.model import AllDifferent, AtomicConstraint, eval_expr, parse_model
 from proofseq.oracle import Oracle, Sat, Unsat
 from proofseq.proofcore import (
-    InputRef,
-    StepRef,
     check_proof,
     parse_drcp,
     trim,
@@ -57,8 +55,8 @@ def test_proof_steps_have_drcp_shape():
     _, text = solve_with_proof(s)
     p = parse_drcp(text, s)
     for step in p.steps[:-1]:
-        inference = len(step.reasons) == 1 and isinstance(step.reasons[0], InputRef)
-        nogood = step.reasons and all(isinstance(r, StepRef) for r in step.reasons)
+        inference = len(step.reasons) == 1 and isinstance(step.reasons[0], str)
+        nogood = step.reasons and all(isinstance(r, int) for r in step.reasons)
         assert inference or nogood, step
 
 
