@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 parse error (model, proof or option value), 3
 semantic failure (invalid proof, failed validation, unusable input), 4 oracle
 budget exhausted. The oracle budget defaults to 10^6 conflicts and can be set
-with --budget or the P2S_BUDGET environment variable; it also bounds the step
-checks of `explain --check`, `bench --check` and `proof check`.
+to any integer >= 0 with --budget or the P2S_BUDGET environment variable; it
+also bounds the step checks of `explain --check`, `bench --check` and `proof
+check`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,18 @@ from .prover import solve_with_proof
 from .sequence import render_text, to_json, validate_sequence
 
 
+def _budget_value(text: str) -> int:
+    """The argparse type of --budget, which also reads P2S_BUDGET: an
+    integer >= 0 (0 allows no conflict)."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return budget
+
+
 def _budget(args) -> int:
     if args.budget is not None:
         return args.budget
@@ -42,9 +55,9 @@ def _budget(args) -> int:
     if not env:
         return DEFAULT_BUDGET
     try:
-        return int(env)
-    except ValueError:
-        raise ModelParseError(f"P2S_BUDGET must be an integer, got {env!r}") from None
+        return _budget_value(env)
+    except argparse.ArgumentTypeError as e:
+        raise ModelParseError(f"P2S_BUDGET {e}") from None
 
 
 def _comma_list(convert):
@@ -222,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--format", default="text", choices=["text", "structured"])
     pe.add_argument("--check", action="store_true",
                     help="oracle-validate every explanation step")
-    pe.add_argument("--budget", type=int, default=None)
+    pe.add_argument("--budget", type=_budget_value, default=None)
     pe.set_defaults(func=cmd_explain)
 
     pb = sub.add_parser("bench", help="run generated suites and report metrics")
@@ -239,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="log every propagation in the generated proofs")
     pb.add_argument("--decompose-alldiff", action="store_true")
     pb.add_argument("--out", default=None, help="write CSV rows to a file")
-    pb.add_argument("--budget", type=int, default=None)
+    pb.add_argument("--budget", type=_budget_value, default=None)
     pb.set_defaults(func=cmd_bench)
 
     pp = sub.add_parser("proof", help="inspect, validate or trim a proof")
@@ -249,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--variant", default="trim+minglob", choices=list(VARIANTS),
                     help="pipeline used for the stats action")
     pp.add_argument("--decompose-alldiff", action="store_true")
-    pp.add_argument("--budget", type=int, default=None)
+    pp.add_argument("--budget", type=_budget_value, default=None)
     pp.set_defaults(func=cmd_proof)
 
     pg = sub.add_parser("generate", help="emit a generated benchmark model")

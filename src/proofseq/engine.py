@@ -21,8 +21,8 @@ copies; `Oracle` builds one per variable set and reuses it on every call.
 `add_cached` is `add_constraint` with a compile cache that engines over the
 same root slots share: an expression compiled once is registered again from
 its cached propagators, in the same order, with the same watches, under the
-new constraint id and with fresh clause hints, so the engine is the one that
-compiling it anew would give, keys included. An expression whose compile
+new constraint id and with fresh clause hints and alldifferent done sets, so
+the engine is the one that compiling it anew would give, keys included. An expression whose compile
 adds selector slots is not cached, so slot numbering stays as it was.
 
 A reason key is what a proof line cites: the id (a str) of the input
@@ -53,7 +53,8 @@ the negated guard as a literal and a linear becomes half-reified.
 Each registered propagator is a tuple whose first item is its plain
 `Engine._prop_*` function, called as `p[0](self, p)`. A bound method there
 would make every engine a reference cycle that only the cyclic collector
-frees. `apply` and every propagator return the Conflict they hit, or None.
+frees. `apply` and every propagator return the Conflict they hit, or None; a
+propagator may also return SLEEP (below).
 
 Propagation strength: bounds reasoning for linear sums, unit propagation for
 clauses, value-based pairwise pruning for alldifferent, guard/body reasoning
@@ -75,15 +76,42 @@ the answer: the clause does nothing when some atom is true or two are
 undecided, propagates its one undecided atom, or fails when all are false,
 whatever order the atoms are read in. Its premises come from a separate
 in-order pass, run only for a unit or a conflict. The hint needs no undo on
-backtrack. Wake-ups and queue order are unchanged, so every propagator still
-runs when it did, the trail is the same and the logged proofs stay
-byte-identical.
+backtrack.
+
+A propagator that can do nothing more until the search backtracks returns
+SLEEP (the "subsumption" of Schulte and Stuckey's propagation engines): a
+clause with a true atom, found or just propagated; a linear whose guard is
+false, or made false by it; a linear `!=` whose guard is false, whose fixed
+terms already satisfy it (all fixed at another sum, or a last unfixed term
+whose coefficient does not divide the rest), whose target value is already
+removed, or that it has just enforced. `_propagate` then leaves its
+`in_queue` flag set, at 2, so `apply` never queues it, and puts a ("wake",
+propagator, 0) undo record on the newest trail entry: popping that entry
+clears the flag. With an empty trail the propagator sleeps for good (and a
+done slot, below, stays done). If it queued itself while it ran (a clause
+applying its unit watches that atom's variable), that queue entry is
+skipped. In the same way alldifferent marks a fixed slot done once every
+other slot excludes its value, with a ("done", done set, slot) undo record,
+and skips done slots; the done set of each alldifferent is per engine, like
+a clause hint.
+
+Both are exact. What puts a propagator to sleep or a slot in the done set
+holds on the trail up to the newest entry, and domains only shrink until
+that entry is popped; while it holds, a run would return before it changes
+anything (a run of a done slot would find every removal in place). So
+every skipped run is one that would have done nothing, the effective runs
+come in the same order, and the trail, the learned nogoods, the conflict
+count and the logged proofs stay byte-identical.
 
 A linear `!=` (`_prop_linne`) can act only once at most one of its terms is
 unfixed, and most wake-ups find two. So it makes one pass over its terms,
 subtracting each fixed term from the right-hand side as it goes, and returns
 at the second unfixed term it meets; the sum it acts on is the one a full
 pass would give.
+
+Search picks the first unfixed slot. It looks from the current level's
+decision slot, as every slot before it was fixed when that decision was
+made and stays fixed on that level.
 
 Conflict analysis expands, while more than one conflict entry is at the
 conflict level (at the root: while any entry has a reason), the latest such
@@ -115,6 +143,9 @@ Atom = tuple  # (var slot, op, value)
 Key = Union[str, int]  # a constraint id or a 1-based step id; also the proof's ReasonRef
 
 DEFAULT_BUDGET = 10**6  # conflicts per solve
+
+# a propagator's answer "nothing to do until a backtrack below this point"
+SLEEP = object()
 
 
 @dataclass
@@ -192,7 +223,7 @@ class Engine:
         self.prop_slots: list[tuple[int, ...]] = []  # the slots each propagator watches
         self.queue: list[int] = []
         self.qhead = 0
-        self.in_queue: list[bool] = []
+        self.in_queue: list[int] = []  # per propagator: 0 idle, 1 queued, 2 asleep
 
         self.steps: list[EngineStep] = []
         self.entry_step: dict[int, int] = {}
@@ -232,6 +263,8 @@ class Engine:
         for prop, slots in hit[1]:
             if prop[0] is Engine._prop_clause and prop[3] is not None:
                 prop = (prop[0], cid, prop[2], [0, 1])
+            elif prop[0] is Engine._prop_alldiff:
+                prop = (prop[0], cid, prop[2], set())
             else:
                 prop = (prop[0], cid) + prop[2:]
             self._install(prop, slots)
@@ -245,7 +278,7 @@ class Engine:
         self.prop_slots.append(slots)
         for s in slots:
             self.watch[s].append(idx)
-        self.in_queue.append(True)
+        self.in_queue.append(1)
         self.queue.append(idx)
 
     def _add_clause(self, key: Key, atoms):
@@ -270,7 +303,7 @@ class Engine:
             raise FlattenError(f"cannot guard {type(e).__name__} inside a disjunction")
         elif isinstance(e, AllDifferent):
             slots = tuple(self.slot_of[v] for v in e.vars)
-            self._register((Engine._prop_alldiff, cid, slots), slots)
+            self._register((Engine._prop_alldiff, cid, slots, set()), slots)
         elif isinstance(e, HalfReified):
             self._compile_linear(cid, e.then, self.atom_of(e.guard))
         elif isinstance(e, Disjunction):
@@ -383,7 +416,7 @@ class Engine:
         in_queue, queue = self.in_queue, self.queue
         for idx in self.watch[vi]:
             if not in_queue[idx]:
-                in_queue[idx] = True
+                in_queue[idx] = 1
                 queue.append(idx)
         if op == ">=":
             self._tighten(0, vi, val, "b", e)
@@ -418,101 +451,126 @@ class Engine:
 
     def backtrack_to(self, level: int):
         target = self.level_start[level + 1]
+        in_queue = self.in_queue
         while len(self.t_atom) > target:
             e = len(self.t_atom) - 1
-            for tag, vi, x in reversed(self.t_effects.pop()):
+            for tag, a, x in reversed(self.t_effects.pop()):
                 if tag == "hole":
-                    del self.holes[vi][x]
+                    del self.holes[a][x]
+                elif tag == "wake":
+                    in_queue[a] = 0
+                elif tag == "done":
+                    a.discard(x)
                 else:
-                    hist = self.hist[tag][vi]
+                    hist = self.hist[tag][a]
                     del hist[x:]
-                    self.bound[tag][vi] = hist[-1][1]
+                    self.bound[tag][a] = hist[-1][1]
             self.entry_step.pop(e, None)
             self.t_atom.pop()
             self.t_level.pop()
             self.t_reason.pop()
         del self.level_start[level + 1:]
         self.level = level
-        # only the unprocessed tail of the queue can still be flagged
+        # only the unprocessed tail of the queue can still be flagged queued;
+        # a sleeper there wakes early, which is harmless
         for idx in self.queue[self.qhead:]:
-            self.in_queue[idx] = False
+            in_queue[idx] = 0
         self.queue.clear()
         self.qhead = 0
 
     # --- propagators ---------------------------------------------------------
 
     def _propagate(self) -> Optional[Conflict]:
-        while self.qhead < len(self.queue):
-            idx = self.queue[self.qhead]
-            self.qhead += 1
-            self.in_queue[idx] = False
-            p = self.props[idx]
-            conflict = p[0](self, p)
-            if conflict is not None:
-                return conflict
-        self.queue.clear()
+        queue, in_queue, props, t_effects = self.queue, self.in_queue, self.props, self.t_effects
+        qhead = self.qhead
+        while qhead < len(queue):
+            idx = queue[qhead]
+            qhead += 1
+            if in_queue[idx] == 2:  # it queued itself, then went to sleep
+                continue
+            in_queue[idx] = 0
+            p = props[idx]
+            r = p[0](self, p)
+            if r is None:
+                continue
+            if r is SLEEP:
+                in_queue[idx] = 2
+                if t_effects:  # else asleep for good
+                    t_effects[-1].append(("wake", idx, 0))
+                continue
+            self.qhead = qhead
+            return r
+        queue.clear()
         self.qhead = 0
         return None
 
-    def _prop_clause(self, p) -> Optional[Conflict]:
+    def _prop_clause(self, p):
         _, key, atoms, hint = p
-        status = self.status
-        if hint is None:  # at most one atom
-            unit_at = -1
-            if atoms:
-                st = status(atoms[0])
-                if st is True:
-                    return None
-                if st is None:
-                    unit_at = 0
-        else:
-            # a true atom or two undecided ones leave nothing to do
-            h0, h1 = hint
-            st0 = status(atoms[h0])
-            if st0 is True:
-                return None
-            st1 = status(atoms[h1])
-            if st1 is True or (st0 is None and st1 is None):
-                return None
-            unit_at = h0 if st0 is None else (h1 if st1 is None else -1)
-            # look at every other atom, circularly from the one after h1, for
-            # a true atom or a second undecided one, and hint at what it finds
-            n = len(atoms)
-            for j in range(h1 + 1, h1 + n):
+        n = len(atoms)
+        h0, h1 = (0, 0) if hint is None else hint  # no hint: at most one atom
+        lb, ub, holes = self.lb, self.ub, self.holes
+        unit_at = -1
+        # h0, then h1 and every other atom circularly from it, until a true
+        # atom or a second undecided one, which leave nothing to do; the hint
+        # moves to what is found. The first j stands for h0.
+        for j in range(h1 - 1, h1 + n) if n else ():
+            if j < h1:
+                j = h0
+            else:
                 if j >= n:
                     j -= n
                 if j == h0:
                     continue
-                st = status(atoms[j])
-                if st is False:
+            vi, op, val = atoms[j]
+            lo, hi = lb[vi], ub[vi]
+            # status(atoms[j]), inline: skip a false atom, else `true` tells
+            # true from undecided; a nogood's atoms are mostly == and !=
+            if op == "==":
+                if val < lo or val > hi or val in holes[vi]:
                     continue
-                if st is True:
+                true = lo == hi
+            elif op == "!=":
+                if lo == hi == val:
+                    continue
+                true = val < lo or val > hi or val in holes[vi]
+            elif op == ">=":
+                if hi < val:
+                    continue
+                true = lo >= val
+            else:
+                if lo > val:
+                    continue
+                true = hi <= val
+            if true:
+                if j != h1:
                     hint[0] = j
-                    return None
-                if unit_at >= 0:
-                    hint[:] = (unit_at, j)
-                    return None
-                unit_at = j
-            if unit_at >= 0 and unit_at != h1:
-                hint[0] = unit_at  # true once propagated
+                return SLEEP
+            if unit_at >= 0:
+                hint[:] = (unit_at, j)
+                return None
+            unit_at = j
         if unit_at < 0:
             entries = []
             for a in atoms:
                 entries.extend(self.justify_false(a))
             return Conflict(_stable_unique(entries), key, atoms)
+        if unit_at != h1:
+            hint[0] = unit_at  # true once propagated
         unit = atoms[unit_at]
         premises = []
         for a in atoms:
             if a != unit:
                 premises.extend(self.justify_false(a))
-        return self.apply(unit, (key, tuple(_stable_unique(premises)) if premises else ()))
+        # an undecided atom always applies
+        self.apply(unit, (key, tuple(_stable_unique(premises)) if premises else ()))
+        return SLEEP
 
-    def _prop_lin(self, p) -> Optional[Conflict]:
+    def _prop_lin(self, p):
         # sum(coef*var) <= rhs, optionally under an atomic guard
         _, cid, guard, terms, rhs = p
         gst = True if guard is None else self.status(guard)
         if gst is False:
-            return None
+            return SLEEP
         smin = 0
         for coef, s in terms:
             smin += coef * (self.lb[s] if coef > 0 else self.ub[s])
@@ -520,7 +578,9 @@ class Engine:
             if smin <= rhs:
                 return None
             premises = self._lin_premises(terms, None)
-            return self.apply(_negate_atom(guard), (cid, tuple(_stable_unique(premises))))
+            # the guard is undecided, so it always applies
+            self.apply(_negate_atom(guard), (cid, tuple(_stable_unique(premises))))
+            return SLEEP
         if smin > rhs and not terms:
             # degenerate constant constraint: cite it from the conclusion
             return Conflict((), cid, ())
@@ -557,11 +617,11 @@ class Engine:
                 out.extend(self.justify_bound(side, s, self.bound[side][s]))
         return out
 
-    def _prop_linne(self, p) -> Optional[Conflict]:
+    def _prop_linne(self, p):
         _, cid, guard, terms, rhs = p
         gst = True if guard is None else self.status(guard)
         if gst is False:
-            return None
+            return SLEEP
         lb, ub = self.lb, self.ub
         rem, unfixed = rhs, None
         for coef, s in terms:
@@ -574,11 +634,15 @@ class Engine:
         cited = terms
         if unfixed is not None:
             coef, s = unfixed
-            if gst is not True or rem % coef != 0:
+            if rem % coef != 0:  # no value of s meets rhs: entailed
+                return SLEEP
+            if gst is not True:
                 return None
             target = (s, "!=", rem // coef)
-        elif rem != 0:
-            return None
+            if self.status(target) is True:  # apply would do nothing
+                return SLEEP
+        elif rem != 0:  # entailed
+            return SLEEP
         elif gst is not True:
             target = _negate_atom(guard)
         elif not terms:
@@ -594,13 +658,14 @@ class Engine:
         for _, s in cited:
             if self.lb[s] == self.ub[s]:
                 premises += self.justify_bound(0, s, self.lb[s]) + self.justify_bound(1, s, self.ub[s])
-        return self.apply(target, (cid, tuple(_stable_unique(premises))))
+        r = self.apply(target, (cid, tuple(_stable_unique(premises))))
+        return SLEEP if r is None else r
 
     def _prop_alldiff(self, p) -> Optional[Conflict]:
-        _, cid, slots = p
+        _, cid, slots, done = p
         lb, ub, holes = self.lb, self.ub, self.holes
         for s in slots:
-            if lb[s] != ub[s]:
+            if lb[s] != ub[s] or s in done:
                 continue
             v = lb[s]
             premises = None
@@ -614,6 +679,11 @@ class Engine:
                 r = self.apply((t, "!=", v), (cid, premises))
                 if r is not None:
                     return r
+            # every other slot excludes v now: done until the newest trail
+            # entry is undone (with none, for good)
+            done.add(s)
+            if self.t_effects:
+                self.t_effects[-1].append(("done", done, s))
         return None
 
     # --- proof logging -------------------------------------------------------
@@ -719,8 +789,11 @@ class Engine:
             self.apply((vi, "==", self.lb[vi]), None)
 
     def _pick_var(self) -> Optional[int]:
-        for s in range(len(self.lb)):
-            if self.lb[s] != self.ub[s]:
+        # every slot before the current level's decision was fixed when it was made
+        lb, ub = self.lb, self.ub
+        start = self.t_atom[self.level_start[self.level]][0] if self.level else 0
+        for s in range(start, len(lb)):
+            if lb[s] != ub[s]:
                 return s
         return None
 

@@ -13,7 +13,7 @@ from proofseq import mus, pipeline
 from proofseq.engine import Engine
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
-from proofseq.oracle import Oracle, Sat, Unsat
+from proofseq.oracle import BudgetExceeded, Oracle, Sat, Unsat
 from proofseq.proofcore import parse_drcp
 from proofseq.prover import solve_with_proof
 
@@ -23,6 +23,16 @@ RELAXATION = (
     "row1", "row2", "col3", "col4", "col6", "col9", "blk1", "blk2", "blk6", "blk8",
     "h1", "h3", "h5", "h8", "h9", "h10", "h11", "h12", "h13", "h18", "h19", "h21",
     "h22", "h23", "h24", "h27", "h29", "h30", "h32", "h33", "h37",
+)
+
+# constraint ids, in call order, of the probe that sudoku9 seed 15's
+# trim+minloc run sends to its budget-500 oracle; the run fails there
+# (the probe's other member is the empty conjunction, which adds nothing)
+LONG_SEARCH = (
+    "row5", "col7", "col5", "row7", "blk9", "col8", "blk7", "blk6", "blk5", "col1",
+    "col4", "row9", "blk8", "row8", "row6", "col9", "col3", "row2", "blk3", "col2",
+    "h37", "h36", "h35", "h34", "h33", "h32", "h31", "h30", "h29", "h28", "h27", "h26",
+    "h25", "h24", "h23", "h22", "h21", "h20", "h17", "h16", "h13", "h9", "h8", "h5",
 )
 
 
@@ -64,6 +74,16 @@ def test_oracle_solve_sudoku9_relaxation(benchmark):
     constraints = [model.constraint_map[cid].expr for cid in RELAXATION]
     result = benchmark(Oracle(model.vars).solve, constraints)
     assert isinstance(result, Unsat)
+
+
+def test_oracle_solve_sudoku9_long_search(benchmark):
+    """A search that runs out of its 500-conflict budget, as in the
+    `sudoku9-minloc` operations that fail: the cost of a conflict late in a
+    long search, with hundreds of learned nogoods."""
+    model = generate_instance("sudoku9", 15)
+    constraints = [model.constraint_map[cid].expr for cid in LONG_SEARCH]
+    result = benchmark(Oracle(model.vars, budget=500).solve, constraints)
+    assert result == BudgetExceeded(501)
 
 
 def test_compile_jobshop_user_model(benchmark):

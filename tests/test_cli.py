@@ -212,6 +212,30 @@ def test_env_budget_malformed(monkeypatch):
     assert "P2S_BUDGET" in err
 
 
+@pytest.mark.parametrize("command", [("explain", MOD, PRF), ("bench", "--suite", "mutated"),
+                                     ("proof", "check", PRF, MOD)])
+@pytest.mark.parametrize("value", ["-1", "x"])
+def test_budget_option_must_be_a_non_negative_integer(command, value):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*command, "--budget", value)
+    assert info.value.code == 2
+
+
+def test_env_budget_negative(monkeypatch):
+    monkeypatch.setenv("P2S_BUDGET", "-3")
+    code, _, err = run_cli("proof", "check", PRF, MOD)
+    assert code == 2
+    assert "P2S_BUDGET" in err and ">= 0" in err
+
+
+def test_env_budget_zero_is_a_budget(monkeypatch):
+    # trim makes no pipeline oracle calls, so only --check can exhaust the budget
+    monkeypatch.setenv("P2S_BUDGET", "0")
+    code, _, err = run_cli("explain", MOD, PRF, "--variant", "trim", "--check")
+    assert code == 4
+    assert "budget" in err
+
+
 def test_bench_explicit_seed_list(tmp_path):
     out_file = tmp_path / "rows.csv"
     code, _, _ = run_cli("bench", "--suite", "mutated", "--seeds", "4,9",

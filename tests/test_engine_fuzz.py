@@ -19,9 +19,16 @@ disjunctions):
   the same trail, learned nogoods (but for their keys), status, assignment
   and conflict count.
 
+At every propagation fixpoint of the search on such a model with more
+variables and an alldifferent over them all, with proof logging and
+without, a propagator that sleeps until backtrack, and a done slot of an
+alldifferent, must have nothing left to do: run again, neither changes the
+trail or the queue.
+
 On random clauses over random domain states, a clause wake-up, which looks
 circularly from its hints, must reach the verdict and the premises of a
-scan from atom 0.
+scan from atom 0: it answers SLEEP only with a true atom, and None only
+with two undecided ones.
 """
 
 import random
@@ -30,7 +37,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofseq.engine import DEFAULT_BUDGET, Conflict, Engine, _negate_atom, _stable_unique
+from proofseq.engine import DEFAULT_BUDGET, SLEEP, Conflict, Engine, _negate_atom, _stable_unique
 from proofseq.model import (
     AllDifferent,
     AtomicConstraint,
@@ -49,7 +56,7 @@ OPS = ("<=", ">=", "==", "!=")
 
 
 @st.composite
-def small_models(draw):
+def small_models(draw, max_constraints=6):
     vs = [VarId(i, f"x{i}") for i in range(draw(st.integers(1, 5)))]
     doms = []
     for v in vs:
@@ -81,7 +88,7 @@ def small_models(draw):
         return Disjunction(tuple(member(True) for _ in range(draw(st.integers(1, 2)))))
 
     cons = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, max_constraints))):
         kind = draw(st.sampled_from(("atom", "clause", "linear", "alldiff", "disjunction")))
         if kind == "atom":
             cons.append(atom())
@@ -95,6 +102,19 @@ def small_models(draw):
             xs = draw(st.lists(st.sampled_from(vs), min_size=2, max_size=len(vs), unique=True))
             cons.append(AllDifferent(tuple(xs)))
     return doms, cons
+
+
+@st.composite
+def searching_models(draw):
+    """A small model's constraints, over 4 to 7 variables with domain 0..k,
+    k within one of their count, and an alldifferent over them all. Small
+    models alone are decided at the root or by their first branch; these
+    need search, so the engine backtracks."""
+    doms, cons = draw(small_models(max_constraints=4))
+    n = draw(st.integers(max(len(doms), 4), 7))
+    k = n - 1 + draw(st.integers(-1, 1))
+    vs = tuple(VarId(i, f"x{i}") for i in range(n))
+    return [(v, Domain(0, k)) for v in vs], [AllDifferent(vs)] + cons
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -175,6 +195,64 @@ def test_oracle_matches_a_fresh_engine(model, data):
             assert oracle.solve(hard, ref.conflicts - 1) == BudgetExceeded(ref.conflicts)
 
 
+def _rerun_sleepers(eng, seen):
+    """At a propagation fixpoint nothing is queued, and re-running each
+    sleeping propagator, and each done slot of an alldifferent, leaves the
+    trail and the queue as they are: a sleeper answers SLEEP again."""
+    assert eng.queue == [] and 1 not in eng.in_queue
+    trail = list(eng.t_atom)
+    effects = list(eng.t_effects[-1]) if eng.t_effects else None
+    for idx, p in enumerate(eng.props):
+        if eng.in_queue[idx] == 2:
+            seen["sleepers"] += 1
+            hint = list(p[3]) if p[0] is Engine._prop_clause and p[3] is not None else None
+            assert p[0](eng, p) is SLEEP
+            if hint is not None:
+                p[3][:] = hint
+        elif p[0] is Engine._prop_alldiff:
+            slots, done = p[2], p[3]
+            for s in done:
+                # every other slot counts as done, so only s is looked at
+                seen["done slots"] += 1
+                assert p[0](eng, p[:3] + (set(slots) - {s},)) is None
+        assert eng.t_atom == trail and eng.queue == []
+    if effects is not None:
+        eng.t_effects[-1][:] = effects  # drop the records the re-runs added
+
+
+def test_sleepers_would_do_nothing():
+    seen = dict.fromkeys(("fixpoints", "sleepers", "done slots", "backtracks"), 0)
+    propagate, backtrack_to = Engine._propagate, Engine.backtrack_to
+
+    def checked(eng):
+        conflict = propagate(eng)
+        if conflict is None:
+            seen["fixpoints"] += 1
+            _rerun_sleepers(eng, seen)
+        return conflict
+
+    def counted(eng, level):
+        seen["backtracks"] += 1
+        return backtrack_to(eng, level)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(searching_models())
+    def run(model):
+        doms, cons = model
+        for proof in (False, True):
+            eng = Engine(doms, proof=proof)
+            for i, c in enumerate(cons):
+                eng.add_constraint(f"h{i}", c)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Engine, "_propagate", checked)
+                mp.setattr(Engine, "backtrack_to", counted)
+                eng.solve()
+
+    run()
+    # the property is checked after backtracks, with sleepers and done slots
+    assert min(seen.values()) >= 100, seen
+
+
 def _scan_from_atom_0(eng, atoms):
     """What a clause wake-up must do, from an in-order scan: None (nothing),
     ("unit", atom, premise entries) or ("conflict", entries)."""
@@ -225,13 +303,19 @@ def test_clause_look_order_does_not_change_the_answer():
         trail = len(eng.t_atom)
         got = eng._prop_clause((Engine._prop_clause, "c", atoms, hint))
         assert hint[0] != hint[1] and set(hint) <= set(range(len(atoms)))
+        statuses = [eng.status(a) for a in atoms]
+        # SLEEP only with a true atom after the call, None only with two undecided
+        if got is SLEEP:
+            assert True in statuses
+        elif got is None:
+            assert statuses.count(None) >= 2
         if expected is None:
-            assert got is None and len(eng.t_atom) == trail
+            assert got in (None, SLEEP) and len(eng.t_atom) == trail
             continue
         seen[expected[0]] += 1
         if expected[0] == "unit":
             # the unit atom is undecided, so apply adds it to the trail
-            assert got is None and len(eng.t_atom) == trail + 1
+            assert got is SLEEP and len(eng.t_atom) == trail + 1
             assert (eng.t_atom[-1], eng.t_reason[-1]) == (expected[1], ("c", expected[2]))
         else:
             assert isinstance(got, Conflict)
