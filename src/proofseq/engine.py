@@ -10,11 +10,22 @@ is set.
 With `proof=False`, as in every oracle call (only the prover logs a proof),
 the engine logs no proof: conflict analysis computes only the conflict level
 and the learned nogood's entries (no steps, no reasons), a root conflict
-ends the solve as unsat without being resolved, and the result has no
-steps. The trail, the learned nogoods, the model and the conflict count are
-the same as with proof logging, because the resolution that picks the
-nogood's entries does not depend on the steps. Every key is still stored but
-never read, so a nogood is registered under key 0.
+ends the solve as unsat without being resolved, and the result has no steps.
+The learned nogood also leaves out the root entries (trail indices below
+`level_start[1]`), as MiniSat drops level-0 literals from a learned clause:
+search never backtracks below the root, so the negations of those entries
+stay false for the whole solve, and without them the nogood is unit or
+violated exactly when it would be with them, while it watches, scans and
+justifies fewer atoms. With proof logging they stay: a nogood line must
+follow by reverse unit propagation from the steps it cites, and conflict
+analysis cites no step for a root entry that it leaves unexpanded. A nogood
+that watches fewer slots wakes less often, which can reorder propagation, so
+the trail, the nogoods, the model and the conflict count may differ from a
+proof-logging run, and only a sat or unsat verdict is sure to match. They
+are the same whenever the proof-logging run learns no nogood with a root
+entry, because the resolution that picks the nogood's entries does not
+depend on the steps. Every key is still stored but never read, so a nogood
+is registered under key 0.
 
 The root slot state of a variable set is a `RootSlots`, which an engine
 copies; `Oracle` builds one per variable set and reuses it on every call.
@@ -711,8 +722,8 @@ class Engine:
     def _analyze(self, conflict: Conflict):
         """(conflict level, entries of the learned nogood, its reasons); at
         level 0 no entries remain and the reasons are the conclusion's.
-        Without proof logging the reasons are None and a root conflict is
-        not resolved at all."""
+        Without proof logging the reasons are None, the entries leave out
+        the root ones and a root conflict is not resolved at all."""
         reasons: Optional[list[Key]] = None
         if self.proof:
             key = conflict.key
@@ -750,6 +761,9 @@ class Engine:
                     at_level += q >= lo
         if clevel == 0 and cc:
             raise AssertionError("unexpandable root entries")
+        if reasons is None:  # no proof to check (see the module docstring)
+            root_end = self.level_start[1]
+            return clevel, sorted(e for e in cc if e >= root_end), None
         return clevel, sorted(cc), reasons
 
     # --- search ------------------------------------------------------------------

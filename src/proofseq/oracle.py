@@ -24,7 +24,10 @@ Each call runs one new `Engine`, which pays only for its search:
   one, constraint ids included. An expression whose compile adds selector
   slots (a disjunction that is not a plain clause) is compiled on every
   call;
-- it logs no proof (see `engine`): the prover alone logs one.
+- it logs no proof (see `engine`): the prover alone logs one. So its
+  learned nogoods leave out the atoms that are false at the root, and its
+  search, models and conflict counts may differ from a proof-logging
+  engine's over the same constraints; its sat/unsat verdicts do not.
 """
 
 from __future__ import annotations

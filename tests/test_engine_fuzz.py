@@ -2,7 +2,9 @@
 
 On small random models (at most 5 variables, at most 6 values per domain,
 interior holes, atoms, clauses of up to 5 atoms, alldifferents, linears and
-disjunctions):
+disjunctions), and on searching models (such a model's constraints with
+more variables and an alldifferent over them all, so the engine backtracks
+and learns nogoods):
 
 - `Oracle.solve` must give the brute-force verdict, and every model it
   returns must satisfy every constraint by the independent evaluator in
@@ -15,15 +17,20 @@ disjunctions):
   same propagators (constraint ids, clause hints and learned nogoods
   included), watches and final trail, and the same status, assignment and
   conflict count, under small budgets too, over repeated and reordered
-  queries on one oracle. A proof-logging `Engine` must search the same way:
-  the same trail, learned nogoods (but for their keys), status, assignment
-  and conflict count.
+  queries on one oracle. A proof-logging `Engine` keeps root-level atoms in
+  its nogoods, which the proof-free one leaves out, so it must reach the
+  same status whenever neither runs out of budget, and search exactly the
+  same way (the same trail, learned nogoods but for their keys, assignment
+  and conflict count) whenever it learns no nogood with a root-level atom.
 
-At every propagation fixpoint of the search on such a model with more
-variables and an alldifferent over them all, with proof logging and
-without, a propagator that sleeps until backtrack, and a done slot of an
-alldifferent, must have nothing left to do: run again, neither changes the
-trail or the queue.
+On searching models, a solve without proof logging must learn only
+nogoods that hold no atom false at the root fixpoint and that every
+brute-force solution satisfies, and reach the brute-force verdict.
+
+At every propagation fixpoint of the search on a searching model, with
+proof logging and without, a propagator that sleeps until backtrack, and a
+done slot of an alldifferent, must have nothing left to do: run again,
+neither changes the trail or the queue.
 
 On random clauses over random domain states, a clause wake-up, which looks
 circularly from its hints, must reach the verdict and the premises of a
@@ -31,6 +38,7 @@ scan from atom 0: it answers SLEEP only with a true atom, and None only
 with two undecided ones.
 """
 
+import itertools
 import random
 
 import pytest
@@ -50,7 +58,7 @@ from proofseq.model import (
 )
 from proofseq.oracle import BudgetExceeded, Oracle, Sat, Unsat
 
-from helpers import brute_eval, brute_satisfiable
+from helpers import all_assignments, brute_eval
 
 OPS = ("<=", ">=", "==", "!=")
 
@@ -107,21 +115,42 @@ def small_models(draw, max_constraints=6):
 @st.composite
 def searching_models(draw):
     """A small model's constraints, over 4 to 7 variables with domain 0..k,
-    k within one of their count, and an alldifferent over them all. Small
-    models alone are decided at the root or by their first branch; these
-    need search, so the engine backtracks."""
+    k within one of their count, and an alldifferent over them all; half of
+    them also confine a few of the variables to as many values (a pocket).
+    Small models alone are decided at the root or by their first branch;
+    these need search, so the engine backtracks. A pocket holds a value
+    that an earlier decision may take, so sat models backtrack too."""
     doms, cons = draw(small_models(max_constraints=4))
     n = draw(st.integers(max(len(doms), 4), 7))
     k = n - 1 + draw(st.integers(-1, 1))
     vs = tuple(VarId(i, f"x{i}") for i in range(n))
-    return [(v, Domain(0, k)) for v in vs], [AllDifferent(vs)] + cons
+    pocket = draw(st.lists(st.sampled_from(vs[1:]), min_size=2, max_size=n - 2, unique=True)
+                  if draw(st.booleans()) else st.just(()))
+    return ([(v, Domain(0, k)) for v in vs],
+            [AllDifferent(vs)] + [AtomicConstraint(v, "<=", len(pocket) - 1) for v in pocket]
+            + cons)
+
+
+def _solutions(doms, cons):
+    """Every solution, by brute force. Under an alldifferent over every
+    variable, as in `searching_models`, only the injective assignments are
+    enumerated: the full product would be up to 8^7."""
+    vs = [v for v, _ in doms]
+    if any(isinstance(c, AllDifferent) and set(c.vars) == set(vs) for c in cons):
+        values = sorted(set().union(*(d.values() for _, d in doms)))
+        candidates = (dict(zip(vs, combo)) for combo in itertools.permutations(values, len(vs)))
+    else:
+        candidates = all_assignments(doms)
+    for alpha in candidates:
+        if all(alpha[v] in d for v, d in doms) and all(brute_eval(c, alpha) for c in cons):
+            yield alpha
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(small_models())
+@given(st.one_of(small_models(), searching_models()))
 def test_oracle_agrees_with_brute_force(model):
     doms, cons = model
-    expected = brute_satisfiable(doms, cons)
+    expected = next(_solutions(doms, cons), None)
     res = Oracle(doms).solve(cons)
     if expected is None:
         assert isinstance(res, Unsat)
@@ -161,38 +190,112 @@ def _props(eng):
     return [p if isinstance(p[1], str) else (p[0], None) + p[2:] for p in eng.props]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(small_models(), st.data())
-def test_oracle_matches_a_fresh_engine(model, data):
-    doms, cons = model
-    oracle = Oracle(doms)
-    # each query repeats and reorders the constraints of the one before
-    for _ in range(data.draw(st.integers(1, 4))):
-        hard = tuple(data.draw(st.lists(st.sampled_from(cons), min_size=1,
-                                        max_size=len(cons) + 2)))
-        budget = data.draw(st.sampled_from((None, 0, 1, 2, 4)))
-        ref_budget = DEFAULT_BUDGET if budget is None else budget
-        ref_eng, ref = _reference(doms, hard, ref_budget, proof=False)
-        res, eng = _solve_and_catch_engine(oracle, hard, budget)
-        assert not eng.proof
-        # the same propagators (keys, clause hints and learned nogoods too),
-        # watches and final trail
-        assert eng.props == ref_eng.props
-        assert eng.watch == ref_eng.watch
-        assert eng.t_atom == ref_eng.t_atom
-        # proof logging changes only the nogoods' keys
-        log_eng, logged = _reference(doms, hard, ref_budget, proof=True)
-        assert _props(log_eng) == _props(ref_eng)
-        assert log_eng.t_atom == ref_eng.t_atom
-        assert (logged.status, logged.assignment, logged.conflicts) == \
-            (ref.status, ref.assignment, ref.conflicts)
-        if ref.status == "budget":
-            assert res == BudgetExceeded(ref.conflicts)
-            continue
-        assert res == (Sat(ref.assignment) if ref.status == "sat" else Unsat())
-        if ref.conflicts:
-            # one conflict fewer runs out at the same conflict
-            assert oracle.solve(hard, ref.conflicts - 1) == BudgetExceeded(ref.conflicts)
+def _logged_reference(doms, hard, budget):
+    """`_reference` with proof logging, and whether it learned a nogood with
+    a root-level atom: the negation of a trail entry below `level_start[1]`."""
+    rooted = False
+    analyze = Engine._analyze
+
+    def watch(eng, conflict):
+        nonlocal rooted
+        clevel, entries, _ = found = analyze(eng, conflict)
+        rooted = rooted or bool(clevel and entries[0] < eng.level_start[1])
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_analyze", watch)
+        eng, res = _reference(doms, hard, budget, proof=True)
+    return eng, res, rooted
+
+
+def test_oracle_matches_a_fresh_engine():
+    seen = dict.fromkeys(("backtracked", "rooted nogood"), 0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.one_of(small_models(), searching_models()), st.data())
+    def run(model, data):
+        doms, cons = model
+        oracle = Oracle(doms)
+        kinds = set()
+        # each query repeats and reorders the constraints of the one before
+        for _ in range(data.draw(st.integers(1, 4))):
+            hard = tuple(data.draw(st.lists(st.sampled_from(cons), min_size=1,
+                                            max_size=len(cons) + 2)))
+            budget = data.draw(st.sampled_from((None, 0, 1, 2, 4)))
+            ref_budget = DEFAULT_BUDGET if budget is None else budget
+            ref_eng, ref = _reference(doms, hard, ref_budget, proof=False)
+            res, eng = _solve_and_catch_engine(oracle, hard, budget)
+            assert not eng.proof
+            # the same propagators (keys, clause hints and learned nogoods too),
+            # watches and final trail
+            assert eng.props == ref_eng.props
+            assert eng.watch == ref_eng.watch
+            assert eng.t_atom == ref_eng.t_atom
+            if any(not isinstance(p[1], str) for p in ref_eng.props):
+                kinds.add("backtracked")  # a nogood is learned on backtracking
+            # proof logging keeps root-level atoms in the nogoods; only they
+            # can make it search differently
+            log_eng, logged, rooted = _logged_reference(doms, hard, ref_budget)
+            if "budget" not in (logged.status, ref.status):
+                assert logged.status == ref.status
+            if rooted:
+                kinds.add("rooted nogood")
+            else:
+                assert _props(log_eng) == _props(ref_eng)
+                assert log_eng.t_atom == ref_eng.t_atom
+                assert (logged.status, logged.assignment, logged.conflicts) == \
+                    (ref.status, ref.assignment, ref.conflicts)
+            if ref.status == "budget":
+                assert res == BudgetExceeded(ref.conflicts)
+                continue
+            assert res == (Sat(ref.assignment) if ref.status == "sat" else Unsat())
+            if ref.conflicts:
+                # one conflict fewer runs out at the same conflict
+                assert oracle.solve(hard, ref.conflicts - 1) == BudgetExceeded(ref.conflicts)
+        for kind in kinds:
+            seen[kind] += 1
+
+    run()
+    # examples that reach a learned nogood, and ones where the two searches may part
+    assert min(seen.values()) > 0, seen
+
+
+def test_proof_free_nogoods_are_root_free_and_sound():
+    seen = dict.fromkeys(("nogoods", "checked against solutions"), 0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(searching_models())
+    def run(model):
+        doms, cons = model
+        solutions = _solutions(doms, cons)
+        first = next(solutions, None)
+        root, eng = Engine(doms, proof=False), Engine(doms, proof=False)
+        for i, c in enumerate(cons):
+            root.add_constraint(f"h{i}", c)
+            eng.add_constraint(f"h{i}", c)
+        compiled = len(eng.props)
+        res = eng.solve()
+        assert res.status == ("unsat" if first is None else "sat")
+        learned = eng.props[compiled:]
+        solutions = [] if first is None or not learned else [first, *solutions]
+        assert all(p[0] is Engine._prop_clause for p in learned)
+        # the state the search starts from, before its first decision
+        if root._propagate() is not None:
+            assert not learned
+            return
+        for p in learned:
+            atoms = p[2]
+            seen["nogoods"] += 1
+            assert all(root.status(a) is not False for a in atoms), atoms
+            # a nogood over selector slots holds only with the selectors' meaning
+            if solutions and all(s < len(doms) for s, _, _ in atoms):
+                seen["checked against solutions"] += 1
+                literals = [AtomicConstraint(doms[s][0], op, val) for s, op, val in atoms]
+                for alpha in solutions:
+                    assert any(brute_eval(a, alpha) for a in literals), atoms
+
+    run()
+    assert min(seen.values()) >= 100, seen
 
 
 def _rerun_sleepers(eng, seen):
