@@ -15,11 +15,11 @@ with <op> one of <=, >=, ==, != and or() bodies restricted to lin, clause,
 bare atoms and nested or(). Variable names match [A-Za-z][A-Za-z0-9_]* so
 that names starting with '_' stay reserved for generated auxiliaries.
 
-`VarId` is a `NamedTuple` of (index, name) rather than a dataclass: every
-slot, domain, scope and evaluation lookup hashes one, and a tuple's hash is
-computed in C. It equals the frozen dataclass's `hash((index, name))`, so set
-and dict iteration orders, and every output built from them, are unchanged;
-so are its repr, its equality between variables and its ordering.
+`VarId` is a `NamedTuple` of (index, name): every slot, domain, scope and
+evaluation lookup hashes one, and a tuple's hash is computed in C.
+`hash(VarId(index, name))` must equal `hash((index, name))`, because set and
+dict iteration orders, and every output built from them, feed the
+determinism pins.
 """
 
 from __future__ import annotations

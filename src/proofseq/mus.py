@@ -9,16 +9,15 @@ when it is satisfiable.
 * without weights, a subset-minimal MUS: one deletion pass over `start`, one
   oracle call per member, deletion order = reverse declaration order
   (documented, deterministic);
-* with one non-negative weight per soft member, an exact minimum-weight MUS
+* with one positive weight per soft member, an exact minimum-weight MUS
   via the implicit hitting set scheme (Ignatiev et al., CP 2015): keep a
   family of correction sets, find a minimum-weight hitting set h by branch
   and bound, test h against the oracle, and add the correction set of the
   model when satisfiable. An unsatisfiable h has the least weight of any
-  MUS. Every correction set is the complement of a satisfiable subset, so
-  an unsatisfiable subset of h hits them all too, and a proper one would be
-  a lighter hitting set unless every member it drops weighs 0. So h is
-  returned as it is, and a final deletion pass over h runs only when a
-  member of h weighs 0.
+  MUS, and it is a MUS itself: every correction set is the complement of a
+  satisfiable subset, so an unsatisfiable subset of h hits them all too,
+  and a proper one would be a lighter hitting set. So h is returned as it
+  is.
 
 Three things keep the weighted search cheap without changing its answer:
 
@@ -54,15 +53,15 @@ def extract_mus_indices(soft: Sequence[Expr], hard: Sequence[Expr], oracle: Orac
                         start: Optional[Sequence[int]] = None) -> tuple[int, ...]:
     """Indices (in soft order) of one MUS; deterministic for a fixed query.
 
-    Without weights the MUS is a subset-minimal subset of start; with weights
-    it is one of least total weight over all of soft. start (default: every
-    index) must be unsat with hard."""
+    Without weights the MUS is a subset-minimal subset of start; with weights,
+    each at least 1, it is one of least total weight over all of soft. start
+    (default: every index) must be unsat with hard."""
     soft, hard = list(soft), list(hard)
     if weights is not None:
         if len(weights) != len(soft):
             raise ValueError("one weight per soft constraint required")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
+        if any(w < 1 for w in weights):
+            raise ValueError("weights must be positive")
     start = range(len(soft)) if start is None else sorted(set(start))
     if any(not 0 <= i < len(soft) for i in start):
         raise ValueError("start indices must index soft")
@@ -109,11 +108,9 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) 
         lb = sum(weights[i] for i in h)
         model = oracle.model_of(hard + [soft[i] for i in sorted(h)])
         if model is None:
-            # no hitting set is lighter than h, so only members of weight 0
-            # can leave h and keep it unsat (see the module docstring)
-            if all(weights[i] for i in h):
-                return tuple(sorted(h))
-            return _deletion_mus(soft, hard, oracle, sorted(h))
+            # no hitting set is lighter than h, so h is a MUS (see the
+            # module docstring)
+            return tuple(sorted(h))
         # grow the satisfied set: the smaller the complement, the faster the
         # bound tightens; a probe that is unsat or runs out of its budget
         # leaves its member out

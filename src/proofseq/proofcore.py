@@ -233,15 +233,6 @@ def renumber(kept: list[tuple[int, ProofStep]]) -> AbstractProof:
         for _, s in kept))
 
 
-def is_trimmed(p: AbstractProof) -> bool:
-    """The literal trimmed-proof predicate: every non-final step is cited by
-    a later step, and the final step derives false."""
-    if not p.is_refutation():
-        return False
-    cited = {r for s in p.steps for r in s.reasons if isinstance(r, int)}
-    return cited >= set(range(1, len(p.steps)))
-
-
 # --- semantic validity ----------------------------------------------------------
 
 

@@ -115,17 +115,19 @@ def small_models(draw, max_constraints=6):
 @st.composite
 def searching_models(draw):
     """A small model's constraints, over 4 to 7 variables with domain 0..k,
-    k within one of their count, and an alldifferent over them all; half of
-    them also confine a few of the variables to as many values (a pocket).
-    Small models alone are decided at the root or by their first branch;
-    these need search, so the engine backtracks. A pocket holds a value
-    that an earlier decision may take, so sat models backtrack too."""
+    k within one of their count, and an alldifferent over them all; unless
+    the domain is a pigeonhole already (k = n - 2), they also confine a few
+    of the variables to as many values (a pocket). Small models alone are
+    decided at the root or by their first branch; most of these are not, so
+    the engine backtracks and learns a nogood (see
+    `test_searching_models_mostly_search`). A pocket holds a value that an
+    earlier decision may take, so sat models backtrack too."""
     doms, cons = draw(small_models(max_constraints=4))
     n = draw(st.integers(max(len(doms), 4), 7))
     k = n - 1 + draw(st.integers(-1, 1))
     vs = tuple(VarId(i, f"x{i}") for i in range(n))
-    pocket = draw(st.lists(st.sampled_from(vs[1:]), min_size=2, max_size=n - 2, unique=True)
-                  if draw(st.booleans()) else st.just(()))
+    pocket = (draw(st.lists(st.sampled_from(vs[1:]), min_size=2, max_size=n - 2, unique=True))
+              if k >= n - 1 else ())
     return ([(v, Domain(0, k)) for v in vs],
             [AllDifferent(vs)] + [AtomicConstraint(v, "<=", len(pocket) - 1) for v in pocket]
             + cons)
@@ -158,6 +160,26 @@ def test_oracle_agrees_with_brute_force(model):
         assert isinstance(res, Sat)
         assert all(res.assignment[v] in d for v, d in doms)
         assert all(brute_eval(c, res.assignment) for c in cons)
+
+
+def test_searching_models_mostly_search():
+    tally = dict.fromkeys(("examples", "learned a nogood"), 0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(searching_models())
+    def run(model):
+        doms, cons = model
+        eng = Engine(doms, proof=False)
+        for i, c in enumerate(cons):
+            eng.add_constraint(f"h{i}", c)
+        compiled = len(eng.props)
+        eng.solve()
+        tally["examples"] += 1
+        tally["learned a nogood"] += len(eng.props) > compiled
+
+    run()
+    # a third, with room for the draws of other hypothesis versions
+    assert tally["learned a nogood"] > 67, tally
 
 
 def _reference(doms, hard, budget, proof):
@@ -217,10 +239,13 @@ def test_oracle_matches_a_fresh_engine():
         doms, cons = model
         oracle = Oracle(doms)
         kinds = set()
-        # each query repeats and reorders the constraints of the one before
+        # each query, a prefix of the model's constraints (so searching
+        # queries often keep their alldifferent) and then a drawn list,
+        # repeats and reorders the constraints of the one before
         for _ in range(data.draw(st.integers(1, 4))):
-            hard = tuple(data.draw(st.lists(st.sampled_from(cons), min_size=1,
-                                            max_size=len(cons) + 2)))
+            hard = tuple(cons[:data.draw(st.integers(0, len(cons)))]
+                         + data.draw(st.lists(st.sampled_from(cons), min_size=1,
+                                              max_size=len(cons) + 2)))
             budget = data.draw(st.sampled_from((None, 0, 1, 2, 4)))
             ref_budget = DEFAULT_BUDGET if budget is None else budget
             ref_eng, ref = _reference(doms, hard, ref_budget, proof=False)

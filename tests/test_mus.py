@@ -92,8 +92,9 @@ def test_weight_count_and_sign_are_checked():
     soft = (AtomicConstraint(x, "<=", 2), AtomicConstraint(x, ">=", 5))
     with pytest.raises(ValueError, match="one weight per soft constraint"):
         extract_mus_indices(soft, (), Oracle(doms), weights=(1,))
-    with pytest.raises(ValueError, match="non-negative"):
-        extract_mus_indices(soft, (), Oracle(doms), weights=(1, -1))
+    for weights in ((1, -1), (1, 0)):
+        with pytest.raises(ValueError, match="positive"):
+            extract_mus_indices(soft, (), Oracle(doms), weights=weights)
 
 
 def test_correction_set_cap_raises_budget_exceeded(monkeypatch):
@@ -135,23 +136,6 @@ def test_grow_probe_out_of_budget_is_no_error(monkeypatch):
     assert extract_mus_indices(soft, (), oracle, weights) == (1, 3)
     assert outcomes == ["BudgetExceeded", "BudgetExceeded"]
     assert oracle.calls == 9
-
-
-def test_zero_weight_member_of_the_hitting_set_is_dropped():
-    # the minimum hitting set {1, 6} is unsat, but its member 1 weighs 0 and
-    # v0 >= 6 is unsat against the domain on its own, so only the deletion
-    # pass over {1, 6} reaches the MUS
-    (v0,), doms = _vars("v0", hi=2)
-    soft = (AtomicConstraint(v0, "<=", 0), AtomicConstraint(v0, ">=", 2),
-            Clause((AtomicConstraint(v0, "==", 3),)), AtomicConstraint(v0, "<=", 3),
-            AtomicConstraint(v0, "<=", 4), AtomicConstraint(v0, "==", 4),
-            AtomicConstraint(v0, ">=", 6))
-    hard = (Clause((AtomicConstraint(v0, "<=", 3), AtomicConstraint(v0, "<=", 4))),
-            AtomicConstraint(v0, ">=", -1))
-    weights = (1, 0, 1, 2, 1, 2, 0)
-    got = extract_mus_indices(soft, hard, Oracle(doms), weights)
-    assert got == (6,)
-    assert verify_mus([soft[i] for i in got], hard, Oracle(doms))
 
 
 def test_verify_mus_rejects_non_minimal_and_sat():

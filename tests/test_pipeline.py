@@ -34,7 +34,6 @@ from proofseq.proofcore import (
     AbstractProof,
     ProofStep,
     check_proof,
-    is_trimmed,
     parse_drcp,
     trim,
 )
@@ -154,7 +153,7 @@ def test_domain_reduction_matches_lifted_table(jobshop):
     assert p.steps[2].reasons == (1, "no1")
     assert p.steps[3].reasons == (2, "no2")
     assert p.steps[4].reasons == (3, 4, "p2")
-    assert is_trimmed(p)
+    assert trim(p) == p
     assert check_proof(p, model) == []
 
 
@@ -164,7 +163,7 @@ def test_global_minimization_reaches_three_steps(jobshop):
     out = minimize_reasons(p, GLOBAL, model, Oracle(model.vars))
     assert len(out.steps) == 3
     assert out.steps[-1].derived == FALSE
-    assert is_trimmed(out)
+    assert trim(out) == out
     assert check_proof(out, model) == []
     # each step cites exactly one user constraint
     for s in out.steps:
@@ -199,7 +198,7 @@ def test_local_minimization_on_five_step(jobshop):
     before = {s.derived: _resolved_reason_keys(p, model, s) for s in p.steps}
     for s in out.steps:
         assert _resolved_reason_keys(out, model, s) <= before[s.derived]
-    assert is_trimmed(out)
+    assert trim(out) == out
 
 
 def test_local_containment_holds_on_generated_instances():
@@ -218,7 +217,7 @@ def test_local_containment_holds_on_generated_instances():
                 _resolved_reason_keys(p, model, s))
         for s in out.steps:
             assert _resolved_reason_keys(out, model, s) <= before[s.derived]
-        assert is_trimmed(out)
+        assert trim(out) == out
 
 
 def _user_level_five_generic(model, solver, proof):

@@ -28,7 +28,6 @@ from proofseq.proofcore import (
     ProofStep,
     check_proof,
     check_step,
-    is_trimmed,
     parse_drcp,
     serialize_proof,
     trim,
@@ -239,7 +238,6 @@ def test_trim_keeps_all_golden_steps(jobshop):
     trimmed = trim(proof)
     assert len(trimmed.steps) == 14
     assert trimmed.steps == trim(trimmed).steps  # idempotent
-    assert is_trimmed(trimmed)
 
 
 def test_trim_removes_unused_step(jobshop):
@@ -252,7 +250,7 @@ def test_trim_removes_unused_step(jobshop):
     t = trim(p)
     assert len(t.steps) == 3
     assert t.steps[-1].reasons == (2,)
-    assert is_trimmed(t)
+    assert trim(t) == t
 
 
 def test_numeric_constraint_id_stays_apart_from_step_ids():
