@@ -32,9 +32,10 @@ copies; `Oracle` builds one per variable set and reuses it on every call.
 `add_cached` is `add_constraint` with a compile cache that engines over the
 same root slots share: an expression compiled once is registered again from
 its cached propagators, in the same order, with the same watches, under the
-new constraint id and with fresh clause hints and alldifferent done sets, so
-the engine is the one that compiling it anew would give, keys included. An expression whose compile
-adds selector slots is not cached, so slot numbering stays as it was.
+new constraint id and with fresh alldifferent done sets, so the engine is
+the one that compiling it anew would give, keys included. An expression
+whose compile adds selector slots is not cached, so slot numbering stays as
+it was.
 
 A reason key is what a proof line cites: the id (a str) of the input
 constraint that propagated, or the 1-based step id (an int) of the nogood
@@ -75,19 +76,17 @@ nodes, never soundness.
 The two hottest propagators skip work whose result is already known.
 Alldifferent skips every removal that is already in place (the other slot
 excludes the value) and justifies a fixed slot only before its first real
-removal. Each clause and nogood keeps two distinct hinted positions (the
-two watched literals of Chaff and MiniSat, used here only as a scan
-shortcut): if either hinted atom is true, or both are undecided, the clause
-can neither propagate nor fail. Otherwise the other atoms are looked at
-circularly from the one after the second hint, for a true atom or a second
-undecided one, and the hint moves to what is found, as in MiniSat, whose
-look starts past the watches so that old false atoms at the front of a
-learned nogood are not read on every wake-up. The look order cannot change
-the answer: the clause does nothing when some atom is true or two are
+removal. A clause or nogood reads its atoms in order and stops at the first
+true atom or the second undecided one: either way it can neither propagate
+nor fail. Only a unit or a conflict reads every atom, and then a second
+in-order pass collects the premises. A clause holds no state of its own;
+every variable of it wakes it, so unlike the two watched literals of Chaff
+and MiniSat a look order could only change which atoms are read, never the
+answer: the clause does nothing when some atom is true or two are
 undecided, propagates its one undecided atom, or fails when all are false,
-whatever order the atoms are read in. Its premises come from a separate
-in-order pass, run only for a unit or a conflict. The hint needs no undo on
-backtrack.
+whatever order the atoms are read in. Sleeping (below) spares most of the
+reads, and proof-free nogoods are short, so remembering positions between
+wake-ups, as MiniSat does, does not pay here.
 
 A propagator that can do nothing more until the search backtracks returns
 SLEEP (the "subsumption" of Schulte and Stuckey's propagation engines): a
@@ -103,8 +102,8 @@ done slot, below, stays done). If it queued itself while it ran (a clause
 applying its unit watches that atom's variable), that queue entry is
 skipped. In the same way alldifferent marks a fixed slot done once every
 other slot excludes its value, with a ("done", done set, slot) undo record,
-and skips done slots; the done set of each alldifferent is per engine, like
-a clause hint.
+and skips done slots; the done set of each alldifferent is per engine, the
+only propagator state that is.
 
 Both are exact. What puts a propagator to sleep or a slot in the done set
 holds on the trail up to the newest entry, and domains only shrink until
@@ -263,7 +262,8 @@ class Engine:
         when an engine over the same root slots compiled e before. The cache
         maps id(e) to (e, its (propagator, watched slots) pairs); the entry
         pins e, so that its id is not reused. Each propagator is registered
-        under cid, and each clause with a fresh hint, its only mutable part."""
+        under cid, and each alldifferent with a fresh done set, the only
+        mutable part of any propagator."""
         hit = cache.get(id(e))
         if hit is None:
             n_props, n_slots = len(self.props), len(self.lb)
@@ -272,9 +272,7 @@ class Engine:
                 cache[id(e)] = (e, list(zip(self.props[n_props:], self.prop_slots[n_props:])))
             return
         for prop, slots in hit[1]:
-            if prop[0] is Engine._prop_clause and prop[3] is not None:
-                prop = (prop[0], cid, prop[2], [0, 1])
-            elif prop[0] is Engine._prop_alldiff:
+            if prop[0] is Engine._prop_alldiff:
                 prop = (prop[0], cid, prop[2], set())
             else:
                 prop = (prop[0], cid) + prop[2:]
@@ -296,9 +294,7 @@ class Engine:
         atoms = tuple(atoms)
         if len(atoms) > 1:  # skipped for the most frequent clause, a single atom
             atoms = tuple(dict.fromkeys(atoms))
-        # two distinct positions to check before scanning, see _prop_clause
-        hint = [0, 1] if len(atoms) > 1 else None
-        self._register((Engine._prop_clause, key, atoms, hint), [a[0] for a in atoms])
+        self._register((Engine._prop_clause, key, atoms), [a[0] for a in atoms])
 
     def _compile(self, cid: str, e: Expr, guard: Optional[Atom] = None):
         """Register e under cid; with a guard atom, register guard => e."""
@@ -516,26 +512,16 @@ class Engine:
         return None
 
     def _prop_clause(self, p):
-        _, key, atoms, hint = p
-        n = len(atoms)
-        h0, h1 = (0, 0) if hint is None else hint  # no hint: at most one atom
+        _, key, atoms = p
         lb, ub, holes = self.lb, self.ub, self.holes
-        unit_at = -1
-        # h0, then h1 and every other atom circularly from it, until a true
-        # atom or a second undecided one, which leave nothing to do; the hint
-        # moves to what is found. The first j stands for h0.
-        for j in range(h1 - 1, h1 + n) if n else ():
-            if j < h1:
-                j = h0
-            else:
-                if j >= n:
-                    j -= n
-                if j == h0:
-                    continue
-            vi, op, val = atoms[j]
+        unit = None
+        # the atoms in order until a true atom or a second undecided one,
+        # which leave nothing to do
+        for a in atoms:
+            vi, op, val = a
             lo, hi = lb[vi], ub[vi]
-            # status(atoms[j]), inline: skip a false atom, else `true` tells
-            # true from undecided; a nogood's atoms are mostly == and !=
+            # status(a), inline: skip a false atom, else `true` tells true
+            # from undecided; a nogood's atoms are mostly == and !=
             if op == "==":
                 if val < lo or val > hi or val in holes[vi]:
                     continue
@@ -553,27 +539,19 @@ class Engine:
                     continue
                 true = hi <= val
             if true:
-                if j != h1:
-                    hint[0] = j
                 return SLEEP
-            if unit_at >= 0:
-                hint[:] = (unit_at, j)
+            if unit is not None:
                 return None
-            unit_at = j
-        if unit_at < 0:
-            entries = []
-            for a in atoms:
-                entries.extend(self.justify_false(a))
-            return Conflict(_stable_unique(entries), key, atoms)
-        if unit_at != h1:
-            hint[0] = unit_at  # true once propagated
-        unit = atoms[unit_at]
-        premises = []
+            unit = a
+        # every atom but the unit (if any) is false
+        entries = []
         for a in atoms:
             if a != unit:
-                premises.extend(self.justify_false(a))
+                entries.extend(self.justify_false(a))
+        if unit is None:
+            return Conflict(_stable_unique(entries), key, atoms)
         # an undecided atom always applies
-        self.apply(unit, (key, tuple(_stable_unique(premises)) if premises else ()))
+        self.apply(unit, (key, tuple(_stable_unique(entries)) if entries else ()))
         return SLEEP
 
     def _prop_lin(self, p):

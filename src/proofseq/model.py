@@ -70,11 +70,6 @@ class Domain:
     def is_empty(self) -> bool:
         return self.lower > self.upper
 
-    def size(self) -> int:
-        if self.is_empty():
-            return 0
-        return self.upper - self.lower + 1 - len(self.holes)
-
     def __contains__(self, v: int) -> bool:
         return self.lower <= v <= self.upper and v not in self.holes
 
@@ -499,22 +494,23 @@ class _ModelParser:
         # split the sum into signed terms; separators compose, so "- -2*b" is +2*b
         tokens = re.split(r"(?<=[\w\s])([+-])", " " + lhs)
         terms: list[tuple[int, VarId]] = []
-        sign = 1
+        sign, signed = 1, False
         for tok in tokens:
             tok = tok.strip()
             if not tok:
                 continue
-            if tok == "+":
-                continue
-            if tok == "-":
-                sign = -sign
+            if tok in ("+", "-"):
+                sign = -sign if tok == "-" else sign
+                signed = True
                 continue
             tm = _TERM_RE.match(tok)
             if not tm:
                 self.error(f"malformed linear term {tok!r}", lineno)
             coef = int(tm.group(1)) if tm.group(1) is not None else 1
             terms.append((sign * coef, self.lookup(tm.group(2), lineno)))
-            sign = 1
+            sign, signed = 1, False
+        if signed:
+            self.error("linear sign without a term after it", lineno)
         if not terms:
             self.error("linear constraint has no terms", lineno)
         return Linear(tuple(terms), op, rhs)

@@ -117,7 +117,7 @@ def check_projection_equivalence(m, s, cap=10**6) -> bool:
     stay within cap (auxiliaries are 0-1 and enumerated on top)."""
     count = 1
     for _, d in m.vars:
-        count *= d.size()
+        count *= len(list(d.values()))
     if count > cap:
         raise ValueError(f"{count} user assignments exceed cap {cap}")
     aux = [(v, d) for v, d in s.vars if v in s.aux_vars]

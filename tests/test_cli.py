@@ -7,11 +7,14 @@ from pathlib import Path
 import pytest
 
 from proofseq.cli import main
+from proofseq.errors import EmptyDomainWarning
 from proofseq.flatten import flatten
 from proofseq.model import parse_model
 from proofseq.pipeline import run_pipeline
 from proofseq.proofcore import parse_drcp
 from proofseq.sequence import to_json
+
+from test_prover import EMPTY_DOMAIN_MOD
 
 DATA = Path(__file__).parent / "data"
 MOD = str(DATA / "jobshop.mod")
@@ -66,6 +69,16 @@ def test_explain_solve_end_to_end(tmp_path):
                            "--check")
     assert code == 0
     assert "len=" in out
+
+
+def test_explain_solve_empty_domain(tmp_path):
+    mod = tmp_path / "empty.mod"
+    mod.write_text(EMPTY_DOMAIN_MOD)
+    with pytest.warns(EmptyDomainWarning):
+        code, out, err = run_cli("explain", str(mod), "--solve", "--variant", "trim+minglob",
+                                 "--check")
+    assert code == 0, err
+    assert out.strip().endswith("len=1 maxstep=0")
 
 
 def test_explain_parse_error_exit_2(tmp_path):

@@ -14,10 +14,10 @@ and learns nogoods):
 - `Oracle.solve`, which copies its root slots and replays the propagators
   it compiled in earlier calls, must run the engine that a fresh `Engine`
   without proof logging over the same constraints in the same order is: the
-  same propagators (constraint ids, clause hints and learned nogoods
-  included), watches and final trail, and the same status, assignment and
-  conflict count, under small budgets too, over repeated and reordered
-  queries on one oracle. A proof-logging `Engine` keeps root-level atoms in
+  same propagators (constraint ids, alldifferent done sets and learned
+  nogoods included), watches and final trail, and the same status,
+  assignment and conflict count, under small budgets too, over repeated and
+  reordered queries on one oracle. A proof-logging `Engine` keeps root-level atoms in
   its nogoods, which the proof-free one leaves out, so it must reach the
   same status whenever neither runs out of budget, and search exactly the
   same way (the same trail, learned nogoods but for their keys, assignment
@@ -32,10 +32,10 @@ proof logging and without, a propagator that sleeps until backtrack, and a
 done slot of an alldifferent, must have nothing left to do: run again,
 neither changes the trail or the queue.
 
-On random clauses over random domain states, a clause wake-up, which looks
-circularly from its hints, must reach the verdict and the premises of a
-scan from atom 0: it answers SLEEP only with a true atom, and None only
-with two undecided ones.
+On random clauses over random domain states, a clause wake-up, which stops
+reading at the first true atom or the second undecided one, must reach the
+verdict and the premises of a full scan from atom 0: it answers SLEEP only
+with a true atom, and None only with two undecided ones.
 """
 
 import itertools
@@ -251,7 +251,7 @@ def test_oracle_matches_a_fresh_engine():
             ref_eng, ref = _reference(doms, hard, ref_budget, proof=False)
             res, eng = _solve_and_catch_engine(oracle, hard, budget)
             assert not eng.proof
-            # the same propagators (keys, clause hints and learned nogoods too),
+            # the same propagators (keys, done sets and learned nogoods too),
             # watches and final trail
             assert eng.props == ref_eng.props
             assert eng.watch == ref_eng.watch
@@ -333,10 +333,7 @@ def _rerun_sleepers(eng, seen):
     for idx, p in enumerate(eng.props):
         if eng.in_queue[idx] == 2:
             seen["sleepers"] += 1
-            hint = list(p[3]) if p[0] is Engine._prop_clause and p[3] is not None else None
             assert p[0](eng, p) is SLEEP
-            if hint is not None:
-                p[3][:] = hint
         elif p[0] is Engine._prop_alldiff:
             slots, done = p[2], p[3]
             for s in done:
@@ -426,11 +423,9 @@ def test_clause_look_order_does_not_change_the_answer():
             for _ in range(rng.randint(2, 6))))
         if len(atoms) < 2:
             continue
-        hint = rng.sample(range(len(atoms)), 2)
         expected = _scan_from_atom_0(eng, atoms)
         trail = len(eng.t_atom)
-        got = eng._prop_clause((Engine._prop_clause, "c", atoms, hint))
-        assert hint[0] != hint[1] and set(hint) <= set(range(len(atoms)))
+        got = eng._prop_clause((Engine._prop_clause, "c", atoms))
         statuses = [eng.status(a) for a in atoms]
         # SLEEP only with a true atom after the call, None only with two undecided
         if got is SLEEP:

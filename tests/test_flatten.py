@@ -43,6 +43,26 @@ def test_flatten_wide_disjunction_gets_cover_clause():
     assert all(s.provenance[i] == "c" for i in ids)
 
 
+def test_flatten_or_with_a_clause_member_and_a_single_member():
+    m = parse_model("var a 0..5\nvar b 0..5\nvar c 0..5\n"
+                    "con d: or(clause a >= 3 | c == 0; lin 1*b - 1*c <= -2)\n"
+                    "con e: or(c >= 3)\n")
+    s = flatten(m)
+    a, b, c = (m.var_by_name(n) for n in "abc")
+    (x1,) = s.aux_vars
+    assert x1.name == "_x1"
+    assert [(k.id, k.expr) for k in s.constraints] == [
+        # a guarded clause member is a clause with the negated guard added
+        ("d/1", Clause((AtomicConstraint(x1, "!=", 1), AtomicConstraint(a, ">=", 3),
+                        AtomicConstraint(c, "==", 0)))),
+        ("d/2", HalfReified(AtomicConstraint(x1, "==", 0), Linear(((1, b), (-1, c)), "<=", -2))),
+        # a single member is emitted as it is, with no selector
+        ("e/1", AtomicConstraint(c, ">=", 3)),
+    ]
+    assert s.provenance == {"d/1": "d", "d/2": "d", "e/1": "e"}
+    assert check_projection_equivalence(m, s)
+
+
 def test_flatten_atomic_is_identity():
     m = parse_model("var x 0..3\ncon h: clause x == 2\n")
     s = flatten(m)

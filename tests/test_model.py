@@ -214,7 +214,6 @@ def test_serialize_roundtrip_random_models():
 def test_domain_holes():
     d = Domain(0, 5, frozenset({2, 3}))
     assert list(d.values()) == [0, 1, 4, 5]
-    assert d.size() == 4
     assert 2 not in d and 4 in d
     with pytest.raises(ValueError):
         Domain(0, 5, frozenset({0}))
@@ -231,6 +230,54 @@ def test_linear_sign_composition():
     assert c2.terms == ((1, m.var_by_name("a")), (-2, m.var_by_name("b")))
     c3 = m.constraint_by_id("c3").expr
     assert c3.terms == ((-1, m.var_by_name("a")), (-1, m.var_by_name("b")))
+
+
+def test_linear_dangling_sign_is_an_error():
+    for body in ("lin 1*x - <= 3", "lin 2*x + 1*y - <= 0", "lin 1*x + <= 3", "lin - <= 3"):
+        with pytest.raises(ModelParseError) as e:
+            parse_model(f"var x 0..9\nvar y 0..9\ncon c: {body}\n")
+        assert e.value.line == 3, body
+        assert "sign without a term" in str(e.value), body
+
+
+# the parser's rejections that test_parse_errors_carry_line does not make:
+# (text, line of the error, message fragment)
+REJECTED_MODELS = (
+    ("var 1x 0..3\n", 1, "malformed var declaration"),
+    ("var x 0..3\ncon a lin 1*x <= 2\n", 2, "malformed con statement"),
+    ("var x 0..3\ncon a: x <= 2\ncon a: x >= 1\n", 3, "duplicate constraint id 'a'"),
+    ("var x 0..3\ncon a: clause x <= 1 | x =< 2\n", 2, "malformed atom 'x =< 2'"),
+    ("var x 0..3\ncon a: alldifferent()\n", 2, "alldifferent needs at least one variable"),
+    ("var x 0..3\ncon a: foo(x)\n", 2, "unknown constraint body 'foo(x)'"),
+    ("var x 0..3\ncon a: or(x <= 1) ; (x >= 2)\n", 2, "unbalanced parentheses"),
+    ("var x 0..3\ncon a: or((x <= 1; x >= 2)\n", 2, "unbalanced parentheses"),
+    ("var x 0..3\ncon a: or(x <= 1; ; x >= 2)\n", 2, "empty or() member"),
+    ("var x 0..3\nvar y 0..3\ncon a: or(alldifferent(x,y); x <= 1)\n", 3,
+     "or() members must be"),
+    ("var x 0..3\ncon a: lin 1*x + 2\n", 2, "missing comparison operator"),
+    ("var x 0..3\ncon a: lin 1*x <= x\n", 2, "malformed right-hand side 'x'"),
+    ("var x 0..3\ncon a: lin 2x <= 3\n", 2, "malformed linear term '2x'"),
+    ("var x 0..3\ncon a: lin <= 3\n", 2, "linear constraint has no terms"),
+)
+
+
+def test_parse_rejections_carry_line_and_message():
+    for text, line, fragment in REJECTED_MODELS:
+        with pytest.raises(ModelParseError) as e:
+            parse_model(text)
+        assert e.value.line == line, text
+        assert fragment in str(e.value), (text, str(e.value))
+
+
+def test_nested_or_parses_and_roundtrips():
+    m = parse_model("var x 0..5\nvar y 0..5\n"
+                    "con n: or(lin 1*x - 1*y <= 0; or(x <= 1; clause y >= 4 | x == 2))\n")
+    x, y = m.var_by_name("x"), m.var_by_name("y")
+    assert m.constraint_by_id("n").expr == Disjunction((
+        Linear(((1, x), (-1, y)), "<=", 0),
+        Disjunction((AtomicConstraint(x, "<=", 1),
+                     Clause((AtomicConstraint(y, ">=", 4), AtomicConstraint(x, "==", 2)))))))
+    assert parse_model(serialize_model(m)) == m
 
 
 def test_parser_survives_junk_input():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from proofseq.proofcore import (
     parse_drcp,
     trim,
 )
-from proofseq.sequence import DomainFact, validate_sequence
+from proofseq.sequence import DomainFact, ExplanationSequence, validate_sequence
 
 DATA = Path(__file__).parent / "data"
 
@@ -488,3 +489,46 @@ def test_simplify_aux_vars_returns_an_unchanged_proof_itself():
     assert simplify_aux_vars(p, solver) is p
     twice = AbstractProof((p.steps[0], ProofStep(FALSE, (1, "b", 1))))
     assert simplify_aux_vars(twice, solver) == p
+
+
+def _broken_sequences(seq):
+    """(kind, 1-based step, seq with only that step broken): each step with
+    one reason dropped, and each step that derives a fact no earlier step
+    did with that fact added to its own reasons."""
+    seen = set()
+    for i, step in enumerate(seq.steps, start=1):
+        user, facts = step.reasons_user, step.reasons_facts
+        broken = [("dropped reason", replace(step, reasons_user=user[:k] + user[k + 1:]))
+                  for k in range(len(user))]
+        broken += [("dropped reason", replace(step, reasons_facts=facts[:k] + facts[k + 1:]))
+                   for k in range(len(facts))]
+        broken += [("own fact", replace(step, reasons_facts=facts + (f,)))
+                   for f in step.facts if isinstance(f, DomainFact) and f not in seen]
+        for kind, b in broken:
+            yield kind, i, ExplanationSequence(seq.steps[:i - 1] + (b,) + seq.steps[i:])
+        seen.update(step.facts)
+
+
+def test_validate_sequence_reports_exactly_the_broken_step(jobshop):
+    """trim+minglob reasons are minimum-weight MUSes with positive weights,
+    hence subset-minimal: without any one of them a step no longer follows.
+    A step may not cite a fact before some earlier step derives it."""
+    from proofseq.instances import generate_instance
+    from proofseq.prover import solve_with_proof
+    runs = [jobshop]
+    for kind in ("jobshop", "mutated"):
+        for seed in (1, 2, 3):
+            model = generate_instance(kind, seed)
+            solver = flatten(model)
+            _, text = solve_with_proof(solver)
+            runs.append((model, solver, parse_drcp(text, solver)))
+    seen = {"dropped reason": 0, "own fact": 0}
+    for model, solver, proof in runs:
+        seq = run_pipeline(model, proof, "trim+minglob", solver).sequence
+        oracle = Oracle(model.vars)
+        assert validate_sequence(seq, model, oracle=oracle) == []
+        for kind, i, broken in _broken_sequences(seq):
+            seen[kind] += 1
+            bad = validate_sequence(broken, model, oracle=oracle)
+            assert bad == [i], (kind, broken.steps[i - 1])
+    assert min(seen.values()) >= 10, seen

@@ -3,7 +3,7 @@ import functools
 import pytest
 
 from proofseq import instances
-from proofseq.errors import BudgetExceededError
+from proofseq.errors import BudgetExceededError, EmptyDomainWarning
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
 from proofseq.model import AllDifferent, AtomicConstraint, eval_expr, parse_model
@@ -27,6 +27,31 @@ def test_tiny_contradiction_proof():
     assert p.is_refutation()
     assert len(p.steps) <= 3
     assert check_proof(p, s) == []
+
+
+EMPTY_DOMAIN_MOD = "var x 3..1\nvar y 0..3\ncon a: lin 1*x + 1*y <= 2\n"
+
+
+def test_empty_domain_is_refuted_by_the_bare_conclusion():
+    """A declared empty domain makes the model unsat before any propagation:
+    the proof is the conclusion alone, and every variant explains it in one
+    step that derives false from no reasons."""
+    from proofseq.pipeline import VARIANTS, run_pipeline
+    from proofseq.sequence import validate_sequence
+    with pytest.warns(EmptyDomainWarning):
+        m = parse_model(EMPTY_DOMAIN_MOD)
+    s = flatten(m)
+    res, text = solve_with_proof(s)
+    assert isinstance(res, Unsat)
+    assert text == "# drcp 1\nc UNSAT\n"
+    p = parse_drcp(text, s)
+    assert p.is_refutation()
+    assert check_proof(p, s) == []
+    for name in VARIANTS:
+        seq = run_pipeline(m, p, name, s).sequence
+        assert (seq.sequence_length, seq.max_stepsize) == (1, 0), name
+        assert seq.derives_false(), name
+        assert validate_sequence(seq, m) == [], name
 
 
 def test_jobshop_proof_validates():
