@@ -1,7 +1,8 @@
 """Finite-domain search engine: propagation, chronological backtracking and
 nogood learning over atomic constraints, with optional proof logging.
 
-One Engine instance runs one solve. The trail records every domain event as
+An Engine runs one solve, or a series of proof-free solves from a kept root
+(below). The trail records every domain event as
 an atomic constraint together with the trail entries that premised it, so
 conflict analysis can resolve backwards and emit inference/nogood steps on
 demand. Only conflict-participating propagations are logged unless log_all
@@ -112,6 +113,34 @@ anything (a run of a done slot would find every removal in place). So
 every skipped run is one that would have done nothing, the effective runs
 come in the same order, and the trail, the learned nogoods, the conflict
 count and the logged proofs stay byte-identical.
+
+A kept root serves `oracle.GrowSession`, whose probes each add one
+constraint to a fixed set. `switch` turns a range of propagators off or on.
+An off propagator has flag 3: `apply` never queues it, `_propagate` skips
+it if it was left in the queue, and its selector slots, which only it
+watches, are pinned to 0 so that search never picks them. A wake record
+clears only a sleeper's flag (2 to 0), so popping an entry that an off
+propagator once slept on leaves it off. `undo_root(mark)` goes back to the
+root and pops root entries until `mark` are left, emptying the queue, and
+`drop_props(n)` unregisters the nogoods learned since there. A proof-free
+solve from a root at its propagation fixpoint returns what a fresh engine
+over the switched-on constraints, in the same order, returns: the same
+status, assignment and conflict count.
+
+- The root domains are the same whatever order the propagators ran in, and
+  so is whether the root fails: the fixpoint of monotone propagators is
+  unique.
+- At a fixpoint, which propagators sleep and which alldifferent slots are
+  done depends only on the domains; and a skipped run would do nothing.
+- A proof-free solve never reads a root entry's reason, and its nogoods
+  leave root entries out, so how the root entries came about changes no
+  search entry, decision or nogood.
+- The switched-on propagators keep the relative order a fresh engine gives
+  them, in registration and in every watch list, and an off one is never
+  queued.
+
+Only the root trail can differ: its entries, and values outside the bounds
+left in `holes`, which every hole test reads only after a bound test.
 
 A linear `!=` (`_prop_linne`) can act only once at most one of its terms is
 unfixed, and most wake-ups find two. So it makes one pass over its terms,
@@ -233,7 +262,7 @@ class Engine:
         self.prop_slots: list[tuple[int, ...]] = []  # the slots each propagator watches
         self.queue: list[int] = []
         self.qhead = 0
-        self.in_queue: list[int] = []  # per propagator: 0 idle, 1 queued, 2 asleep
+        self.in_queue: list[int] = []  # per propagator: 0 idle, 1 queued, 2 asleep, 3 off
 
         self.steps: list[EngineStep] = []
         self.entry_step: dict[int, int] = {}
@@ -277,6 +306,26 @@ class Engine:
             else:
                 prop = (prop[0], cid) + prop[2:]
             self._install(prop, slots)
+
+    def switch(self, props: range, slots: range, on: bool):
+        """Switch the propagators in props on (queued, in order) or off, and
+        free or pin to 0 the selector slots in slots, which only they watch
+        and no trail entry may touch. An off propagator is never queued or
+        woken, and an off selector never picked."""
+        for s in slots:
+            self.ub[s] = int(on)
+            self.hist[1][s] = [("b", int(on), -1)]
+        self.in_queue[props.start:props.stop] = [1 if on else 3] * len(props)
+        if on:
+            self.queue.extend(props)
+
+    def drop_props(self, n: int):
+        """Unregister the propagators from index n on (learned nogoods); no
+        queue entry or trail entry may refer to them."""
+        for idx in range(len(self.props) - 1, n - 1, -1):
+            for s in self.prop_slots[idx]:
+                self.watch[s].pop()  # the last one registered, so the last watch
+        del self.props[n:], self.prop_slots[n:], self.in_queue[n:]
 
     def _register(self, prop: tuple, var_slots):
         self._install(prop, tuple(set(var_slots)))
@@ -457,31 +506,40 @@ class Engine:
         self.bound[side][vi] = v
 
     def backtrack_to(self, level: int):
-        target = self.level_start[level + 1]
-        in_queue = self.in_queue
-        while len(self.t_atom) > target:
-            e = len(self.t_atom) - 1
-            for tag, a, x in reversed(self.t_effects.pop()):
+        self._undo_to(self.level_start[level + 1])
+        del self.level_start[level + 1:]
+        self.level = level
+
+    def undo_root(self, mark: int):
+        """Back to the root, then pop root entries until `mark` are left."""
+        del self.level_start[1:]
+        self.level = 0
+        self._undo_to(mark)
+
+    def _undo_to(self, target: int):
+        """Pop trail entries until `target` are left, then empty the queue."""
+        in_queue, t_effects = self.in_queue, self.t_effects
+        for e in range(len(t_effects) - 1, target - 1, -1):
+            for tag, a, x in reversed(t_effects[e]):
                 if tag == "hole":
                     del self.holes[a][x]
                 elif tag == "wake":
-                    in_queue[a] = 0
+                    if in_queue[a] == 2:  # an off propagator stays off
+                        in_queue[a] = 0
                 elif tag == "done":
                     a.discard(x)
                 else:
                     hist = self.hist[tag][a]
                     del hist[x:]
                     self.bound[tag][a] = hist[-1][1]
-            self.entry_step.pop(e, None)
-            self.t_atom.pop()
-            self.t_level.pop()
-            self.t_reason.pop()
-        del self.level_start[level + 1:]
-        self.level = level
+            if self.entry_step:
+                self.entry_step.pop(e, None)
+        del self.t_atom[target:], self.t_level[target:], self.t_reason[target:], t_effects[target:]
         # only the unprocessed tail of the queue can still be flagged queued;
-        # a sleeper there wakes early, which is harmless
+        # a sleeper there queued itself and sleeps on its wake record
         for idx in self.queue[self.qhead:]:
-            in_queue[idx] = 0
+            if in_queue[idx] == 1:
+                in_queue[idx] = 0
         self.queue.clear()
         self.qhead = 0
 
@@ -493,7 +551,7 @@ class Engine:
         while qhead < len(queue):
             idx = queue[qhead]
             qhead += 1
-            if in_queue[idx] == 2:  # it queued itself, then went to sleep
+            if in_queue[idx] >= 2:  # it queued itself, then went to sleep; or it is off
                 continue
             in_queue[idx] = 0
             p = props[idx]

@@ -31,15 +31,27 @@ Three things keep the weighted search cheap without changing its answer:
   left-out member with at most GROW_BUDGET conflicts. A probe that runs out
   leaves its member out: the complement of any satisfiable subset is a
   correction set, just not always a minimal one.
+
+The grow probes of a query share one `GrowSession` (see `oracle`), built at
+its first grow round: each round keeps the satisfied set at the root, and
+each probe adds one member to it, returning exactly what `Oracle.solve` over
+`hard` and the satisfied set with that member returns. Probes that drop
+members (the deletion seed, the up-front probe and the hitting-set checks)
+stay fresh `Oracle.solve` calls, as a kept root gains them nothing.
+
+The hitting-set branch and bound keeps each correction set as a bitmask,
+with its lightest member's weight, its members and its size computed once
+per call.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, SatInputError
 from .model import Expr, eval_expr
-from .oracle import Oracle, Sat
+from .oracle import GrowSession, Oracle, Sat
 
 # smallest-weighted extraction gives up (BudgetExceededError) past this many
 MAX_CORRECTION_SETS = 10_000
@@ -94,6 +106,7 @@ def _deletion_mus(soft, hard, oracle, start: Sequence[int],
 def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) -> tuple[int, ...]:
     n = len(soft)
     correction_sets: list[frozenset[int]] = []
+    grow: Optional[GrowSession] = None  # built at the first grow round
 
     # seed with a deletion pass: its result is an upper bound and every
     # satisfiable probe along the way donates a correction set
@@ -115,13 +128,19 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) 
         # bound tightens; a probe that is unsat or runs out of its budget
         # leaves its member out
         sat = _satisfied(soft, model, h)
+        if grow is None:
+            grow = GrowSession(oracle, hard, soft)
+        grow.keep(sat)
         for i in range(n):
             if i in sat:
                 continue
-            tried = sat | {i}
-            res = oracle.solve(hard + [soft[j] for j in sorted(tried)], budget=GROW_BUDGET)
+            # the answer of oracle.solve(hard + [soft[j] for j in sorted(sat | {i})],
+            # budget=GROW_BUDGET), from the kept root
+            res = grow.probe(i, GROW_BUDGET)
             if isinstance(res, Sat):
-                sat = _satisfied(soft, res.assignment, tried)
+                sat = _satisfied(soft, res.assignment, sat | {i})
+                grow.keep(sat)
+        grow.clear()
         cs = frozenset(range(n)) - sat
         if not cs:
             raise AssertionError("model satisfies all soft constraints of an unsat query")
@@ -141,37 +160,45 @@ def _satisfied(soft, model, known) -> set[int]:
 def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],
                      cap: float = float("inf"), floor: float = 0) -> Optional[frozenset[int]]:
     """Minimum-weight hitting set by branch and bound, or None when every
-    hitting set weighs at least cap. Ties keep the first solution found with
-    elements tried in ascending index order.
+    hitting set weighs at least cap. Each node branches on the members, in
+    ascending order, of its smallest uncovered set (the first in `sets` order
+    among equals). Ties keep the first solution found.
 
     floor must be a lower bound on the optimum (the optimum of a subfamily
     of sets will do): the search stops at the first solution that weighs no
-    more, which is the one the full search would keep."""
+    more, which is the one the full search would keep. The lower bound at a
+    node packs disjoint uncovered sets, heaviest lightest member first and
+    then fewest members, and adds up their lightest members. Any valid bound
+    keeps the answer: pruning only cuts subtrees with no solution lighter
+    than the incumbent, so the solutions that improve on it come in the same
+    order."""
     best: Optional[frozenset[int]] = None
     best_w = cap
+    # per set, once: (-its lightest member's weight, size, index in sets,
+    # bitmask, members in ascending order), in the lower bound's order
+    order = sorted((-min(weights[i] for i in s), len(s), k, sum(1 << i for i in s), sorted(s))
+                   for k, s in enumerate(sets))
+    branch_key = itemgetter(1, 2)
 
-    def lower_bound(uncovered) -> int:
-        total = 0
-        used: set[int] = set()
-        for s in uncovered:
-            if s & used:
-                continue
-            total += min(weights[i] for i in s)
-            used |= s
-        return total
-
-    def rec(chosen: list[int], w: int, uncovered: list[frozenset[int]]) -> bool:
+    def rec(chosen: list[int], w: int, uncovered: list[tuple]) -> bool:
         """True once the floor is reached: the whole search stops."""
         nonlocal best, best_w
         if not uncovered:
             if w < best_w:
                 best, best_w = frozenset(chosen), w
             return best_w <= floor
-        if w + lower_bound(uncovered) >= best_w:
+        bound, used = w, 0
+        for neg_min, _, _, mask, _ in uncovered:
+            if not mask & used:
+                bound -= neg_min
+                used |= mask
+        if bound >= best_w:
             return False
-        target = min(uncovered, key=len)
-        return any(rec(chosen + [e], w + weights[e], [s for s in uncovered if e not in s])
-                   for e in sorted(target))
+        for e in min(uncovered, key=branch_key)[4]:
+            bit = 1 << e
+            if rec(chosen + [e], w + weights[e], [t for t in uncovered if not t[3] & bit]):
+                return True
+        return False
 
-    rec([], 0, list(sets))
+    rec([], 0, order)
     return best

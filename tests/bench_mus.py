@@ -11,6 +11,10 @@ are collected at run time, so they follow the current pipeline. Seeded from
 the step's own reasons, that query gives a single small family, so it times
 little more than the call itself.
 
+The grow query is the one `minglob` query on sudoku4 seeds 1-3 that makes
+the most grow probes (93, on seed 3), also collected at run time: it times
+the grow rounds, which share one `GrowSession` per query.
+
 The sudoku9 families load the hitting set: they are every `_min_hitting_set`
 call that `trim+minglob` makes on sudoku9 seed 1, recorded once in
 `tests/data/sudoku9_seed1_hitting_sets.json` because the run takes over a
@@ -32,7 +36,7 @@ import pytest
 from proofseq import mus, pipeline
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
-from proofseq.oracle import Oracle
+from proofseq.oracle import GrowSession, Oracle
 from proofseq.proofcore import parse_drcp
 from proofseq.prover import solve_with_proof
 
@@ -95,6 +99,50 @@ def test_extract_mus_indices_global_query(benchmark, global_query):
     soft, hard, weights, start, vars_ = global_query
     got = benchmark(lambda: mus.extract_mus_indices(soft, hard, Oracle(vars_), weights, start))
     assert got
+
+
+@pytest.fixture(scope="module")
+def grow_query():
+    """(soft, hard, weights, start, vars) of the minglob query on sudoku4
+    seeds 1-3 with the most grow probes (the first one among equals)."""
+    best, probes = (-1, None), [0]
+    extract, probe = pipeline.extract_mus_indices, GrowSession.probe
+
+    def counted(session, i, budget=None):
+        probes[0] += 1
+        return probe(session, i, budget)
+
+    def record(soft, hard, oracle, weights=None, start=None):
+        nonlocal best
+        before = probes[0]
+        got = extract(soft, hard, oracle, weights, start)
+        if probes[0] - before > best[0]:
+            best = (probes[0] - before, (tuple(soft), tuple(hard), weights, start, oracle.vars))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "extract_mus_indices", record)
+        mp.setattr(GrowSession, "probe", counted)
+        for seed in (1, 2, 3):
+            model = generate_instance("sudoku4", seed)
+            solver = flatten(model)
+            proof = parse_drcp(solve_with_proof(solver)[1], solver)
+            pipeline.run_pipeline(model, proof, "minglob", solver)
+    assert best[0] == 93
+    return best[1]
+
+
+def test_extract_mus_indices_grow_rounds(benchmark, grow_query):
+    """The smallest-weighted extraction whose time goes mostly to grow rounds."""
+    soft, hard, weights, start, vars_ = grow_query
+    oracles = []
+
+    def run():
+        oracles.append(Oracle(vars_))
+        return mus.extract_mus_indices(soft, hard, oracles[-1], weights, start)
+
+    assert benchmark(run) == (13,)
+    assert oracles[-1].calls == 102
 
 
 @pytest.fixture(scope="module")

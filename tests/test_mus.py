@@ -13,7 +13,7 @@ from proofseq.model import (
     parse_model,
 )
 from proofseq.mus import extract_mus_indices
-from proofseq.oracle import Oracle
+from proofseq.oracle import GrowSession, Oracle
 
 from helpers import brute_mus_family, extract_mus, verify_mus
 from test_model import JOBSHOP_MOD
@@ -121,17 +121,16 @@ def test_grow_probe_out_of_budget_is_no_error(monkeypatch):
     weights = (1, 2, 3, 1)
     oracle = Oracle(doms)
     outcomes = []
-    orig = Oracle.solve
+    orig = GrowSession.probe
 
-    def solve(self, hard=(), budget=None):
-        res = orig(self, hard, budget)
-        if budget is not None:
-            outcomes.append(type(res).__name__)
+    def probe(self, i, budget=None):
+        res = orig(self, i, budget)
+        outcomes.append(type(res).__name__)
         return res
 
     # with no conflicts allowed, both grow probes after hitting set {3}
     # run out; each is still counted, and the answer is as with budget
-    monkeypatch.setattr(Oracle, "solve", solve)
+    monkeypatch.setattr(GrowSession, "probe", probe)
     monkeypatch.setattr(mus, "GROW_BUDGET", 0)
     assert extract_mus_indices(soft, (), oracle, weights) == (1, 3)
     assert outcomes == ["BudgetExceeded", "BudgetExceeded"]
