@@ -19,7 +19,7 @@ when it is satisfiable.
   and a proper one would be a lighter hitting set. So h is returned as it
   is.
 
-Three things keep the weighted search cheap without changing its answer:
+Five things keep the weighted search cheap without changing its answer:
 
 * seed: a deletion pass over `start` gives the first incumbent, and each of
   its satisfiable probes a correction set. A small `start` (a proof step's
@@ -30,7 +30,20 @@ Three things keep the weighted search cheap without changing its answer:
 * grow budget: growing a model's satisfied set to a maximal one probes each
   left-out member with at most GROW_BUDGET conflicts. A probe that runs out
   leaves its member out: the complement of any satisfiable subset is a
-  correction set, just not always a minimal one.
+  correction set, just not always a minimal one;
+* grow order: a round probes the left-out members lightest first (facts
+  before user constraints under global minimization's weights), so the
+  correction set collects heavy members and the bound climbs sooner;
+* early exit: a round keeps a witness, a hitting set lighter than the
+  incumbent of the family plus the round's correction set so far, found
+  with `_min_hitting_set` in its feasibility form. A Sat probe that moves
+  every witness member into the satisfied set looks for a new one; when
+  none is left, the incumbent is returned at once. This is exact: the
+  correction set only shrinks as the round goes on, so any hitting set of
+  the family with the round's final correction set hits the current one
+  too, and the full round would have ended the search with the same
+  incumbent. An exit returns before appending, so MAX_CORRECTION_SETS
+  counts only the correction sets actually added to the family.
 
 The grow probes of a query share one `GrowSession` (see `oracle`), built at
 its first grow round: each round keeps the satisfied set at the root, and
@@ -105,6 +118,8 @@ def _deletion_mus(soft, hard, oracle, start: Sequence[int],
 
 def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) -> tuple[int, ...]:
     n = len(soft)
+    everything = frozenset(range(n))
+    grow_order = sorted(range(n), key=weights.__getitem__)
     correction_sets: list[frozenset[int]] = []
     grow: Optional[GrowSession] = None  # built at the first grow round
 
@@ -113,6 +128,14 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) 
     best_known = _deletion_mus(soft, hard, oracle, start, correction_sets)
     ub = sum(weights[i] for i in best_known)
     lb = 0
+
+    def lighter(sat) -> Optional[frozenset[int]]:
+        """A hitting set lighter than ub of the family and the complement
+        of sat, or None."""
+        cs = everything - sat
+        if not cs:
+            raise AssertionError("model satisfies all soft constraints of an unsat query")
+        return _min_hitting_set(correction_sets + [cs], weights, cap=ub, floor=ub - 1)
 
     while True:
         h = _min_hitting_set(correction_sets, weights, cap=ub, floor=lb)
@@ -124,14 +147,18 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) 
             # no hitting set is lighter than h, so h is a MUS (see the
             # module docstring)
             return tuple(sorted(h))
-        # grow the satisfied set: the smaller the complement, the faster the
-        # bound tightens; a probe that is unsat or runs out of its budget
-        # leaves its member out
+        # grow the satisfied set, lightest candidates first: the smaller the
+        # complement, the faster the bound tightens; a probe that is unsat or
+        # runs out of its budget leaves its member out. The witness hits the
+        # complement so far; once none is left, the incumbent is optimal
         sat = _satisfied(soft, model, h)
+        witness = lighter(sat)
+        if witness is None:
+            return best_known
         if grow is None:
             grow = GrowSession(oracle, hard, soft)
         grow.keep(sat)
-        for i in range(n):
+        for i in grow_order:
             if i in sat:
                 continue
             # the answer of oracle.solve(hard + [soft[j] for j in sorted(sat | {i})],
@@ -140,11 +167,12 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) 
             if isinstance(res, Sat):
                 sat = _satisfied(soft, res.assignment, sat | {i})
                 grow.keep(sat)
+                if witness <= sat:
+                    witness = lighter(sat)
+                    if witness is None:
+                        return best_known
         grow.clear()
-        cs = frozenset(range(n)) - sat
-        if not cs:
-            raise AssertionError("model satisfies all soft constraints of an unsat query")
-        correction_sets.append(cs)
+        correction_sets.append(everything - sat)
         if len(correction_sets) > MAX_CORRECTION_SETS:
             raise BudgetExceededError(
                 f"more than {MAX_CORRECTION_SETS} correction sets accumulated")
@@ -166,12 +194,14 @@ def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],
 
     floor must be a lower bound on the optimum (the optimum of a subfamily
     of sets will do): the search stops at the first solution that weighs no
-    more, which is the one the full search would keep. The lower bound at a
-    node packs disjoint uncovered sets, heaviest lightest member first and
-    then fewest members, and adds up their lightest members. Any valid bound
-    keeps the answer: pruning only cuts subtrees with no solution lighter
-    than the incumbent, so the solutions that improve on it come in the same
-    order."""
+    more, which is the one the full search would keep. With integer
+    weights, floor >= cap - 1 gives the feasibility form: the first hitting
+    set found that is lighter than cap, or None when there is none. The
+    lower bound at a node packs disjoint uncovered sets, heaviest lightest
+    member first and then fewest members, and adds up their lightest
+    members. Any valid bound keeps the answer: pruning only cuts subtrees
+    with no solution lighter than the incumbent, so the solutions that
+    improve on it come in the same order."""
     best: Optional[frozenset[int]] = None
     best_w = cap
     # per set, once: (-its lightest member's weight, size, index in sets,
@@ -186,7 +216,8 @@ def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],
         if not uncovered:
             if w < best_w:
                 best, best_w = frozenset(chosen), w
-            return best_w <= floor
+                return w <= floor
+            return False
         bound, used = w, 0
         for neg_min, _, _, mask, _ in uncovered:
             if not mask & used:

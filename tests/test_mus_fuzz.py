@@ -13,7 +13,9 @@ grow probes allowed no conflicts at all.
 
 The branch and bound over hitting sets is checked on its own against brute
 force, and stopped at the previous optimum of a growing family it must
-return the very set the unbounded search returns.
+return the very set the unbounded search returns. In its feasibility form
+(floor at least cap - 1), the form the grow rounds' early exit uses, it must
+return a hitting set lighter than cap exactly when brute force finds one.
 """
 
 import itertools
@@ -107,3 +109,20 @@ def test_floor_at_the_previous_optimum_changes_no_hitting_set(case):
             break  # no hitting set is lighter than the cap, nor for any larger family
         assert all(full & s for s in family) and sum(weights[i] for i in full) == best
         floor = best
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 3), min_size=n, max_size=n),
+    st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=10),
+    st.integers(0, 12), st.integers(0, 2))))
+def test_floor_at_the_cap_finds_a_lighter_hitting_set_exactly_when_one_exists(case):
+    weights, sets, cap, above = case
+    subsets = [frozenset(c) for r in range(len(weights) + 1)
+               for c in itertools.combinations(range(len(weights)), r)]
+    lighter = [h for h in subsets
+               if all(h & s for s in sets) and sum(weights[i] for i in h) < cap]
+    got = _min_hitting_set(sets, weights, cap, floor=cap - 1 + above)
+    assert (got is not None) == bool(lighter)
+    if got is not None:
+        assert all(got & s for s in sets) and sum(weights[i] for i in got) < cap
