@@ -148,9 +148,22 @@ subtracting each fixed term from the right-hand side as it goes, and returns
 at the second unfixed term it meets; the sum it acts on is the one a full
 pass would give.
 
-Search picks the first unfixed slot. It looks from the current level's
-decision slot, as every slot before it was fixed when that decision was
-made and stays fixed on that level.
+Search decides the first unfixed slot, `slot == lb`, on a level of its own,
+and `level_slot` holds the slot of each level. It looks on from the current
+level's slot, as every slot up to it was fixed when that level was pushed
+and stays fixed on that level. A slot that no idle propagator watches (each
+watcher asleep or off) gets an empty level: the level is pushed, with its
+slot, but no trail entry, and the search looks on. Deciding it would queue
+nothing, and this is exact. While the decision would stand, none of the
+slot's watchers can run: each is off or sleeps on an earlier entry. A
+nogood learned meanwhile watches the slot only for an earlier entry on it,
+whose negation stays false either way. So no propagation, conflict cut or
+nogood could tell the decision from its absence. A Sat result reads the
+slot's `lb`, the value the decision would have set. One level per skipped
+slot keeps every entry's level, and so conflict levels, 1UIP cuts and
+backjumps, as they were; the trail is the one that deciding every slot
+gives, without the skipped decisions. A backjump to an empty level may
+still propagate onto it.
 
 Conflict analysis expands, while more than one conflict entry is at the
 conflict level (at the root: while any entry has a reason), the latest such
@@ -257,6 +270,7 @@ class Engine:
         self.t_effects: list[list[tuple]] = []
         self.level = 0
         self.level_start: list[int] = [0]
+        self.level_slot: list[int] = [-1]  # the slot decided at each level
 
         self.props: list[tuple] = []  # (propagator function, its key, its arguments...)
         self.prop_slots: list[tuple[int, ...]] = []  # the slots each propagator watches
@@ -507,12 +521,12 @@ class Engine:
 
     def backtrack_to(self, level: int):
         self._undo_to(self.level_start[level + 1])
-        del self.level_start[level + 1:]
+        del self.level_start[level + 1:], self.level_slot[level + 1:]
         self.level = level
 
     def undo_root(self, mark: int):
         """Back to the root, then pop root entries until `mark` are left."""
-        del self.level_start[1:]
+        del self.level_start[1:], self.level_slot[1:]
         self.level = 0
         self._undo_to(mark)
 
@@ -836,15 +850,24 @@ class Engine:
                                     conflicts=self.conflicts)
             self.level += 1
             self.level_start.append(len(self.t_atom))
+            self.level_slot.append(vi)
             self.apply((vi, "==", self.lb[vi]), None)
 
     def _pick_var(self) -> Optional[int]:
-        # every slot before the current level's decision was fixed when it was made
-        lb, ub = self.lb, self.ub
-        start = self.t_atom[self.level_start[self.level]][0] if self.level else 0
-        for s in range(start, len(lb)):
+        """The first unfixed slot that an idle propagator watches, after
+        pushing an empty level for each unfixed slot before it (see the
+        module docstring); None when every slot is fixed or skipped."""
+        # every slot up to the current level's decision was fixed when it was made
+        lb, ub, watch, in_queue = self.lb, self.ub, self.watch, self.in_queue
+        for s in range(self.level_slot[self.level] + 1, len(lb)):
             if lb[s] != ub[s]:
-                return s
+                for idx in watch[s]:
+                    if not in_queue[idx]:
+                        return s
+                # deciding s would queue nothing
+                self.level += 1
+                self.level_start.append(len(self.t_atom))
+                self.level_slot.append(s)
         return None
 
 

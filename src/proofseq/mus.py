@@ -1,7 +1,7 @@
 """Minimal unsatisfiable subsets over soft constraints with fixed hard constraints.
 
 One entry point, `extract_mus_indices(soft, hard, oracle, weights=None,
-start=None)`, over plain expressions. `start` names the soft members already
+start=None, models=None)`, over plain expressions. `start` names the soft members already
 known to be unsat with the hard constraints (all of them by default); the one
 up-front satisfiability probe runs over `start`, and SatInputError is raised
 when it is satisfiable.
@@ -19,7 +19,8 @@ when it is satisfiable.
   and a proper one would be a lighter hitting set. So h is returned as it
   is.
 
-Five things keep the weighted search cheap without changing its answer:
+Six things keep the weighted search cheap. The first five never change its
+answer; the last keeps its weight:
 
 * seed: a deletion pass over `start` gives the first incumbent, and each of
   its satisfiable probes a correction set. A small `start` (a proof step's
@@ -43,7 +44,17 @@ Five things keep the weighted search cheap without changing its answer:
   the family with the round's final correction set hits the current one
   too, and the full round would have ended the search with the same
   incumbent. An exit returns before appending, so MAX_CORRECTION_SETS
-  counts only the correction sets actually added to the family.
+  counts only the correction sets actually added to the family;
+* kept models: the queries of one pass (a global minimization) share a
+  list of the Sat models they got back, from deletion trials, hitting-set
+  checks and grow probes, in the order they came (the incremental OCUS of
+  Gamba et al., JAIR 2023). After its seed, a query adds the correction set
+  of each earlier model that satisfies hard: the members the model
+  violates, as those it satisfies are satisfiable with hard, so the set is
+  valid by evaluation. A set the family holds already is skipped. The
+  incumbent is still returned exactly when no hitting set is lighter, so
+  only which of several lighter MUSes of the least weight comes back can
+  change.
 
 The grow probes of a query share one `GrowSession` (see `oracle`), built at
 its first grow round: each round keeps the satisfied set at the root, and
@@ -75,12 +86,16 @@ GROW_BUDGET = 50
 
 def extract_mus_indices(soft: Sequence[Expr], hard: Sequence[Expr], oracle: Oracle,
                         weights: Optional[Sequence[int]] = None,
-                        start: Optional[Sequence[int]] = None) -> tuple[int, ...]:
-    """Indices (in soft order) of one MUS; deterministic for a fixed query.
+                        start: Optional[Sequence[int]] = None,
+                        models: Optional[list[dict]] = None) -> tuple[int, ...]:
+    """Indices (in soft order) of one MUS; deterministic for a fixed query
+    and models.
 
     Without weights the MUS is a subset-minimal subset of start; with weights,
     each at least 1, it is one of least total weight over all of soft. start
-    (default: every index) must be unsat with hard."""
+    (default: every index) must be unsat with hard. With weights, models
+    (Sat assignments of `oracle` that earlier queries returned) seed
+    correction sets, and the query appends its own Sat assignments to it."""
     soft, hard = list(soft), list(hard)
     if weights is not None:
         if len(weights) != len(soft):
@@ -94,15 +109,18 @@ def extract_mus_indices(soft: Sequence[Expr], hard: Sequence[Expr], oracle: Orac
         raise SatInputError("soft + hard constraints are satisfiable; no MUS exists")
     if weights is None:
         return _deletion_mus(soft, hard, oracle, start)
-    return _smallest_mus(soft, hard, list(weights), oracle, start)
+    return _smallest_mus(soft, hard, list(weights), oracle, start,
+                         [] if models is None else models)
 
 
 def _deletion_mus(soft, hard, oracle, start: Sequence[int],
-                  correction_sets: Optional[list] = None) -> tuple[int, ...]:
+                  correction_sets: Optional[list] = None,
+                  models: Optional[list] = None) -> tuple[int, ...]:
     """Drop the members of start in reverse order while the rest stays unsat.
 
-    When correction_sets is given, every satisfiable probe appends the set of
-    soft members its model violates.
+    When correction_sets is given, so must models be: every satisfiable
+    probe appends the set of soft members its model violates to the one,
+    and its model to the other.
     """
     keep = list(start)
     for i in reversed(list(start)):
@@ -111,21 +129,26 @@ def _deletion_mus(soft, hard, oracle, start: Sequence[int],
         if model is None:
             keep = trial
         elif correction_sets is not None:
+            models.append(model)
             sat = _satisfied(soft, model, set(trial))
             correction_sets.append(frozenset(range(len(soft))) - sat)
     return tuple(keep)
 
 
-def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) -> tuple[int, ...]:
+def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int],
+                  models: list[dict]) -> tuple[int, ...]:
     n = len(soft)
     everything = frozenset(range(n))
     grow_order = sorted(range(n), key=weights.__getitem__)
     correction_sets: list[frozenset[int]] = []
     grow: Optional[GrowSession] = None  # built at the first grow round
+    earlier = models[:]
 
     # seed with a deletion pass: its result is an upper bound and every
-    # satisfiable probe along the way donates a correction set
-    best_known = _deletion_mus(soft, hard, oracle, start, correction_sets)
+    # satisfiable probe along the way donates a correction set; then so
+    # does every model of an earlier query that satisfies hard
+    best_known = _deletion_mus(soft, hard, oracle, start, correction_sets, models)
+    correction_sets += _model_correction_sets(soft, hard, earlier, correction_sets)
     ub = sum(weights[i] for i in best_known)
     lb = 0
 
@@ -147,6 +170,7 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) 
             # no hitting set is lighter than h, so h is a MUS (see the
             # module docstring)
             return tuple(sorted(h))
+        models.append(model)
         # grow the satisfied set, lightest candidates first: the smaller the
         # complement, the faster the bound tightens; a probe that is unsat or
         # runs out of its budget leaves its member out. The witness hits the
@@ -165,6 +189,7 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) 
             # budget=GROW_BUDGET), from the kept root
             res = grow.probe(i, GROW_BUDGET)
             if isinstance(res, Sat):
+                models.append(res.assignment)
                 sat = _satisfied(soft, res.assignment, sat | {i})
                 grow.keep(sat)
                 if witness <= sat:
@@ -176,6 +201,21 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int]) 
         if len(correction_sets) > MAX_CORRECTION_SETS:
             raise BudgetExceededError(
                 f"more than {MAX_CORRECTION_SETS} correction sets accumulated")
+
+
+def _model_correction_sets(soft, hard, models, family) -> list[frozenset[int]]:
+    """The correction set of each model that satisfies hard, in order, but
+    for those already in family or listed before: the soft members the
+    model violates, since the ones it satisfies are satisfiable with hard."""
+    everything = frozenset(range(len(soft)))
+    seen, out = set(family), []
+    for model in models:
+        if all(eval_expr(c, model) for c in hard):
+            cs = everything - _satisfied(soft, model, ())
+            if cs not in seen:
+                seen.add(cs)
+                out.append(cs)
+    return out
 
 
 def _satisfied(soft, model, known) -> set[int]:

@@ -24,6 +24,13 @@ leading "proof" entry (the parsed proof's size, 0.0 ms) and the final
 every stage that ran is followed by `check_proof` of its output against the
 row's model: the solver model after no_aux, the user model after the others.
 The checks use the run's budget. A skipped min2 is not re-checked.
+
+Each minimization pass carries what its queries learned to later queries
+(see `minimize_reasons`): a global pass keeps the Sat models its queries
+return, which seed the correction sets of its later queries, and
+`run_pipeline` keeps one memory of proved MUSes for both of its
+minimization stages, so that a local query over a MUS that an earlier query
+returned keeps its reasons without an oracle call.
 """
 
 from __future__ import annotations
@@ -188,7 +195,7 @@ def lift_to_user_level(p: AbstractProof, solver_model: SolverModel) -> AbstractP
 
 
 def minimize_reasons(p: AbstractProof, mode: str, user_model: UserModel,
-                     oracle: Oracle) -> AbstractProof:
+                     oracle: Oracle, proved: Optional[set] = None) -> AbstractProof:
     """Back-to-front pass: drop steps whose derivation is no longer required,
     and replace each kept step's reasons by a minimal unsatisfiable subset of
     its candidate reasons against the negated derivation.
@@ -198,60 +205,86 @@ def minimize_reasons(p: AbstractProof, mode: str, user_model: UserModel,
     earlier; a smallest-MUS weighted to count user constraints first (weight
     F+1 for a user constraint, 1 for a derived fact, F = number of candidate
     facts) so steps cite as few user constraints as possible. The search is
-    seeded from the candidates equal to the step's own reasons.
+    seeded from the candidates equal to the step's own reasons, and from the
+    Sat models that the pass's earlier queries returned (see `mus`).
+
+    proved remembers, as (canonical_key(hard), frozenset of the members'
+    keys), every MUS a query returns: a deletion result is one, since each
+    of its trials was Sat, and so is a global result. The pass adds its own
+    and reads them, in local mode: a query whose candidates are a known MUS
+    keeps them all without an oracle call, which is what its up-front probe
+    and deletion pass would return. `run_pipeline` shares one set between
+    its two minimization stages. Every candidate's key is computed once per
+    pass.
     """
     if mode not in (LOCAL, GLOBAL):
         raise ValueError(f"unknown minimization mode {mode!r}")
     if not p.is_refutation():
         raise ProofShapeError("reason minimization needs a refutation")
+    if proved is None:
+        proved = set()
+    user = [(c.id, c.expr, canonical_key(c.expr)) for c in user_model.constraints]
+    user_key = {cid: key for cid, _, key in user}
+    derived_key = [canonical_key(s.derived) for s in p.steps]
+
+    def key_of(ref: ReasonRef):
+        return user_key[ref] if isinstance(ref, str) else derived_key[ref - 1]
+
+    models: list = []  # the Sat models of the pass's queries (global mode only)
     req = {canonical_key(FALSE)}
     kept_rev: list[tuple[int, ProofStep]] = []
     for i in range(len(p.steps), 0, -1):
         step = p.steps[i - 1]
-        if canonical_key(step.derived) not in req:
+        if derived_key[i - 1] not in req:
             continue
-        cand = _candidates(p, i, step, mode, user_model)
+        cand = _candidates(p, i, mode, user_model, user, key_of)
         hard = negate_expr(step.derived)
-        soft = tuple(expr for _, expr in cand)
-        weights = start = None
-        if mode == GLOBAL:
-            nfacts = sum(1 for ref, _ in cand if isinstance(ref, int))
-            weights = tuple(1 if isinstance(ref, int) else nfacts + 1 for ref, _ in cand)
-            # the step's own reasons are already unsat with its negation
-            own = {canonical_key(p.resolve(r, user_model)) for r in step.reasons}
-            start = [k for k, (_, expr) in enumerate(cand) if canonical_key(expr) in own]
-        try:
-            chosen = extract_mus_indices(soft, (hard,), oracle, weights, start)
-        except SatInputError:
-            raise SatInputError(f"step {i} is not implied by its reasons") from None
-        reasons = tuple(cand[k][0] for k in chosen)
-        req.update(canonical_key(cand[k][1]) for k in chosen)
-        kept_rev.append((i, ProofStep(step.derived, reasons)))
+        hard_key = canonical_key(hard)
+        if mode == LOCAL and (hard_key, frozenset(k for _, _, k in cand)) in proved:
+            chosen = tuple(range(len(cand)))
+        else:
+            soft = tuple(expr for _, expr, _ in cand)
+            weights = start = None
+            if mode == GLOBAL:
+                nfacts = sum(1 for ref, _, _ in cand if isinstance(ref, int))
+                weights = tuple(1 if isinstance(ref, int) else nfacts + 1 for ref, _, _ in cand)
+                # the step's own reasons are already unsat with its negation
+                own = {key_of(r) for r in step.reasons}
+                start = [k for k, (_, _, key) in enumerate(cand) if key in own]
+            try:
+                chosen = extract_mus_indices(soft, (hard,), oracle, weights, start, models=models)
+            except SatInputError:
+                raise SatInputError(f"step {i} is not implied by its reasons") from None
+        keys = frozenset(cand[k][2] for k in chosen)
+        proved.add((hard_key, keys))
+        req.update(keys)
+        kept_rev.append((i, ProofStep(step.derived, tuple(cand[k][0] for k in chosen))))
     # duplicate derivations can leave a kept step unreferenced (the candidate
     # table points every reason at the earliest deriver); a final reachability
     # pass restores the trimmed-proof property without changing anything else
     return trim(renumber(kept_rev[::-1]))
 
 
-def _candidates(p: AbstractProof, i: int, step: ProofStep, mode: str,
-                user_model: UserModel) -> list[tuple[ReasonRef, Expr]]:
+def _candidates(p: AbstractProof, i: int, mode: str, user_model: UserModel,
+                user: list[tuple], key_of: Callable) -> list[tuple[ReasonRef, Expr, object]]:
+    """(reason, expression, canonical key) of each candidate of step i;
+    user holds the (id, expression, key) of every user constraint."""
+    out: dict = {}
     if mode == LOCAL:
-        out: dict = {}
-        for ref in step.reasons:
-            expr = p.resolve(ref, user_model)
-            out.setdefault(canonical_key(expr), (ref, expr))
+        for ref in p.steps[i - 1].reasons:
+            key = key_of(ref)
+            if key not in out:
+                out[key] = (ref, p.resolve(ref, user_model), key)
         return list(out.values())
     # global: every user constraint, then every earlier derivation; when the
     # same constraint exists both ways the derived-fact identity wins (it is
     # the cheaper reason under the stepsize objective)
-    out = {}
-    for c in user_model.constraints:
-        out[canonical_key(c.expr)] = (c.id, c.expr)
+    for cid, expr, key in user:
+        out[key] = (cid, expr, key)
     for j in range(1, i):
-        d = p.steps[j - 1].derived
-        key = canonical_key(d)
+        key = key_of(j)
         if key not in out or isinstance(out[key][0], str):
-            out[key] = (j, d)
+            out[key] = (j, p.steps[j - 1].derived, key)
     return list(out.values())
 
 
@@ -332,11 +365,12 @@ def run_pipeline(user_model: UserModel, proof: AbstractProof, variant_name: str,
     """
     var = variant(variant_name)
     oracle = Oracle(user_model.vars, budget=budget)
+    proved: set = set()  # the MUSes both minimization stages proved
 
     def minimize(mode: Optional[str]):
         if mode is None:
             return None
-        return lambda q: minimize_reasons(q, mode, user_model, oracle)
+        return lambda q: minimize_reasons(q, mode, user_model, oracle, proved)
 
     # (name, stage or None when the variant skips it, model to check against)
     table = (

@@ -122,10 +122,10 @@ def minglob_oracle_calls():
         results.append(solve(oracle, hard, budget))
         return results[-1]
 
-    def first_query(soft, hard, oracle, weights=None, start=None):
+    def first_query(soft, hard, oracle, weights=None, start=None, models=None):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Oracle, "solve", record)
-            mus.extract_mus_indices(soft, hard, oracle, weights, start)
+            mus.extract_mus_indices(soft, hard, oracle, weights, start, models=models)
         raise _FirstQueryDone(oracle.vars)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -17,7 +17,9 @@ proven optimal, it made the most grow probes of any `minglob` query on
 sudoku4 seeds 1-3 (93 of its 102 oracle calls); it is kept so that the
 benchmark times the same query. It now makes 5 grow probes and 8 oracle
 calls in all, as a witness check (`_min_hitting_set` over the family and
-the round's correction set so far) ends its one grow round early.
+the round's correction set so far) ends its one grow round early. Both
+queries are replayed alone, without the Sat models of the pass's earlier
+queries that the pipeline seeds them with.
 
 The sudoku9 families load the hitting set: they are every `_min_hitting_set`
 call that `trim+minglob` makes on sudoku9 seed 1, recorded once in
@@ -53,18 +55,20 @@ class _Recorded(Exception):
 
 def _minglob_query(seed: int, k: int):
     """(soft, hard, weights, start, vars) of query k (from 0) that the minglob
-    variant sends to extract_mus_indices on sudoku4 seed `seed`."""
+    variant sends to extract_mus_indices on sudoku4 seed `seed`. The Sat
+    models of the earlier queries, which the pipeline also passes, are left
+    out: a replay answers the query alone."""
     model = generate_instance("sudoku4", seed)
     solver = flatten(model)
     proof = parse_drcp(solve_with_proof(solver)[1], solver)
     queries = []
     extract = pipeline.extract_mus_indices
 
-    def record(soft, hard, oracle, weights=None, start=None):
+    def record(soft, hard, oracle, weights=None, start=None, models=None):
         queries.append((tuple(soft), tuple(hard), weights, start, oracle.vars))
         if len(queries) > k:
             raise _Recorded
-        return extract(soft, hard, oracle, weights, start)
+        return extract(soft, hard, oracle, weights, start, models=models)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "extract_mus_indices", record)

@@ -39,25 +39,25 @@ STAGES = ("proof", "no_aux", "user_cons", "min1", "domain_red", "min2", "merged"
 PINNED = (
     ("sudoku4", 1, "trim", 5, 3, 0, (9, 9, 9, 9, 5, 5, 5)),
     ("sudoku4", 1, "trim+minloc", 5, 2, 16, (9, 9, 9, 9, 5, 5, 5)),
-    ("sudoku4", 1, "trim+minglob", 5, 2, 109, (9, 9, 9, 9, 5, 5, 5)),
+    ("sudoku4", 1, "trim+minglob", 5, 2, 105, (9, 9, 9, 9, 5, 5, 5)),
     ("sudoku4", 1, "minloc", 5, 3, 25, (9, 9, 9, 9, 5, 5, 5)),
-    ("sudoku4", 1, "minglob", 5, 3, 32, (9, 9, 9, 9, 5, 5, 5)),
-    ("sudoku4", 1, "minloc+minloc", 5, 2, 41, (9, 9, 9, 9, 5, 5, 5)),
-    ("sudoku4", 1, "minglob+minloc", 5, 2, 48, (9, 9, 9, 9, 5, 5, 5)),
+    ("sudoku4", 1, "minglob", 5, 3, 25, (9, 9, 9, 9, 5, 5, 5)),
+    ("sudoku4", 1, "minloc+minloc", 5, 2, 33, (9, 9, 9, 9, 5, 5, 5)),
+    ("sudoku4", 1, "minglob+minloc", 5, 2, 33, (9, 9, 9, 9, 5, 5, 5)),
     ("sudoku4", 2, "trim", 5, 2, 0, (9, 9, 9, 9, 5, 5, 5)),
     ("sudoku4", 2, "trim+minloc", 5, 2, 15, (9, 9, 9, 9, 5, 5, 5)),
-    ("sudoku4", 2, "trim+minglob", 5, 2, 103, (9, 9, 9, 9, 5, 5, 5)),
+    ("sudoku4", 2, "trim+minglob", 5, 2, 97, (9, 9, 9, 9, 5, 5, 5)),
     ("sudoku4", 2, "minloc", 5, 2, 25, (9, 9, 9, 9, 5, 5, 5)),
-    ("sudoku4", 2, "minglob", 5, 2, 34, (9, 9, 9, 9, 5, 5, 5)),
-    ("sudoku4", 2, "minloc+minloc", 5, 2, 40, (9, 9, 9, 9, 5, 5, 5)),
-    ("sudoku4", 2, "minglob+minloc", 5, 2, 49, (9, 9, 9, 9, 5, 5, 5)),
+    ("sudoku4", 2, "minglob", 5, 2, 25, (9, 9, 9, 9, 5, 5, 5)),
+    ("sudoku4", 2, "minloc+minloc", 5, 2, 32, (9, 9, 9, 9, 5, 5, 5)),
+    ("sudoku4", 2, "minglob+minloc", 5, 2, 32, (9, 9, 9, 9, 5, 5, 5)),
     ("sudoku4", 3, "trim", 8, 5, 0, (21, 21, 21, 21, 8, 8, 8)),
     ("sudoku4", 3, "trim+minloc", 6, 4, 23, (21, 21, 21, 21, 8, 6, 6)),
-    ("sudoku4", 3, "trim+minglob", 7, 3, 197, (21, 21, 21, 21, 8, 7, 7)),
+    ("sudoku4", 3, "trim+minglob", 7, 3, 183, (21, 21, 21, 21, 8, 7, 7)),
     ("sudoku4", 3, "minloc", 8, 5, 61, (21, 21, 21, 21, 8, 8, 8)),
-    ("sudoku4", 3, "minglob", 8, 5, 107, (21, 21, 21, 21, 8, 8, 8)),
-    ("sudoku4", 3, "minloc+minloc", 6, 4, 84, (21, 21, 21, 21, 8, 6, 6)),
-    ("sudoku4", 3, "minglob+minloc", 6, 4, 130, (21, 21, 21, 21, 8, 6, 6)),
+    ("sudoku4", 3, "minglob", 8, 5, 61, (21, 21, 21, 21, 8, 8, 8)),
+    ("sudoku4", 3, "minloc+minloc", 6, 4, 74, (21, 21, 21, 21, 8, 6, 6)),
+    ("sudoku4", 3, "minglob+minloc", 6, 4, 74, (21, 21, 21, 21, 8, 6, 6)),
     ("jobshop", 1, "trim", 3, 1, 0, (5, 3, 3, 3, 3, 3, 3)),
     ("jobshop", 1, "trim+minloc", 3, 1, 8, (5, 3, 3, 3, 3, 3, 3)),
     ("jobshop", 1, "trim+minglob", 3, 1, 15, (5, 3, 3, 3, 3, 3, 3)),
@@ -70,36 +70,36 @@ PINNED = (
     ("jobshop", 2, "trim+minglob", 2, 3, 19, (9, 3, 3, 3, 3, 2, 2)),
     ("jobshop", 2, "minloc", 2, 3, 8, (9, 3, 3, 2, 2, 2, 2)),
     ("jobshop", 2, "minglob", 2, 3, 19, (9, 3, 3, 2, 2, 2, 2)),
-    ("jobshop", 2, "minloc+minloc", 2, 3, 15, (9, 3, 3, 2, 2, 2, 2)),
-    ("jobshop", 2, "minglob+minloc", 2, 3, 26, (9, 3, 3, 2, 2, 2, 2)),
+    ("jobshop", 2, "minloc+minloc", 2, 3, 8, (9, 3, 3, 2, 2, 2, 2)),
+    ("jobshop", 2, "minglob+minloc", 2, 3, 19, (9, 3, 3, 2, 2, 2, 2)),
     ("jobshop", 3, "trim", 4, 2, 0, (8, 4, 4, 4, 4, 4, 4)),
     ("jobshop", 3, "trim+minloc", 3, 2, 10, (8, 4, 4, 4, 4, 3, 3)),
-    ("jobshop", 3, "trim+minglob", 3, 2, 21, (8, 4, 4, 4, 4, 3, 3)),
+    ("jobshop", 3, "trim+minglob", 3, 2, 20, (8, 4, 4, 4, 4, 3, 3)),
     ("jobshop", 3, "minloc", 3, 2, 10, (8, 4, 4, 3, 3, 3, 3)),
-    ("jobshop", 3, "minglob", 3, 2, 21, (8, 4, 4, 3, 3, 3, 3)),
-    ("jobshop", 3, "minloc+minloc", 3, 2, 19, (8, 4, 4, 3, 3, 3, 3)),
-    ("jobshop", 3, "minglob+minloc", 3, 2, 30, (8, 4, 4, 3, 3, 3, 3)),
+    ("jobshop", 3, "minglob", 3, 2, 20, (8, 4, 4, 3, 3, 3, 3)),
+    ("jobshop", 3, "minloc+minloc", 3, 2, 10, (8, 4, 4, 3, 3, 3, 3)),
+    ("jobshop", 3, "minglob+minloc", 3, 2, 20, (8, 4, 4, 3, 3, 3, 3)),
     ("mutated", 1, "trim", 3, 1, 0, (4, 4, 4, 4, 3, 3, 3)),
     ("mutated", 1, "trim+minloc", 3, 1, 8, (4, 4, 4, 4, 3, 3, 3)),
-    ("mutated", 1, "trim+minglob", 3, 1, 13, (4, 4, 4, 4, 3, 3, 3)),
+    ("mutated", 1, "trim+minglob", 3, 1, 12, (4, 4, 4, 4, 3, 3, 3)),
     ("mutated", 1, "minloc", 3, 1, 10, (4, 4, 4, 4, 3, 3, 3)),
-    ("mutated", 1, "minglob", 3, 1, 11, (4, 4, 4, 4, 3, 3, 3)),
-    ("mutated", 1, "minloc+minloc", 3, 1, 18, (4, 4, 4, 4, 3, 3, 3)),
-    ("mutated", 1, "minglob+minloc", 3, 1, 19, (4, 4, 4, 4, 3, 3, 3)),
+    ("mutated", 1, "minglob", 3, 1, 10, (4, 4, 4, 4, 3, 3, 3)),
+    ("mutated", 1, "minloc+minloc", 3, 1, 14, (4, 4, 4, 4, 3, 3, 3)),
+    ("mutated", 1, "minglob+minloc", 3, 1, 14, (4, 4, 4, 4, 3, 3, 3)),
     ("mutated", 2, "trim", 3, 1, 0, (4, 4, 4, 4, 3, 3, 3)),
     ("mutated", 2, "trim+minloc", 3, 1, 8, (4, 4, 4, 4, 3, 3, 3)),
     ("mutated", 2, "trim+minglob", 3, 1, 9, (4, 4, 4, 4, 3, 3, 3)),
     ("mutated", 2, "minloc", 3, 1, 10, (4, 4, 4, 4, 3, 3, 3)),
     ("mutated", 2, "minglob", 3, 1, 10, (4, 4, 4, 4, 3, 3, 3)),
-    ("mutated", 2, "minloc+minloc", 3, 1, 18, (4, 4, 4, 4, 3, 3, 3)),
-    ("mutated", 2, "minglob+minloc", 3, 1, 18, (4, 4, 4, 4, 3, 3, 3)),
+    ("mutated", 2, "minloc+minloc", 3, 1, 16, (4, 4, 4, 4, 3, 3, 3)),
+    ("mutated", 2, "minglob+minloc", 3, 1, 16, (4, 4, 4, 4, 3, 3, 3)),
     ("mutated", 3, "trim", 3, 1, 0, (3, 3, 3, 3, 3, 3, 3)),
     ("mutated", 3, "trim+minloc", 3, 1, 7, (3, 3, 3, 3, 3, 3, 3)),
     ("mutated", 3, "trim+minglob", 3, 1, 7, (3, 3, 3, 3, 3, 3, 3)),
     ("mutated", 3, "minloc", 3, 1, 7, (3, 3, 3, 3, 3, 3, 3)),
     ("mutated", 3, "minglob", 3, 1, 7, (3, 3, 3, 3, 3, 3, 3)),
-    ("mutated", 3, "minloc+minloc", 3, 1, 14, (3, 3, 3, 3, 3, 3, 3)),
-    ("mutated", 3, "minglob+minloc", 3, 1, 14, (3, 3, 3, 3, 3, 3, 3)),
+    ("mutated", 3, "minloc+minloc", 3, 1, 7, (3, 3, 3, 3, 3, 3, 3)),
+    ("mutated", 3, "minglob+minloc", 3, 1, 7, (3, 3, 3, 3, 3, 3, 3)),
 )
 
 

@@ -415,7 +415,11 @@ def test_clause_look_order_does_not_change_the_answer():
             if eng.status(a) is None:
                 eng.level += 1
                 eng.level_start.append(len(eng.t_atom))
+                # `_pick_var` takes every slot up to a level's slot as fixed;
+                # an arbitrary atom fixes none, so the slot stays the one below
+                eng.level_slot.append(eng.level_slot[-1])
                 assert eng.apply(a, None) is None
+        assert len(eng.level_slot) == len(eng.level_start) == eng.level + 1
         # negated decisions are false, so units and conflicts are common
         false = [_negate_atom(a) for a in eng.t_atom]
         atoms = tuple(dict.fromkeys(

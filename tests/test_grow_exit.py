@@ -10,7 +10,8 @@ incumbent: both must return the very same MUS, and the early exit may only
 save oracle calls. Checked on random queries (those of `test_mus_fuzz`, and
 crowded ones with many MUSes, under both grow budgets, from every member and
 from a drawn unsat start) and on every global query of sudoku4, jobshop and
-mutated seeds 1-3. The queries of `test_mus_fuzz` alone rarely reach a grow
+mutated seeds 1-3, where both are seeded from the Sat models of the pass's
+earlier queries, as the pipeline seeds them. The queries of `test_mus_fuzz` alone rarely reach a grow
 round: an exit that returns the incumbent as soon as a witness dies, without
 looking for another one, passes on them but fails on the crowded ones and on
 the global queries.
@@ -28,6 +29,7 @@ from proofseq.model import AllDifferent, AtomicConstraint, Domain, Linear, VarId
 from proofseq.mus import (
     _deletion_mus,
     _min_hitting_set,
+    _model_correction_sets,
     _satisfied,
     _smallest_mus,
     extract_mus_indices,
@@ -40,11 +42,12 @@ from test_engine_fuzz import OPS
 from test_mus_fuzz import mus_queries
 
 
-def _full_grow_mus(soft, hard, weights, oracle, start):
+def _full_grow_mus(soft, hard, weights, oracle, start, models):
     n = len(soft)
     correction_sets = []
     grow = None
-    best_known = _deletion_mus(soft, hard, oracle, start, correction_sets)
+    best_known = _deletion_mus(soft, hard, oracle, start, correction_sets, [])
+    correction_sets += _model_correction_sets(soft, hard, models, correction_sets)
     ub = sum(weights[i] for i in best_known)
     lb = 0
     while True:
@@ -70,14 +73,14 @@ def _full_grow_mus(soft, hard, weights, oracle, start):
         correction_sets.append(frozenset(range(n)) - sat)
 
 
-def _compare(soft, hard, weights, vars_, start, budget=DEFAULT_BUDGET):
+def _compare(soft, hard, weights, vars_, start, budget=DEFAULT_BUDGET, models=()):
     """Answer and oracle calls of the search and of the reference, each on a
-    fresh oracle; the answer must match and the search may only save calls.
-    Returns the calls saved."""
+    fresh oracle and seeded from the same earlier models; the answer must
+    match and the search may only save calls. Returns the calls saved."""
     soft, hard, weights = list(soft), list(hard), list(weights)
     oracle, reference = Oracle(vars_, budget), Oracle(vars_, budget)
-    got = _smallest_mus(soft, hard, weights, oracle, start)
-    assert got == _full_grow_mus(soft, hard, weights, reference, start), (weights, start)
+    got = _smallest_mus(soft, hard, weights, oracle, start, list(models))
+    assert got == _full_grow_mus(soft, hard, weights, reference, start, models), (weights, start)
     assert oracle.calls <= reference.calls
     return reference.calls - oracle.calls
 
@@ -133,10 +136,10 @@ def test_random_queries_match_full_grow_rounds():
 def test_global_queries_match_full_grow_rounds():
     queries, saved = [0], [0]
 
-    def compared(soft, hard, weights, oracle, start):
+    def compared(soft, hard, weights, oracle, start, models):
         queries[0] += 1
-        saved[0] += _compare(soft, hard, weights, oracle.vars, start, oracle.budget)
-        return _smallest_mus(soft, hard, weights, oracle, start)
+        saved[0] += _compare(soft, hard, weights, oracle.vars, start, oracle.budget, models)
+        return _smallest_mus(soft, hard, weights, oracle, start, models)
 
     for suite in ("sudoku4", "jobshop", "mutated"):
         for seed in (1, 2, 3):
