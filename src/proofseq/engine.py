@@ -61,7 +61,11 @@ One function, `_compile`, lowers every expression; an atom compiles as a
 one-atom clause. A disjunction (nested ones spliced in) that is not a plain
 clause gets one selector slot per member and a cover clause; each member
 compiles under the guard `selector == 1`, where an atom or a clause gains
-the negated guard as a literal and a linear becomes half-reified.
+the negated guard as a literal and a linear becomes half-reified. `_compile`
+tests for a `Linear` first, since a decomposed alldifferent is nothing else,
+and `_compile_linear` computes the watched slots once (`tuple(set(...))`,
+the order `_register` gives) and installs its one or two propagators
+directly.
 
 Each registered propagator is a tuple whose first item is its plain
 `Engine._prop_*` function, called as `p[0](self, p)`. A bound method there
@@ -146,7 +150,16 @@ A linear `!=` (`_prop_linne`) can act only once at most one of its terms is
 unfixed, and most wake-ups find two. So it makes one pass over its terms,
 subtracting each fixed term from the right-hand side as it goes, and returns
 at the second unfixed term it meets; the sum it acts on is the one a full
-pass would give.
+pass would give. An unguarded two-term `!=`, `c1*x + c2*y != rhs`, which is
+what `decompose_alldiff` emits, takes a branch that reads each slot's bounds
+once. It is exact: with no guard the pass's guard tests all hold, and with
+two terms it has four cases, each answered as the pass answers it. Neither
+fixed: None. One fixed: SLEEP when the other's coefficient does not divide
+what is left, or its value is already removed; else that value is removed
+with the fixed slot's bound entries as premises. Both fixed at another sum:
+SLEEP. Both fixed at rhs: the pivot on the first term (`x != x's value`)
+from the second term's bound entries. `tests/test_engine_fuzz.py` checks it
+against a general-pass engine.
 
 Search decides the first unfixed slot, `slot == lb`, on a level of its own,
 and `level_slot` holds the slot of each level. It looks on from the current
@@ -361,11 +374,11 @@ class Engine:
 
     def _compile(self, cid: str, e: Expr, guard: Optional[Atom] = None):
         """Register e under cid; with a guard atom, register guard => e."""
-        if isinstance(e, (AtomicConstraint, Clause)):
+        if isinstance(e, Linear):  # first: a decomposed alldifferent is all linears
+            self._compile_linear(cid, e, guard)
+        elif isinstance(e, (AtomicConstraint, Clause)):
             atoms = tuple(map(self.atom_of, e.atoms if isinstance(e, Clause) else (e,)))
             self._add_clause(cid, atoms if guard is None else (_negate_atom(guard),) + atoms)
-        elif isinstance(e, Linear):
-            self._compile_linear(cid, e, guard)
         elif isinstance(e, Conjunction):
             for m in e.members:
                 self._compile(cid, m, guard)
@@ -392,13 +405,15 @@ class Engine:
         terms = tuple(terms)
         if guard:
             slots.append(guard[0])
+        # the watch order `_register` gives, computed once for both sides of ==
+        slots = tuple(set(slots))
         if lin.op in ("<=", "=="):
-            self._register((Engine._prop_lin, cid, guard, terms, lin.rhs), slots)
+            self._install((Engine._prop_lin, cid, guard, terms, lin.rhs), slots)
         if lin.op in (">=", "=="):
             neg = tuple((-c, s) for c, s in terms)
-            self._register((Engine._prop_lin, cid, guard, neg, -lin.rhs), slots)
+            self._install((Engine._prop_lin, cid, guard, neg, -lin.rhs), slots)
         if lin.op == "!=":
-            self._register((Engine._prop_linne, cid, guard, terms, lin.rhs), slots)
+            self._install((Engine._prop_linne, cid, guard, terms, lin.rhs), slots)
 
     def _compile_disjunction(self, cid: str, e: Disjunction):
         members = disjuncts(e)
@@ -680,6 +695,36 @@ class Engine:
 
     def _prop_linne(self, p):
         _, cid, guard, terms, rhs = p
+        if guard is None and len(terms) == 2:
+            # c1*x + c2*y != rhs: the general pass below, each slot read once
+            (c1, s1), (c2, s2) = terms
+            lb, ub = self.lb, self.ub
+            lo1, hi1, lo2, hi2 = lb[s1], ub[s1], lb[s2], ub[s2]
+            if lo1 == hi1:
+                if lo2 == hi2:
+                    if c1 * lo1 + c2 * lo2 != rhs:  # entailed
+                        return SLEEP
+                    # violated: the pivot on x, from y's value
+                    s, v, fixed, lo = s1, lo1, s2, lo2
+                else:  # y != (rhs - c1*x) / c2, from x's value
+                    rem = rhs - c1 * lo1
+                    if rem % c2 != 0:  # entailed
+                        return SLEEP
+                    s, v, fixed, lo = s2, rem // c2, s1, lo1
+                    if v < lo2 or v > hi2 or v in self.holes[s2]:  # already removed
+                        return SLEEP
+            elif lo2 == hi2:  # x != (rhs - c2*y) / c1, from y's value
+                rem = rhs - c2 * lo2
+                if rem % c1 != 0:
+                    return SLEEP
+                s, v, fixed, lo = s1, rem // c1, s2, lo2
+                if v < lo1 or v > hi1 or v in self.holes[s1]:
+                    return SLEEP
+            else:
+                return None
+            premises = self.justify_bound(0, fixed, lo) + self.justify_bound(1, fixed, lo)
+            r = self.apply((s, "!=", v), (cid, tuple(_stable_unique(premises))))
+            return SLEEP if r is None else r
         gst = True if guard is None else self.status(guard)
         if gst is False:
             return SLEEP

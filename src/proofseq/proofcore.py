@@ -17,6 +17,11 @@ so it never removes a step and serialization writes none. The line tag is
 not stored: it follows from the step (false, one input reason, or only step
 reasons). Trimming is an explicit backward-reachability pass.
 
+One renderer, `render_proof`, writes every proof text from each step's atom
+tokens and reasons: `serialize_proof` gives it an abstract proof's atoms,
+and the prover its engine's atoms, so both texts follow one set of rules
+and raise the same ProofSerializeErrors.
+
 A reason is the engine's own key (`engine.Key`): a constraint id (`str`,
 written `c:<id>`) or a 1-based step id (`int`, written `s:<id>`). A `str`
 never equals an `int`, so a numeric-looking constraint id such as `1` stays
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .engine import Key
 from .errors import (
@@ -175,30 +180,43 @@ def parse_drcp(text: str, solver_model) -> AbstractProof:
 def serialize_proof(p: AbstractProof) -> str:
     """Render a proof in the concrete syntax; parse_drcp(serialize_proof(p)) == p.
 
+    Each derived atom or clause goes to `render_proof` as its atom tokens; a
+    step that derives anything else raises ProofSerializeError.
+    """
+    def steps():
+        for i, step in enumerate(p.steps, start=1):
+            d = step.derived
+            if isinstance(d, AtomicConstraint):
+                atoms: tuple[AtomicConstraint, ...] = (d,)
+            elif isinstance(d, Clause):
+                atoms = d.atoms
+            else:
+                raise ProofSerializeError(f"step {i} derives a non-clause {type(d).__name__}")
+            yield [f"{a.var.name}{a.op}{a.value}" for a in atoms], step.reasons
+
+    return render_proof(steps(), len(p.steps))
+
+
+def render_proof(steps: Iterable[tuple[Sequence[str], tuple[ReasonRef, ...]]], n: int) -> str:
+    """The text of a proof of n steps, each given as (atom tokens, reasons);
+    a step with no atom tokens derives false.
+
     The line tag follows from the step: `c UNSAT` for the final false step,
     `i` for a clause from exactly one input reason, `n` for a clause from
     earlier steps only. Any other step raises ProofSerializeError.
     """
     lines = ["# drcp 1"]
-    for i, step in enumerate(p.steps, start=1):
-        d, reasons = step.derived, step.reasons
+    for i, (tokens, reasons) in enumerate(steps, start=1):
+        if tokens and len(reasons) == 1 and isinstance(reasons[0], str):
+            lines.append(f"i {'|'.join(tokens)} c:{reasons[0]}")
+            continue
         refs = ",".join([f"c:{r}" if isinstance(r, str) else f"s:{r}" for r in reasons])
-        if d == FALSE:
-            if i != len(p.steps):
+        if not tokens:
+            if i != n:
                 raise ProofSerializeError(f"step {i} derives false before the conclusion")
             lines.append(f"c UNSAT {refs}".rstrip())
-            continue
-        if isinstance(d, AtomicConstraint):
-            atoms: tuple[AtomicConstraint, ...] = (d,)
-        elif isinstance(d, Clause):
-            atoms = d.atoms
-        else:
-            raise ProofSerializeError(f"step {i} derives a non-clause {type(d).__name__}")
-        body = "|".join([f"{a.var.name}{a.op}{a.value}" for a in atoms])
-        if len(reasons) == 1 and isinstance(reasons[0], str):
-            lines.append(f"i {body} {refs}")
         elif reasons and all(isinstance(r, int) for r in reasons):
-            lines.append(f"n {body} {refs}")
+            lines.append(f"n {'|'.join(tokens)} {refs}")
         else:
             raise ProofSerializeError(f"step {i} has neither one c: reason nor only s: reasons")
     return "\n".join(lines) + "\n"

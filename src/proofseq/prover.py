@@ -7,6 +7,11 @@ contributes nogood lines, and the root conflict concludes with UNSAT. With
 log_all=True every propagation is logged, which leaves plenty of unused
 steps for trimming to remove. Each engine step's reason keys (constraint
 ids and step ids) are the proof step's reasons as they are.
+
+The text comes straight from the engine steps: each distinct engine atom
+gets one token string (`<name><op><value>`), and `proofcore.render_proof`,
+the renderer `serialize_proof` uses too, writes the lines. No abstract
+proof is built; `parse_drcp` builds it from the text.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from typing import Union
 from .engine import DEFAULT_BUDGET, Engine
 from .errors import BudgetExceededError, FlattenError
 from .flatten import SolverModel
-from .model import AtomicConstraint, Conjunction, Disjunction, clause_of, eval_expr
+from .model import Conjunction, Disjunction, eval_expr
 from .oracle import Sat, Unsat
-from .proofcore import AbstractProof, ProofStep, serialize_proof
+from .proofcore import render_proof
 
 
 def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
@@ -41,16 +46,16 @@ def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
         for c in s.constraints:
             if not eval_expr(c.expr, res.assignment):
                 raise AssertionError(f"prover returned a non-model (violates {c.id})")
-        return Sat(res.assignment), serialize_proof(AbstractProof(()))
+        return Sat(res.assignment), render_proof((), 0)
 
-    # one AtomicConstraint per engine atom; the reason keys are the proof's refs
-    by_slot = {eng.slot_of[v]: v for v, _ in s.vars}
-    atoms: dict[tuple, AtomicConstraint] = {}
+    # one token per distinct engine atom; the reason keys are the proof's refs
+    names = {eng.slot_of[v]: v.name for v, _ in s.vars}
+    tokens: dict[tuple, str] = {}
 
-    def atom(a: tuple) -> AtomicConstraint:
-        c = atoms[a] = AtomicConstraint(by_slot[a[0]], a[1], a[2])
-        return c
+    def token(a: tuple) -> str:
+        t = tokens[a] = f"{names[a[0]]}{a[1]}{a[2]}"
+        return t
 
-    steps = tuple(ProofStep(clause_of([atoms.get(a) or atom(a) for a in st.atoms]), st.reasons)
-                  for st in res.steps)
-    return Unsat(), serialize_proof(AbstractProof(steps))
+    steps = res.steps
+    return Unsat(), render_proof(
+        (([tokens.get(a) or token(a) for a in st.atoms], st.reasons) for st in steps), len(steps))

@@ -7,6 +7,8 @@ The default test run does not collect this file: pytest only picks up
 test_*.py files unless a file is named on the command line.
 """
 
+import hashlib
+
 import pytest
 
 from proofseq import mus, pipeline
@@ -16,6 +18,8 @@ from proofseq.instances import generate_instance
 from proofseq.oracle import BudgetExceeded, Oracle, Sat, Unsat
 from proofseq.proofcore import parse_drcp
 from proofseq.prover import solve_with_proof
+
+from test_determinism import PINNED_PROOFS
 
 # constraint ids of sudoku9 seed 19 that one of its trim+minloc probes sends
 # to the oracle: unsat after 197 conflicts, with nogoods of up to 11 atoms
@@ -47,15 +51,19 @@ def test_solve_with_proof_sudoku9(benchmark):
 def test_proof_round_trip_sudoku9_decomposed(benchmark):
     """The proof round trip of one `sudoku9-proof` operation before its
     rewrite stages: flatten with decomposed alldifferent, prove with every
-    propagation logged, and parse the proof text back."""
+    propagation logged, and parse the proof text back. The text must be the
+    pinned one, so the timed path cannot change the proof."""
     model = generate_instance("sudoku9", 1)
 
     def round_trip():
         solver = flatten(model, decompose_alldiff=True)
-        return parse_drcp(solve_with_proof(solver, log_all=True)[1], solver)
+        text = solve_with_proof(solver, log_all=True)[1]
+        return text, parse_drcp(text, solver)
 
-    proof = benchmark(round_trip)
+    text, proof = benchmark(round_trip)
     assert proof.is_refutation()
+    pinned = {row[:4]: row[4] for row in PINNED_PROOFS}
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned["sudoku9", 1, True, True]
 
 
 def test_pipeline_trim_sudoku9_decomposed(benchmark):

@@ -36,8 +36,17 @@ On random clauses over random domain states, a clause wake-up, which stops
 reading at the first true atom or the second undecided one, must reach the
 verdict and the premises of a full scan from atom 0: it answers SLEEP only
 with a true atom, and None only with two undecided ones.
+
+On searching models with two-term linear `!=`s added (some over one
+variable twice, some guarded), the engine, whose `_prop_linne` has a branch
+for an unguarded two-term `!=`, must search exactly as an engine whose
+`_prop_linne` takes only the general pass: the same trail and reasons,
+learned nogoods, status, assignment, conflict count and proof steps, with
+proof logging and without.
 """
 
+import collections
+import functools
 import itertools
 import random
 
@@ -53,6 +62,7 @@ from proofseq.model import (
     Conjunction,
     Disjunction,
     Domain,
+    HalfReified,
     Linear,
     VarId,
 )
@@ -448,3 +458,136 @@ def test_clause_look_order_does_not_change_the_answer():
             assert isinstance(got, Conflict)
             assert (got.entries, got.key, got.step_atoms) == (expected[1], "c", atoms)
     assert min(seen.values()) >= 200
+
+
+@st.composite
+def linne_models(draw):
+    """A searching model with two to six two-term linear `!=`s added after
+    its constraints: coefficients in {-2, -1, 1, 2}, rhs in -2..2, both
+    terms sometimes on one variable, and about one in three guarded. About
+    one in six comes after atoms that fix both its variables, so that it
+    finds both fixed when it first runs, and then its rhs is often their
+    sum: a search fixes one at a time and runs it in between, so it seldom
+    finds its sum violated."""
+    doms, cons = draw(searching_models())
+    vs = [v for v, _ in doms]
+    coef = st.sampled_from((-2, -1, 1, 2))
+    for _ in range(draw(st.integers(2, 6))):
+        c1, x, c2, y = draw(coef), draw(st.sampled_from(vs)), draw(coef), draw(st.sampled_from(vs))
+        rhs = draw(st.integers(-2, 2))
+        if draw(st.integers(0, 5)) == 0:
+            # values that every pocket and the alldifferent allow
+            a = draw(st.integers(0, 1))
+            b = a if x == y else 1 - a
+            cons += [AtomicConstraint(x, "==", a), AtomicConstraint(y, "==", b)]
+            if abs(c1 * a + c2 * b) <= 2 and draw(st.booleans()):
+                rhs = c1 * a + c2 * b
+        lin = Linear(((c1, x), (c2, y)), "!=", rhs)
+        if draw(st.integers(0, 2)) == 0:
+            guard = AtomicConstraint(draw(st.sampled_from(vs)), draw(st.sampled_from(OPS)),
+                                     draw(st.integers(0, len(vs))))
+            lin = HalfReified(guard, lin)
+        cons.append(lin)
+    return doms, cons
+
+
+class GeneralPassEngine(Engine):
+    """The reference for the two-term `!=` branch: every linear `!=` takes
+    the general pass of `Engine._prop_linne`, which this copies, and each
+    wake-up of an unguarded two-term one is counted by case in `tally`."""
+
+    def __init__(self, *args, tally: collections.Counter, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tally = tally
+
+    def _install(self, prop, slots):
+        if prop[0] is Engine._prop_linne:
+            prop = (GeneralPassEngine._prop_linne,) + prop[1:]
+        super()._install(prop, slots)
+
+    def _prop_linne(self, p):
+        _, cid, guard, terms, rhs = p
+        if guard is None and len(terms) == 2:
+            self.tally[_two_term_case(self, terms, rhs)] += 1
+        gst = True if guard is None else self.status(guard)
+        if gst is False:
+            return SLEEP
+        lb, ub = self.lb, self.ub
+        rem, unfixed = rhs, None
+        for coef, s in terms:
+            if lb[s] == ub[s]:
+                rem -= coef * lb[s]
+            elif unfixed is None:
+                unfixed = (coef, s)
+            else:
+                return None
+        cited = terms
+        if unfixed is not None:
+            coef, s = unfixed
+            if rem % coef != 0:
+                return SLEEP
+            if gst is not True:
+                return None
+            target = (s, "!=", rem // coef)
+            if self.status(target) is True:
+                return SLEEP
+        elif rem != 0:
+            return SLEEP
+        elif gst is not True:
+            target = _negate_atom(guard)
+        elif not terms:
+            return Conflict((), cid, ())
+        else:
+            s = terms[0][1]
+            target = (s, "!=", self.lb[s])
+            cited = terms[1:]
+        premises = (self.justify_false(_negate_atom(guard))
+                    if gst is True and guard is not None else [])
+        for _, s in cited:
+            if self.lb[s] == self.ub[s]:
+                premises += self.justify_bound(0, s, self.lb[s]) + self.justify_bound(1, s, self.ub[s])
+        r = self.apply(target, (cid, tuple(_stable_unique(premises))))
+        return SLEEP if r is None else r
+
+
+def _two_term_case(eng, terms, rhs):
+    (c1, s1), (c2, s2) = terms
+    if s1 == s2:
+        return "one variable"
+    fixed1, fixed2 = (eng.lb[s] == eng.ub[s] for s in (s1, s2))
+    if fixed1 and fixed2:
+        return "violated" if c1 * eng.lb[s1] + c2 * eng.lb[s2] == rhs else "entailed"
+    if not (fixed1 or fixed2):
+        return "none fixed"
+    # the other term's coefficient, its slot and what is left of rhs
+    coef, s, rem = (c2, s2, rhs - c1 * eng.lb[s1]) if fixed1 else (c1, s1, rhs - c2 * eng.lb[s2])
+    if rem % coef or eng.status((s, "!=", rem // coef)) is True:
+        return "unit entailed"
+    return "first fixed" if fixed1 else "second fixed"
+
+
+def test_two_term_linne_branch_matches_the_general_pass():
+    tally = collections.Counter()
+    reference = functools.partial(GeneralPassEngine, tally=tally)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(linne_models())
+    def run(model):
+        doms, cons = model
+        for proof, log_all in ((False, False), (True, False), (True, True)):
+            runs = []
+            for cls in (Engine, reference):
+                eng = cls(doms, proof=proof, log_all=log_all)
+                for i, c in enumerate(cons):
+                    eng.add_constraint(f"h{i}", c)
+                compiled = len(eng.props)
+                res = eng.solve()
+                runs.append((eng.t_atom, eng.t_reason, eng.props[compiled:], res.status,
+                             res.assignment, res.conflicts, res.steps))
+            assert runs[0] == runs[1]
+
+    run()
+    # every case of the branch is reached, the pivot of a violated one too
+    cases = ("one variable", "violated", "entailed", "unit entailed",
+             "first fixed", "second fixed", "none fixed")
+    assert min(tally[c] for c in cases) >= 30, tally

@@ -3,14 +3,18 @@ import functools
 import pytest
 
 from proofseq import instances
-from proofseq.errors import BudgetExceededError, EmptyDomainWarning
+from proofseq.engine import Engine, EngineResult, EngineStep
+from proofseq.errors import BudgetExceededError, EmptyDomainWarning, ProofSerializeError
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
-from proofseq.model import AllDifferent, AtomicConstraint, eval_expr, parse_model
+from proofseq.model import AllDifferent, AtomicConstraint, clause_of, eval_expr, parse_model
 from proofseq.oracle import Oracle, Sat, Unsat
 from proofseq.proofcore import (
+    AbstractProof,
+    ProofStep,
     check_proof,
     parse_drcp,
+    serialize_proof,
     trim,
 )
 from proofseq.prover import solve_with_proof
@@ -194,3 +198,69 @@ def test_sudoku9_trim_pipeline_fast_and_valid():
     assert r.oracle_calls == 0
     assert r.sequence.derives_false()
     assert validate_sequence(r.sequence, m) == []
+
+
+def _text_through_abstract_proof(s, res):
+    """The proof text of an engine result by way of the abstract proof: one
+    AtomicConstraint per engine atom, a clause per step, `serialize_proof`."""
+    by_slot = {slot: v for v, slot in Engine(s.vars).slot_of.items()}
+    if res.status == "sat":
+        return serialize_proof(AbstractProof(()))
+    steps = tuple(ProofStep(clause_of([AtomicConstraint(by_slot[vi], op, val)
+                                       for vi, op, val in st.atoms]), st.reasons)
+                  for st in res.steps)
+    return serialize_proof(AbstractProof(steps))
+
+
+def _engine_result(s, log_all):
+    eng = Engine(s.vars, log_all=log_all)
+    for c in s.constraints:
+        eng.add_constraint(c.id, c.expr)
+    return eng.solve()
+
+
+PROOF_TEXT_CASES = ([(suite, seed) for suite in ("sudoku4", "jobshop", "mutated")
+                     for seed in range(1, 11)]
+                    + [("sudoku9", seed) for seed in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("log_all", (False, True))
+@pytest.mark.parametrize("decompose", (False, True))
+def test_proof_text_is_the_abstract_proofs(log_all, decompose):
+    """`solve_with_proof` renders the engine's steps directly; its text is
+    byte for byte what the abstract proof of the same run serializes to."""
+    for suite, seed in PROOF_TEXT_CASES:
+        solver = flatten(generate_instance(suite, seed), decompose_alldiff=decompose)
+        res, text = solve_with_proof(solver, log_all=log_all)
+        assert isinstance(res, Unsat), (suite, seed)
+        assert text == _text_through_abstract_proof(solver, _engine_result(solver, log_all)), \
+            (suite, seed)
+
+
+def test_sat_proof_text_is_the_empty_abstract_proofs():
+    s = flatten(parse_model("var x 0..3\nvar y 0..3\ncon ad: alldifferent(x,y)\n"))
+    res, text = solve_with_proof(s)
+    assert isinstance(res, Sat)
+    assert text == _text_through_abstract_proof(s, _engine_result(s, False)) == "# drcp 1\n"
+
+
+_X0 = ((0, "<=", 0),)
+UNRENDERABLE_RUNS = (
+    # a false step before the conclusion
+    ([EngineStep(_X0, ("a",)), EngineStep((), (1,)), EngineStep(_X0, (2,))],
+     "step 2 derives false before"),
+    # an input and a step reason on one step
+    ([EngineStep(_X0, ("a",)), EngineStep(_X0, (1, "b")), EngineStep((), (2,))],
+     "step 2 has neither"),
+)
+
+
+@pytest.mark.parametrize("steps,message", UNRENDERABLE_RUNS)
+def test_both_renderings_reject_the_same_steps(monkeypatch, steps, message):
+    s = flatten(parse_model("var x 0..1\ncon a: clause x >= 1\ncon b: clause x <= 0\n"))
+    res = EngineResult("unsat", steps=steps)
+    with pytest.raises(ProofSerializeError, match=message):
+        _text_through_abstract_proof(s, res)
+    monkeypatch.setattr(Engine, "solve", lambda eng: res)
+    with pytest.raises(ProofSerializeError, match=message):
+        solve_with_proof(s)
