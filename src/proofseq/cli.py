@@ -1,11 +1,11 @@
 """Command-line interface: explain, bench and proof subcommands.
 
-Exit codes: 0 success, 2 parse error (model, proof or option value), 3
-semantic failure (invalid proof, failed validation, unusable input), 4 oracle
-budget exhausted. The oracle budget defaults to 10^6 conflicts and can be set
-to any integer >= 0 with --budget or the P2S_BUDGET environment variable; it
-also bounds the step checks of `explain --check`, `bench --check` and `proof
-check`.
+Exit codes: 0 success, 2 parse error (model, proof or option value) or
+usage error, 3 semantic failure (invalid proof, failed validation, unusable
+input), 4 oracle budget exhausted. The oracle budget defaults to 10^6
+conflicts and can be set to any integer >= 0 with --budget or the P2S_BUDGET
+environment variable; it also bounds the step checks of `explain --check`,
+`bench --check` and `proof check`.
 """
 
 from __future__ import annotations
@@ -36,16 +36,16 @@ from .prover import solve_with_proof
 from .sequence import render_text, to_json, validate_sequence
 
 
-def _budget_value(text: str) -> int:
-    """The argparse type of --budget, which also reads P2S_BUDGET: an
-    integer >= 0 (0 allows no conflict)."""
+def _non_negative(text: str) -> int:
+    """The argparse type of --budget and of bench -n, which also reads
+    P2S_BUDGET: an integer >= 0 (a budget of 0 allows no conflict)."""
     try:
-        budget = int(text)
+        value = int(text)
     except ValueError:
-        budget = -1
-    if budget < 0:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return budget
+    return value
 
 
 def _budget(args) -> int:
@@ -55,7 +55,7 @@ def _budget(args) -> int:
     if not env:
         return DEFAULT_BUDGET
     try:
-        return _budget_value(env)
+        return _non_negative(env)
     except argparse.ArgumentTypeError as e:
         raise ModelParseError(f"P2S_BUDGET {e}") from None
 
@@ -87,6 +87,9 @@ def _stage_times(stages, solve_ms: float | None) -> str:
 
 
 def cmd_explain(args) -> int:
+    if args.solve == (args.proof is not None):
+        print("error: give a proof file or --solve, not both", file=sys.stderr)
+        return 2
     model = _load_model(args.model)
     solver = flatten(model, decompose_alldiff=args.decompose_alldiff)
     budget = _budget(args)
@@ -98,11 +101,8 @@ def cmd_explain(args) -> int:
         if isinstance(res, Sat):
             print("model is satisfiable")
             return 0
-    elif args.proof:
-        text = Path(args.proof).read_text(encoding="utf-8")
     else:
-        print("error: give a proof file or --solve", file=sys.stderr)
-        return 2
+        text = Path(args.proof).read_text(encoding="utf-8")
     proof = parse_drcp(text, solver)
     if not proof.is_refutation():
         print("error: proof is not a refutation (no UNSAT conclusion)", file=sys.stderr)
@@ -235,13 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--format", default="text", choices=["text", "structured"])
     pe.add_argument("--check", action="store_true",
                     help="oracle-validate every explanation step")
-    pe.add_argument("--budget", type=_budget_value, default=None)
+    pe.add_argument("--budget", type=_non_negative, default=None)
     pe.set_defaults(func=cmd_explain)
 
     pb = sub.add_parser("bench", help="run generated suites and report metrics")
     pb.add_argument("--suite", choices=list(KINDS), default=None,
                     help="one suite (default: sudoku4, jobshop and mutated)")
-    pb.add_argument("-n", type=int, default=5, help="number of seeds (with --seed start)")
+    pb.add_argument("-n", type=_non_negative, default=5,
+                    help="number of seeds (with --seed start)")
     pb.add_argument("--seed", type=int, default=1, help="first seed")
     pb.add_argument("--seeds", type=_comma_list(int), default=None,
                     help="explicit comma-separated seed list")
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="log every propagation in the generated proofs")
     pb.add_argument("--decompose-alldiff", action="store_true")
     pb.add_argument("--out", default=None, help="write CSV rows to a file")
-    pb.add_argument("--budget", type=_budget_value, default=None)
+    pb.add_argument("--budget", type=_non_negative, default=None)
     pb.set_defaults(func=cmd_bench)
 
     pp = sub.add_parser("proof", help="inspect, validate or trim a proof")
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--variant", default="trim+minglob", choices=list(VARIANTS),
                     help="pipeline used for the stats action")
     pp.add_argument("--decompose-alldiff", action="store_true")
-    pp.add_argument("--budget", type=_budget_value, default=None)
+    pp.add_argument("--budget", type=_non_negative, default=None)
     pp.set_defaults(func=cmd_proof)
 
     pg = sub.add_parser("generate", help="emit a generated benchmark model")

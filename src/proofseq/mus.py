@@ -48,18 +48,20 @@ answer; the last keeps its weight:
 * kept models: the queries of one pass (a global minimization) share a
   list of the Sat models they got back, from deletion trials, hitting-set
   checks and grow probes, in the order they came (the incremental OCUS of
-  Gamba et al., JAIR 2023). After its seed, a query adds the correction set
-  of each earlier model that satisfies hard: the members the model
-  violates, as those it satisfies are satisfiable with hard, so the set is
-  valid by evaluation. A set the family holds already is skipped. The
-  incumbent is still returned exactly when no hitting set is lighter, so
-  only which of several lighter MUSes of the least weight comes back can
-  change.
+  Gamba et al., JAIR 2023). A query's first family holds the correction
+  set of each model that satisfies hard, its own deletion models first:
+  the members the model violates, as those it satisfies are satisfiable
+  with hard, so the set is valid by evaluation. A repeated set is kept
+  once, which changes no hitting set: `_min_hitting_set` never branches on
+  or packs a repeat. The incumbent is still returned exactly when no
+  hitting set is lighter, so only which of several lighter MUSes of the
+  least weight comes back can change.
 
 The grow probes of a query share one `GrowSession` (see `oracle`), built at
 its first grow round: each round keeps the satisfied set at the root, and
 each probe adds one member to it, returning exactly what `Oracle.solve` over
-`hard` and the satisfied set with that member returns. Probes that drop
+`hard` and the satisfied set with that member returns under GROW_BUDGET.
+A model satisfies every kept set, so its root never fails. Probes that drop
 members (the deletion seed, the up-front probe and the hitting-set checks)
 stay fresh `Oracle.solve` calls, as a kept root gains them nothing.
 
@@ -114,24 +116,18 @@ def extract_mus_indices(soft: Sequence[Expr], hard: Sequence[Expr], oracle: Orac
 
 
 def _deletion_mus(soft, hard, oracle, start: Sequence[int],
-                  correction_sets: Optional[list] = None,
                   models: Optional[list] = None) -> tuple[int, ...]:
     """Drop the members of start in reverse order while the rest stays unsat.
-
-    When correction_sets is given, so must models be: every satisfiable
-    probe appends the set of soft members its model violates to the one,
-    and its model to the other.
-    """
+    When models is given, the model of every satisfiable trial is appended
+    to it."""
     keep = list(start)
     for i in reversed(list(start)):
         trial = [j for j in keep if j != i]
         model = oracle.model_of(hard + [soft[j] for j in trial])
         if model is None:
             keep = trial
-        elif correction_sets is not None:
+        elif models is not None:
             models.append(model)
-            sat = _satisfied(soft, model, set(trial))
-            correction_sets.append(frozenset(range(len(soft))) - sat)
     return tuple(keep)
 
 
@@ -140,15 +136,14 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int],
     n = len(soft)
     everything = frozenset(range(n))
     grow_order = sorted(range(n), key=weights.__getitem__)
-    correction_sets: list[frozenset[int]] = []
     grow: Optional[GrowSession] = None  # built at the first grow round
-    earlier = models[:]
+    earlier = len(models)
 
     # seed with a deletion pass: its result is an upper bound and every
-    # satisfiable probe along the way donates a correction set; then so
+    # satisfiable trial along the way donates a correction set; then so
     # does every model of an earlier query that satisfies hard
-    best_known = _deletion_mus(soft, hard, oracle, start, correction_sets, models)
-    correction_sets += _model_correction_sets(soft, hard, earlier, correction_sets)
+    best_known = _deletion_mus(soft, hard, oracle, start, models)
+    correction_sets = _model_correction_sets(soft, hard, models[earlier:] + models[:earlier])
     ub = sum(weights[i] for i in best_known)
     lb = 0
 
@@ -185,8 +180,8 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int],
         for i in grow_order:
             if i in sat:
                 continue
-            # the answer of oracle.solve(hard + [soft[j] for j in sorted(sat | {i})],
-            # budget=GROW_BUDGET), from the kept root
+            # the answer of oracle.solve(hard + [soft[j] for j in sorted(sat | {i})])
+            # within GROW_BUDGET conflicts, from the kept root
             res = grow.probe(i, GROW_BUDGET)
             if isinstance(res, Sat):
                 models.append(res.assignment)
@@ -203,12 +198,12 @@ def _smallest_mus(soft, hard, weights: list[int], oracle, start: Sequence[int],
                 f"more than {MAX_CORRECTION_SETS} correction sets accumulated")
 
 
-def _model_correction_sets(soft, hard, models, family) -> list[frozenset[int]]:
+def _model_correction_sets(soft, hard, models) -> list[frozenset[int]]:
     """The correction set of each model that satisfies hard, in order, but
-    for those already in family or listed before: the soft members the
-    model violates, since the ones it satisfies are satisfiable with hard."""
+    for those listed before: the soft members the model violates, since the
+    ones it satisfies are satisfiable with hard."""
     everything = frozenset(range(len(soft)))
-    seen, out = set(family), []
+    seen, out = set(), []
     for model in models:
         if all(eval_expr(c, model) for c in hard):
             cs = everything - _satisfied(soft, model, ())

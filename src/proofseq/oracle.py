@@ -7,8 +7,9 @@ model-level `Constraint` goes in as its `.expr`.
 
 `Oracle.solve` answers every satisfiability question but the grow probes of
 global minimization, which a `GrowSession` answers exactly as `Oracle.solve`
-would (below). Both are bounded by the oracle's budget (or by a smaller
-per-call one) and count each call. `model_of` is the one
+would (below). Both end in `Oracle._run`, the one place that counts a call,
+bounds it by the oracle's budget (or a grow probe's own, when smaller) and
+re-checks a Sat model by eval. `model_of` is the one
 place where an oracle's budget exhaustion becomes BudgetExceededError, and
 the one implication query: reasons imply `derived` iff
 `model_of(reasons + [negate_expr(derived)])` is None. `negate_expr` of a
@@ -40,11 +41,11 @@ no nogood keeps i and the root it propagated. Any other probe pops back to
 the kept root, dropping the nogoods it learned and the root entries they
 produced, and then switches i off, or, when Sat, propagates it again.
 `clear()` goes back to `hard` alone. Each probe counts as one call and
-returns what `Oracle.solve(hard + [soft[j] for j in sorted(kept | {i})],
-budget)` returns: the same result, model (re-checked by eval in the same
-way) and conflict count. While the kept root fails, each probe returns,
-without solving, what a fresh solve returns: one conflict, or none with an
-empty domain.
+returns what `Oracle.solve(hard + [soft[j] for j in sorted(kept | {i})])`
+returns under the probe's budget: the same result, model and conflict
+count. `hard` and every kept set must be satisfiable together, as the sets
+that global minimization keeps are, so the kept root never fails; a root
+conflict is an AssertionError.
 """
 
 from __future__ import annotations
@@ -91,17 +92,10 @@ class Oracle:
         # the compile cache of Engine.add_cached: id(expr) -> (expr, its propagators)
         self._compiled: dict[int, tuple[Expr, list[tuple]]] = {}
 
-    def solve(self, hard: Sequence[Expr] = (), budget: Optional[int] = None) -> OracleResult:
-        """Complete within budget: the oracle's own, or the smaller of it and
-        `budget` when given. Sat assignments are re-checked by eval before return."""
-        self.calls += 1
+    def solve(self, hard: Sequence[Expr] = ()) -> OracleResult:
+        """Complete within the oracle's budget; a Sat model is re-checked."""
         hard = tuple(hard)
-        if budget is None or budget > self.budget:
-            budget = self.budget
-        eng = Engine(self._root, budget=budget, proof=False)
-        for i, c in enumerate(hard):
-            eng.add_cached(self._compiled, f"h{i}", c)
-        return _answer(eng.solve(), hard)
+        return self._run(self._engine(hard), self.budget, hard)
 
     def model_of(self, constraints: Sequence[Expr]) -> Optional[dict[VarId, int]]:
         res = self.solve(hard=tuple(constraints))
@@ -109,20 +103,28 @@ class Oracle:
             raise BudgetExceededError(f"oracle budget exhausted after {res.conflicts} conflicts")
         return res.assignment if isinstance(res, Sat) else None
 
+    def _engine(self, hard: Sequence[Expr]) -> Engine:
+        """A new proof-free engine over hard, compiled through the cache."""
+        eng = Engine(self._root, proof=False)
+        for i, c in enumerate(hard):
+            eng.add_cached(self._compiled, f"h{i}", c)
+        return eng
+
+    def _run(self, eng: Engine, budget: int, constraints: Iterable[Expr]) -> OracleResult:
+        """One call: eng solved within budget, capped by the oracle's own."""
+        self.calls += 1
+        eng.budget, eng.conflicts = min(budget, self.budget), 0
+        return _answer(eng.solve(), constraints)
+
 
 class GrowSession:
-    """One proof-free engine over `hard` and every member of `soft`, for
-    probes that each add one member to a kept set; see the module docstring.
-
-    A probe answers exactly what `oracle.solve(hard + [soft[j] for j in
-    sorted(kept | {i})], budget)` would, and counts as one call of it."""
+    """One proof-free engine over `hard` and every member of `soft`, for probes
+    that each add one member to a satisfiable kept set; see the module docstring."""
 
     def __init__(self, oracle: Oracle, hard: Sequence[Expr], soft: Sequence[Expr]):
         self.oracle = oracle
         self.hard, self.soft = tuple(hard), tuple(soft)
-        eng = self.engine = Engine(oracle._root, proof=False)
-        for i, c in enumerate(self.hard):
-            eng.add_cached(oracle._compiled, f"h{i}", c)
+        eng = self.engine = oracle._engine(self.hard)
         # per member: (its propagators, its selector slots), all off for now
         self.ranges: list[tuple[range, range]] = []
         for j, c in enumerate(self.soft):
@@ -131,15 +133,12 @@ class GrowSession:
             self.ranges.append((range(n_props, len(eng.props)), range(n_slots, len(eng.lb))))
             eng.switch(*self.ranges[j], on=False)
         self.kept: set[int] = set()
-        # the conflicts of every probe while the root fails (0 with an empty
-        # domain, which a fresh engine answers without propagating), else None
-        self.failed: Optional[int] = 0 if any(lo > hi for lo, hi in zip(eng.lb, eng.ub)) else None
         self._propagate_root()
-        self._base = (len(eng.t_atom), self.failed)
+        self._base = len(eng.t_atom)
 
     def _propagate_root(self):
-        if self.failed is None and self.engine._propagate() is not None:
-            self.failed = 1
+        if self.engine._propagate() is not None:
+            raise AssertionError("kept root fails: hard and the kept members must be satisfiable")
 
     def keep(self, members):
         """Switch the members on for every later probe, at the root."""
@@ -150,25 +149,18 @@ class GrowSession:
 
     def clear(self):
         """Switch every member off again: back to `hard` alone."""
-        mark, self.failed = self._base
-        self.engine.undo_root(mark)
+        self.engine.undo_root(self._base)
         for j in self.kept:
             self.engine.switch(*self.ranges[j], on=False)
         self.kept.clear()
 
-    def probe(self, i: int, budget: Optional[int] = None) -> OracleResult:
+    def probe(self, i: int, budget: int) -> OracleResult:
         """Solve with the off member i switched on as well; keep it when Sat."""
-        oracle, eng = self.oracle, self.engine
-        oracle.calls += 1
-        if budget is None or budget > oracle.budget:
-            budget = oracle.budget
-        if self.failed is not None:
-            return BudgetExceeded(self.failed) if self.failed > budget else Unsat()
+        eng = self.engine
         mark, n_props = len(eng.t_atom), len(eng.props)
         eng.switch(*self.ranges[i], on=True)
-        eng.budget, eng.conflicts = budget, 0
         members = (self.soft[j] for j in sorted(self.kept | {i}))
-        res = _answer(eng.solve(), chain(self.hard, members))
+        res = self.oracle._run(eng, budget, chain(self.hard, members))
         sat = isinstance(res, Sat)
         if sat and not eng.conflicts:
             # no nogood was learned, so the root is the fixpoint with i

@@ -21,8 +21,8 @@ from typing import Union
 from .engine import DEFAULT_BUDGET, Engine
 from .errors import BudgetExceededError, FlattenError
 from .flatten import SolverModel
-from .model import Conjunction, Disjunction, eval_expr
-from .oracle import Sat, Unsat
+from .model import Conjunction, Disjunction
+from .oracle import BudgetExceeded, Sat, Unsat, _answer
 from .proofcore import render_proof
 
 
@@ -40,13 +40,11 @@ def solve_with_proof(s: SolverModel, budget: int = DEFAULT_BUDGET,
     for c in s.constraints:
         eng.add_constraint(c.id, c.expr)
     res = eng.solve()
-    if res.status == "budget":
-        raise BudgetExceededError(f"prover budget exhausted after {res.conflicts} conflicts")
-    if res.status == "sat":
-        for c in s.constraints:
-            if not eval_expr(c.expr, res.assignment):
-                raise AssertionError(f"prover returned a non-model (violates {c.id})")
-        return Sat(res.assignment), render_proof((), 0)
+    answer = _answer(res, (c.expr for c in s.constraints))
+    if isinstance(answer, BudgetExceeded):
+        raise BudgetExceededError(f"prover budget exhausted after {answer.conflicts} conflicts")
+    if isinstance(answer, Sat):
+        return answer, render_proof((), 0)
 
     # one token per distinct engine atom; the reason keys are the proof's refs
     names = {eng.slot_of[v]: v.name for v, _ in s.vars}

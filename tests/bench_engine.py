@@ -118,16 +118,16 @@ class _FirstQueryDone(Exception):
 def minglob_oracle_calls():
     """(variables, calls, results) of the first query that the `minglob`
     variant sends to `extract_mus_indices` on sudoku4 seed 1: each call is
-    the (hard, budget) that `Oracle.solve` received."""
+    the hard that `Oracle.solve` received."""
     model = generate_instance("sudoku4", 1)
     solver = flatten(model)
     proof = parse_drcp(solve_with_proof(solver)[1], solver)
     calls, results = [], []
     solve = Oracle.solve
 
-    def record(oracle, hard=(), budget=None):
-        calls.append((tuple(hard), budget))
-        results.append(solve(oracle, hard, budget))
+    def record(oracle, hard=()):
+        calls.append(tuple(hard))
+        results.append(solve(oracle, hard))
         return results[-1]
 
     def first_query(soft, hard, oracle, weights=None, start=None, models=None):
@@ -151,7 +151,7 @@ def test_oracle_calls_of_a_minglob_query(benchmark, minglob_oracle_calls):
 
     def replay():
         oracle = Oracle(vars_)
-        return [oracle.solve(hard, budget) for hard, budget in calls]
+        return [oracle.solve(hard) for hard in calls]
 
     assert benchmark(replay) == expected
     assert {type(r) for r in expected} == {Sat, Unsat}

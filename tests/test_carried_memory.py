@@ -2,10 +2,10 @@
 
 A global pass keeps the Sat models of its queries, and each later query
 seeds a correction set from every kept model that satisfies its hard
-constraints: the soft members that the model violates. On sudoku4, jobshop
-and mutated seeds 1-3, every seeded set of the three `minglob` variants must
-be that complement, by `eval_expr`, of one such model, none may repeat a set
-the family already holds, and no such model may be left out.
+constraints, after those of its own deletion models: the soft members that
+the model violates. On sudoku4, jobshop and mutated seeds 1-3, the seeded
+sets of each query of the three `minglob` variants must be these
+complements, by `eval_expr`, in order and each set once.
 
 `run_pipeline` remembers every MUS its two minimization stages return, and
 a local query whose candidates are one keeps them all without an oracle
@@ -36,13 +36,11 @@ def test_seeded_correction_sets_are_the_complements_of_kept_models():
     seen = dict.fromkeys(("queries with models", "seeded sets"), 0)
     seed_sets = mus._model_correction_sets
 
-    def checked(soft, hard, models, family):
-        out = seed_sets(soft, hard, models, family)
+    def checked(soft, hard, models):
+        out = seed_sets(soft, hard, models)
         complements = [frozenset(j for j, c in enumerate(soft) if not eval_expr(c, m))
                        for m in models if all(eval_expr(h, m) for h in hard)]
-        assert all(cs in complements for cs in out)
-        assert len(set(out)) == len(out) and not set(out) & set(family)
-        assert set(complements) <= set(out) | set(family)
+        assert out == list(dict.fromkeys(complements))
         seen["queries with models"] += bool(models)
         seen["seeded sets"] += len(out)
         return out

@@ -281,3 +281,50 @@ def test_explain_solve_log_all(tmp_path):
                            "--variant", "trim", "--check")
     assert code == 0
     assert "len=" in out
+
+
+@pytest.mark.parametrize("inputs", [(PRF, "--solve"), ()], ids=["both", "neither"])
+def test_explain_needs_a_proof_file_or_solve(inputs):
+    code, out, err = run_cli("explain", MOD, *inputs)
+    assert code == 2 and out == ""
+    assert "give a proof file or --solve" in err
+
+
+def test_bench_negative_n_is_a_usage_error():
+    with pytest.raises(SystemExit) as info:
+        run_cli("bench", "--suite", "jobshop", "-n", "-2")
+    assert info.value.code == 2
+
+
+def test_bench_reports_a_failed_proof_and_goes_on():
+    code, out, _ = run_cli("bench", "--suite", "sudoku4", "-n", "1", "--budget", "0",
+                           "--variants", "trim")
+    assert code == 0
+    assert out.splitlines() == [
+        "suite,seed,variant,len,maxstep,stage_times_ms,oracle_calls",
+        "# FAILED sudoku4 seed=1 variant=-: prover budget exhausted after 1 conflicts"]
+
+
+def test_bench_reports_a_failed_variant_and_keeps_the_others():
+    code, out, _ = run_cli("bench", "--suite", "sudoku4", "--seeds", "3",
+                           "--variants", "trim,trim+minloc", "--budget", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert [ln.split(",")[:3] for ln in lines if ln.startswith("sudoku4,")] == \
+        [["sudoku4", "3", "trim"]]
+    assert lines[-1] == ("# FAILED sudoku4 seed=3 variant=trim+minloc: "
+                         "oracle budget exhausted after 2 conflicts")
+
+
+def test_explain_missing_model_file_exit_2(tmp_path):
+    code, _, err = run_cli("explain", str(tmp_path / "missing.mod"), "--solve")
+    assert code == 2
+    assert "missing.mod" in err
+
+
+def test_explain_solver_id_collision_exit_3(tmp_path):
+    mod = tmp_path / "clash.mod"
+    mod.write_text("var x 0..3\ncon a/1: x >= 0\ncon a: or(x <= 1; x >= 3)\n")
+    code, _, err = run_cli("explain", str(mod), "--solve")
+    assert code == 3
+    assert "solver constraint id collision" in err

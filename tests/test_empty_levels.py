@@ -9,10 +9,11 @@ level; the trail must be the reference trail without its skipped decisions,
 with every entry at the same level and every premise pointing at the same
 entry. Checked at the end of every solve, proof-free, proof-logging and
 with `log_all`, under small budgets too, and on the grow probes of a
-`GrowSession`, which solve from a kept root. The models are the small ones
-of `test_engine_fuzz` and its searching models with a few more variables
-that often need no decision (a searching model alone has none: its
-alldifferent watches every variable).
+`GrowSession`, which solve from a kept root (drawn as in
+`test_grow_session`). The models are the small ones of `test_engine_fuzz`
+and its searching models with a few more variables that often need no
+decision (a searching model alone has none: its alldifferent watches every
+variable).
 
 The check must catch a wrong variant: one that pushes a single level for a
 run of skipped slots, which moves the levels of the entries after it.
@@ -23,11 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proofseq import oracle as oracle_module
-from proofseq.engine import Engine
+from proofseq.engine import DEFAULT_BUDGET, Engine
 from proofseq.model import AtomicConstraint, Clause, Domain, VarId
 from proofseq.oracle import GrowSession, Oracle
 
 from test_engine_fuzz import OPS, searching_models, small_models
+from test_grow_session import draw_kept
 
 BUDGETS = (None, 1, 2, 4)
 # (proof, log_all) of the engines compared
@@ -213,15 +215,18 @@ def test_grow_probes_match_deciding_every_slot():
         cut = data.draw(st.integers(0, min(2, len(cons) - 1)))
         hard, soft = cons[:cut], cons[cut:]
         members = st.integers(0, len(soft) - 1)
+        if Oracle(doms).model_of(hard) is None:
+            return
         session, reference = _sessions(doms, hard, soft)
         for _ in range(data.draw(st.integers(1, 3))):
-            kept = data.draw(st.sets(members, max_size=len(soft)))
+            kept = draw_kept(data, doms, hard, soft)
             session.keep(kept)
             reference.keep(kept)
             for i in data.draw(st.lists(members, max_size=len(soft) + 2)):
                 if i in session.kept:
                     continue
                 budget = data.draw(st.sampled_from(BUDGETS))
+                budget = DEFAULT_BUDGET if budget is None else budget
                 got, ref = session.probe(i, budget), reference.probe(i, budget)
                 assert type(got) is type(ref) and got == ref
                 assert session.kept == reference.kept

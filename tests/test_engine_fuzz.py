@@ -201,8 +201,8 @@ def _reference(doms, hard, budget, proof):
     return eng, eng.solve()
 
 
-def _solve_and_catch_engine(oracle, hard, budget):
-    """oracle.solve(hard, budget) and the engine it ran."""
+def _solve_and_catch_engine(oracle, hard):
+    """oracle.solve(hard) and the engine it ran."""
     engines = []
     solve = Engine.solve
 
@@ -212,7 +212,7 @@ def _solve_and_catch_engine(oracle, hard, budget):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Engine, "solve", catch)
-        res = oracle.solve(hard, budget)
+        res = oracle.solve(hard)
     return res, engines[0]
 
 
@@ -256,10 +256,9 @@ def test_oracle_matches_a_fresh_engine():
             hard = tuple(cons[:data.draw(st.integers(0, len(cons)))]
                          + data.draw(st.lists(st.sampled_from(cons), min_size=1,
                                               max_size=len(cons) + 2)))
-            budget = data.draw(st.sampled_from((None, 0, 1, 2, 4)))
-            ref_budget = DEFAULT_BUDGET if budget is None else budget
-            ref_eng, ref = _reference(doms, hard, ref_budget, proof=False)
-            res, eng = _solve_and_catch_engine(oracle, hard, budget)
+            oracle.budget = data.draw(st.sampled_from((DEFAULT_BUDGET, 0, 1, 2, 4)))
+            ref_eng, ref = _reference(doms, hard, oracle.budget, proof=False)
+            res, eng = _solve_and_catch_engine(oracle, hard)
             assert not eng.proof
             # the same propagators (keys, done sets and learned nogoods too),
             # watches and final trail
@@ -270,7 +269,7 @@ def test_oracle_matches_a_fresh_engine():
                 kinds.add("backtracked")  # a nogood is learned on backtracking
             # proof logging keeps root-level atoms in the nogoods; only they
             # can make it search differently
-            log_eng, logged, rooted = _logged_reference(doms, hard, ref_budget)
+            log_eng, logged, rooted = _logged_reference(doms, hard, oracle.budget)
             if "budget" not in (logged.status, ref.status):
                 assert logged.status == ref.status
             if rooted:
@@ -286,7 +285,7 @@ def test_oracle_matches_a_fresh_engine():
             assert res == (Sat(ref.assignment) if ref.status == "sat" else Unsat())
             if ref.conflicts:
                 # one conflict fewer runs out at the same conflict
-                assert oracle.solve(hard, ref.conflicts - 1) == BudgetExceeded(ref.conflicts)
+                assert Oracle(doms, ref.conflicts - 1).solve(hard) == BudgetExceeded(ref.conflicts)
         for kind in kinds:
             seen[kind] += 1
 

@@ -44,10 +44,10 @@ from test_mus_fuzz import mus_queries
 
 def _full_grow_mus(soft, hard, weights, oracle, start, models):
     n = len(soft)
-    correction_sets = []
     grow = None
-    best_known = _deletion_mus(soft, hard, oracle, start, correction_sets, [])
-    correction_sets += _model_correction_sets(soft, hard, models, correction_sets)
+    deletion_models = []
+    best_known = _deletion_mus(soft, hard, oracle, start, deletion_models)
+    correction_sets = _model_correction_sets(soft, hard, deletion_models + list(models))
     ub = sum(weights[i] for i in best_known)
     lb = 0
     while True:

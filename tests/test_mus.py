@@ -123,7 +123,7 @@ def test_grow_probe_out_of_budget_is_no_error(monkeypatch):
     outcomes = []
     orig = GrowSession.probe
 
-    def probe(self, i, budget=None):
+    def probe(self, i, budget):
         res = orig(self, i, budget)
         outcomes.append(type(res).__name__)
         return res

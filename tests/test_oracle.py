@@ -19,7 +19,7 @@ from proofseq.model import (
     negate_expr,
     parse_model,
 )
-from proofseq.oracle import BudgetExceeded, Oracle, Sat, Unsat
+from proofseq.oracle import BudgetExceeded, GrowSession, Oracle, Sat, Unsat
 
 from helpers import all_assignments, brute_eval, brute_satisfiable
 from test_model import JOBSHOP_MOD
@@ -63,8 +63,9 @@ def test_per_call_budget_is_capped_by_the_oracle_budget():
     vs, doms = _vars(*[f"v{i}" for i in range(8)])
     pigeonhole = (AllDifferent(tuple(vs)),)
     small, large = Oracle(doms, budget=2), Oracle(doms)
-    assert small.solve(pigeonhole, budget=10**9) == BudgetExceeded(3)
-    assert large.solve(pigeonhole, budget=4) == BudgetExceeded(5)
+    # a grow probe is the one call with a budget of its own
+    assert GrowSession(small, (), pigeonhole).probe(0, 10**9) == BudgetExceeded(3)
+    assert GrowSession(large, (), pigeonhole).probe(0, 4) == BudgetExceeded(5)
     assert isinstance(large.solve(pigeonhole), Unsat)
     assert (small.calls, large.calls) == (1, 2)
 

@@ -58,6 +58,34 @@ def test_empty_domain_is_refuted_by_the_bare_conclusion():
         assert validate_sequence(seq, m) == [], name
 
 
+CONSTANT_LINEARS = ("lin 0*x <= -1", "lin 0*x >= 1", "lin 0*x == 1", "lin 0*x != 0")
+
+
+@pytest.mark.parametrize("log_all", (False, True))
+@pytest.mark.parametrize("decompose", (False, True))
+def test_a_false_constant_linear_is_refuted_by_the_conclusion(log_all, decompose):
+    """A linear whose coefficients are all 0 and which is false on its own
+    fails the first time it propagates: the proof is the conclusion citing
+    it, and every variant explains it in one step of one constraint. Its
+    true forms are satisfiable."""
+    from proofseq.pipeline import VARIANTS, run_pipeline
+    from proofseq.sequence import validate_sequence
+    for body in CONSTANT_LINEARS:
+        m = parse_model(f"var x 0..3\ncon a: {body}\n")
+        s = flatten(m, decompose_alldiff=decompose)
+        res, text = solve_with_proof(s, log_all=log_all)
+        assert isinstance(res, Unsat) and text == "# drcp 1\nc UNSAT c:a\n", body
+        p = parse_drcp(text, s)
+        assert check_proof(p, s) == [], body
+        for name in VARIANTS:
+            seq = run_pipeline(m, p, name, s).sequence
+            assert (seq.sequence_length, seq.max_stepsize) == (1, 1), (body, name)
+            assert validate_sequence(seq, m) == [], (body, name)
+    for body in ("lin 0*x <= 0", "lin 0*x != 1"):
+        s = flatten(parse_model(f"var x 0..3\ncon a: {body}\n"), decompose_alldiff=decompose)
+        assert isinstance(solve_with_proof(s, log_all=log_all)[0], Sat), body
+
+
 def test_jobshop_proof_validates():
     m = parse_model(JOBSHOP_MOD)
     s = flatten(m)
