@@ -19,14 +19,36 @@ stay false for the whole solve, and without them the nogood is unit or
 violated exactly when it would be with them, while it watches, scans and
 justifies fewer atoms. With proof logging they stay: a nogood line must
 follow by reverse unit propagation from the steps it cites, and conflict
-analysis cites no step for a root entry that it leaves unexpanded. A nogood
-that watches fewer slots wakes less often, which can reorder propagation, so
-the trail, the nogoods, the model and the conflict count may differ from a
+analysis cites no step for a root entry that it leaves unexpanded. Every
+key is still stored but never read, so a nogood is registered under key 0.
+
+Proof-free nogoods follow two more rules.
+
+- Each is registered once. When analysis derives a nogood over the atom set
+  of one already registered (`learned` maps each atom set to its
+  propagator), that one is queued again instead. It is idle and unit after
+  the backjump: it waited in the queue while another propagator hit the
+  conflict, and the backjump emptied the queue. It cannot be asleep: a
+  sleeper's wake entry is no older than the entry that made one of its
+  atoms true, so that atom would still be true, while every atom of the new
+  nogood is false or undecided. So it propagates the same atom from the
+  same premises as a copy would. A proof-logging engine registers every
+  nogood under its own step id, since the proof cites that step.
+- Its atoms are listed newest first, in reverse trail order. A wake-up reads
+  the atoms in order, and the undecided or true ones are the newest, as
+  backjumps pop the newest entries first, so the read stops sooner. The
+  look order never changes the answer (below), and proof-free analysis
+  reads premises as a set, so only the order of a unit's premises changes,
+  not the search.
+
+A nogood that watches fewer slots wakes less often, and a copy sleeps and
+wakes apart from its original, so it can run at another point of the queue
+than the original alone would. Either can reorder propagation, so the
+trail, the nogoods, the model and the conflict count may differ from a
 proof-logging run, and only a sat or unsat verdict is sure to match. They
 are the same whenever the proof-logging run learns no nogood with a root
-entry, because the resolution that picks the nogood's entries does not
-depend on the steps. Every key is still stored but never read, so a nogood
-is registered under key 0.
+entry and no nogood twice, because the resolution that picks the nogood's
+entries does not depend on the steps.
 
 The root slot state of a variable set is a `RootSlots`, which an engine
 copies; `Oracle` builds one per variable set and reuses it on every call.
@@ -78,20 +100,27 @@ clauses, value-based pairwise pruning for alldifferent, guard/body reasoning
 for half-reified linears. Search is complete, so weak propagation only costs
 nodes, never soundness.
 
+One path writes the trail: `_push` puts an undecided atom on it, wakes the
+idle watchers of its variable and tightens a bound or removes a value.
+`apply` is the status test in front of it. Only alldifferent skips that
+test, for a removal that it has checked lies inside the domain of an
+unfixed slot.
+
 The two hottest propagators skip work whose result is already known.
 Alldifferent skips every removal that is already in place (the other slot
 excludes the value) and justifies a fixed slot only before its first real
-removal. A clause or nogood reads its atoms in order and stops at the first
-true atom or the second undecided one: either way it can neither propagate
-nor fail. Only a unit or a conflict reads every atom, and then a second
-in-order pass collects the premises. A clause holds no state of its own;
-every variable of it wakes it, so unlike the two watched literals of Chaff
-and MiniSat a look order could only change which atoms are read, never the
-answer: the clause does nothing when some atom is true or two are
-undecided, propagates its one undecided atom, or fails when all are false,
-whatever order the atoms are read in. Sleeping (below) spares most of the
-reads, and proof-free nogoods are short, so remembering positions between
-wake-ups, as MiniSat does, does not pay here.
+removal. A clause or nogood reads its atoms in order (a proof-free nogood
+newest first, above) and stops at the first true atom or the second
+undecided one: either way it can neither propagate nor fail. Only a unit or
+a conflict reads every atom, and then a second in-order pass collects the
+premises. A clause holds no state of its own; every variable of it wakes it,
+so unlike the two watched literals of Chaff and MiniSat a look order could
+only change which atoms are read, never the answer: the clause does nothing
+when some atom is true or two are undecided, propagates its one undecided
+atom, or fails when all are false, whatever order the atoms are read in.
+Sleeping (below) spares most of the reads, and proof-free nogoods are short,
+so remembering positions between wake-ups, as MiniSat does, does not pay
+here.
 
 A propagator that can do nothing more until the search backtracks returns
 SLEEP (the "subsumption" of Schulte and Stuckey's propagation engines): a
@@ -100,7 +129,7 @@ false, or made false by it; a linear `!=` whose guard is false, whose fixed
 terms already satisfy it (all fixed at another sum, or a last unfixed term
 whose coefficient does not divide the rest), whose target value is already
 removed, or that it has just enforced. `_propagate` then leaves its
-`in_queue` flag set, at 2, so `apply` never queues it, and puts a ("wake",
+`in_queue` flag set, at 2, so `_push` never queues it, and puts a ("wake",
 propagator, 0) undo record on the newest trail entry: popping that entry
 clears the flag. With an empty trail the propagator sleeps for good (and a
 done slot, below, stays done). If it queued itself while it ran (a clause
@@ -120,16 +149,16 @@ count and the logged proofs stay byte-identical.
 
 A kept root serves `oracle.GrowSession`, whose probes each add one
 constraint to a fixed set. `switch` turns a range of propagators off or on.
-An off propagator has flag 3: `apply` never queues it, `_propagate` skips
+An off propagator has flag 3: `_push` never queues it, `_propagate` skips
 it if it was left in the queue, and its selector slots, which only it
 watches, are pinned to 0 so that search never picks them. A wake record
 clears only a sleeper's flag (2 to 0), so popping an entry that an off
 propagator once slept on leaves it off. `undo_root(mark)` goes back to the
 root and pops root entries until `mark` are left, emptying the queue, and
-`drop_props(n)` unregisters the nogoods learned since there. A proof-free
-solve from a root at its propagation fixpoint returns what a fresh engine
-over the switched-on constraints, in the same order, returns: the same
-status, assignment and conflict count.
+`drop_props(n)` unregisters the nogoods learned since there and forgets
+their atom sets. A proof-free solve from a root at its propagation fixpoint
+returns what a fresh engine over the switched-on constraints, in the same
+order, returns: the same status, assignment and conflict count.
 
 - The root domains are the same whatever order the propagators ran in, and
   so is whether the root fails: the fixpoint of monotone propagators is
@@ -294,6 +323,8 @@ class Engine:
         self.steps: list[EngineStep] = []
         self.entry_step: dict[int, int] = {}
         self.conflicts = 0
+        # proof-free: the atom set of each learned nogood -> its propagator
+        self.learned: dict[frozenset, int] = {}
 
     # --- setup -----------------------------------------------------------
 
@@ -353,6 +384,9 @@ class Engine:
             for s in self.prop_slots[idx]:
                 self.watch[s].pop()  # the last one registered, so the last watch
         del self.props[n:], self.prop_slots[n:], self.in_queue[n:]
+        learned = self.learned  # in learning order, so the dropped ones are last
+        while learned and next(reversed(learned.values())) >= n:
+            learned.popitem()
 
     def _register(self, prop: tuple, var_slots):
         self._install(prop, tuple(set(var_slots)))
@@ -371,6 +405,20 @@ class Engine:
         if len(atoms) > 1:  # skipped for the most frequent clause, a single atom
             atoms = tuple(dict.fromkeys(atoms))
         self._register((Engine._prop_clause, key, atoms), [a[0] for a in atoms])
+
+    def _learn(self, atoms: tuple):
+        """Register a proof-free nogood under key 0, which no proof reads,
+        unless a nogood over the same atoms is registered: that one is idle
+        and unit after the backjump, and is queued to propagate again."""
+        n = len(self.props)
+        idx = self.learned.setdefault(frozenset(atoms), n)
+        if idx == n:
+            self._add_clause(0, atoms)
+        elif self.in_queue[idx]:
+            raise AssertionError("a learned nogood is not idle after its backjump")
+        else:
+            self.in_queue[idx] = 1
+            self.queue.append(idx)
 
     def _compile(self, cid: str, e: Expr, guard: Optional[Atom] = None):
         """Register e under cid; with a guard atom, register guard => e."""
@@ -479,7 +527,6 @@ class Engine:
 
     def apply(self, atom: Atom, reason: Optional[tuple]):
         """Apply an atomic domain change; returns the Conflict if the atom is false."""
-        vi, op, val = atom
         st = self.status(atom)
         if st is True:
             return None
@@ -493,6 +540,15 @@ class Engine:
                     _negate_atom(self.t_atom[q]) for q in _stable_unique(premises))
             entries = list(premises) + self.justify_false(atom)
             return Conflict(_stable_unique(entries), key, step_atoms)
+        self._push(atom, reason)
+        return None
+
+    def _push(self, atom: Atom, reason: Optional[tuple]):
+        """Put an atom on the trail: wake its variable's idle watchers, then
+        tighten its bound or remove its value. The caller must know the atom
+        is undecided: nothing here checks it, and a true or false atom would
+        corrupt the domain (a second hole record, or crossed bounds)."""
+        vi, op, val = atom
         e = len(self.t_atom)
         self.t_atom.append(atom)
         self.t_level.append(self.level)
@@ -519,7 +575,6 @@ class Engine:
             self.holes[vi][val] = e
         if self.log_all and reason is not None:
             self._step_for_entry(e)
-        return None
 
     def _tighten(self, side: int, vi: int, v: int, kind: str, entry: int):
         """Move bound `side` of vi to v as a `kind` record of trail entry
@@ -782,9 +837,10 @@ class Engine:
                 if premises is None:
                     premises = tuple(_stable_unique(
                         self.justify_bound(0, s, v) + self.justify_bound(1, s, v)))
-                r = self.apply((t, "!=", v), (cid, premises))
-                if r is not None:
-                    return r
+                if lb[t] == ub[t]:  # t is fixed at v: the removal fails
+                    return self.apply((t, "!=", v), (cid, premises))
+                # v lies inside the domain of the unfixed t: undecided
+                self._push((t, "!=", v), (cid, premises))
             # every other slot excludes v now: done until the newest trail
             # entry is undone (with none, for good)
             done.add(s)
@@ -881,12 +937,16 @@ class Engine:
                     reasons.sort(key=lambda r: isinstance(r, str))
                     self.steps.append(EngineStep((), tuple(reasons)))
                     return EngineResult("unsat", steps=self.steps, conflicts=self.conflicts)
+                if reasons is None:
+                    # newest atom first, registered once (see the module docstring)
+                    nogood_atoms = tuple(_negate_atom(self.t_atom[e]) for e in reversed(cc_entries))
+                    self.backtrack_to(clevel - 1)
+                    self._learn(nogood_atoms)
+                    continue
                 nogood_atoms = tuple(_negate_atom(self.t_atom[e]) for e in cc_entries)
-                if reasons is not None:
-                    self.steps.append(EngineStep(nogood_atoms, tuple(reasons)))
+                self.steps.append(EngineStep(nogood_atoms, tuple(reasons)))
                 self.backtrack_to(clevel - 1)
-                # its own step id; 0 without proof logging, where no key is read
-                self._add_clause(len(self.steps), nogood_atoms)
+                self._add_clause(len(self.steps), nogood_atoms)  # under its own step id
                 continue
             vi = self._pick_var()
             if vi is None:

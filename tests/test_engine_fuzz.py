@@ -13,24 +13,35 @@ and learns nogoods):
   checked as well;
 - `Oracle.solve`, which copies its root slots and replays the propagators
   it compiled in earlier calls, must run the engine that a fresh `Engine`
-  without proof logging over the same constraints in the same order is: the
-  same propagators (constraint ids, alldifferent done sets and learned
+  without proof logging over the same constraints in the same order is:
+  the same propagators (constraint ids, alldifferent done sets and learned
   nogoods included), watches and final trail, and the same status,
-  assignment and conflict count, under small budgets too, over repeated and
-  reordered queries on one oracle. A proof-logging `Engine` keeps root-level atoms in
-  its nogoods, which the proof-free one leaves out, so it must reach the
-  same status whenever neither runs out of budget, and search exactly the
-  same way (the same trail, learned nogoods but for their keys, assignment
-  and conflict count) whenever it learns no nogood with a root-level atom.
+  assignment and conflict count, under small budgets too, over repeated
+  and reordered queries on one oracle. A proof-logging `Engine` keeps
+  root-level atoms in its nogoods, which the proof-free one leaves out,
+  and registers every nogood it learns, a repeated one too, where the
+  proof-free one queues the first again; the proof-free one also lists a
+  nogood's atoms in another order. So the proof-logging engine must reach
+  the same status whenever neither runs out of budget, and search exactly
+  the same way (the same trail, constraint propagators, learned nogoods as
+  distinct atom sets in first-learned order, assignment and conflict
+  count) whenever it learns no nogood with a root-level atom and no nogood
+  twice.
 
 On searching models, a solve without proof logging must learn only
 nogoods that hold no atom false at the root fixpoint and that every
 brute-force solution satisfies, and reach the brute-force verdict.
 
 At every propagation fixpoint of the search on a searching model, with
-proof logging and without, a propagator that sleeps until backtrack, and a
-done slot of an alldifferent, must have nothing left to do: run again,
-neither changes the trail or the queue.
+proof logging and without, a propagator that sleeps until backtrack, a
+done slot of an alldifferent, and an idle learned nogood must have nothing
+left to do: run again, none changes the trail or the queue, and the nogood
+does not fail. A nogood learned again is queued again, not registered
+twice; an engine that skipped the copy without queuing the first fails
+this check, as that one is unit.
+
+Every test here checks each `Engine._push`, the trail write behind `apply`
+that alldifferent also calls directly: the atom must be undecided.
 
 On random clauses over random domain states, a clause wake-up, which stops
 reading at the first true atom or the second undecided one, must reach the
@@ -71,6 +82,19 @@ from proofseq.oracle import BudgetExceeded, Oracle, Sat, Unsat
 from helpers import all_assignments, brute_eval
 
 OPS = ("<=", ">=", "==", "!=")
+
+
+@pytest.fixture(autouse=True)
+def push_only_undecided(monkeypatch):
+    """`Engine._push` trusts its caller that the atom is undecided; every
+    push in these tests checks it."""
+    push = Engine._push
+
+    def checked(eng, atom, reason):
+        assert eng.status(atom) is None, ("push of a decided atom", atom)
+        return push(eng, atom, reason)
+
+    monkeypatch.setattr(Engine, "_push", checked)
 
 
 @st.composite
@@ -216,10 +240,16 @@ def _solve_and_catch_engine(oracle, hard):
     return res, engines[0]
 
 
-def _props(eng):
-    """The propagators in registration order, learned nogoods without their
-    key, which is a step id only with proof logging."""
-    return [p if isinstance(p[1], str) else (p[0], None) + p[2:] for p in eng.props]
+def _compiled(eng):
+    """The propagators of the constraints, in registration order."""
+    return [p for p in eng.props if isinstance(p[1], str)]
+
+
+def _nogood_sets(eng):
+    """The atom sets of the learned nogoods, each once, in first-learned
+    order, and how many nogoods were registered."""
+    learned = [frozenset(p[2]) for p in eng.props if not isinstance(p[1], str)]
+    return list(dict.fromkeys(learned)), len(learned)
 
 
 def _logged_reference(doms, hard, budget):
@@ -241,7 +271,7 @@ def _logged_reference(doms, hard, budget):
 
 
 def test_oracle_matches_a_fresh_engine():
-    seen = dict.fromkeys(("backtracked", "rooted nogood"), 0)
+    seen = dict.fromkeys(("backtracked", "same search after a nogood", "searches may part"), 0)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(st.one_of(small_models(), searching_models()), st.data())
@@ -267,18 +297,23 @@ def test_oracle_matches_a_fresh_engine():
             assert eng.t_atom == ref_eng.t_atom
             if any(not isinstance(p[1], str) for p in ref_eng.props):
                 kinds.add("backtracked")  # a nogood is learned on backtracking
-            # proof logging keeps root-level atoms in the nogoods; only they
-            # can make it search differently
+            # proof logging keeps root-level atoms in the nogoods and
+            # registers a nogood learned again as a copy; only these can make
+            # it search differently
             log_eng, logged, rooted = _logged_reference(doms, hard, oracle.budget)
             if "budget" not in (logged.status, ref.status):
                 assert logged.status == ref.status
-            if rooted:
-                kinds.add("rooted nogood")
+            nogoods, registered = _nogood_sets(log_eng)
+            if rooted or len(nogoods) < registered:
+                kinds.add("searches may part")
             else:
-                assert _props(log_eng) == _props(ref_eng)
+                assert _compiled(log_eng) == _compiled(ref_eng)
+                assert nogoods == _nogood_sets(ref_eng)[0]
                 assert log_eng.t_atom == ref_eng.t_atom
                 assert (logged.status, logged.assignment, logged.conflicts) == \
                     (ref.status, ref.assignment, ref.conflicts)
+                if nogoods:
+                    kinds.add("same search after a nogood")
             if ref.status == "budget":
                 assert res == BudgetExceeded(ref.conflicts)
                 continue
@@ -290,7 +325,8 @@ def test_oracle_matches_a_fresh_engine():
             seen[kind] += 1
 
     run()
-    # examples that reach a learned nogood, and ones where the two searches may part
+    # examples that reach a learned nogood, ones where the two searches are
+    # checked to be the same after it, and ones where they may part
     assert min(seen.values()) > 0, seen
 
 
@@ -334,8 +370,9 @@ def test_proof_free_nogoods_are_root_free_and_sound():
 
 def _rerun_sleepers(eng, seen):
     """At a propagation fixpoint nothing is queued, and re-running each
-    sleeping propagator, and each done slot of an alldifferent, leaves the
-    trail and the queue as they are: a sleeper answers SLEEP again."""
+    sleeping propagator, each done slot of an alldifferent and each idle
+    learned nogood leaves the trail and the queue as they are: a sleeper
+    answers SLEEP again, and the nogood finds no conflict."""
     assert eng.queue == [] and 1 not in eng.in_queue
     trail = list(eng.t_atom)
     effects = list(eng.t_effects[-1]) if eng.t_effects else None
@@ -349,13 +386,17 @@ def _rerun_sleepers(eng, seen):
                 # every other slot counts as done, so only s is looked at
                 seen["done slots"] += 1
                 assert p[0](eng, p[:3] + (set(slots) - {s},)) is None
+        elif not isinstance(p[1], str) and not eng.in_queue[idx]:
+            # an idle learned nogood: it neither propagates nor fails
+            seen["idle nogoods"] += 1
+            assert not isinstance(p[0](eng, p), Conflict)
         assert eng.t_atom == trail and eng.queue == []
     if effects is not None:
         eng.t_effects[-1][:] = effects  # drop the records the re-runs added
 
 
 def test_sleepers_would_do_nothing():
-    seen = dict.fromkeys(("fixpoints", "sleepers", "done slots", "backtracks"), 0)
+    seen = dict.fromkeys(("fixpoints", "sleepers", "done slots", "idle nogoods", "backtracks"), 0)
     propagate, backtrack_to = Engine._propagate, Engine.backtrack_to
 
     def checked(eng):
@@ -450,7 +491,7 @@ def test_clause_look_order_does_not_change_the_answer():
             continue
         seen[expected[0]] += 1
         if expected[0] == "unit":
-            # the unit atom is undecided, so apply adds it to the trail
+            # the unit atom is undecided, so it goes onto the trail
             assert got is SLEEP and len(eng.t_atom) == trail + 1
             assert (eng.t_atom[-1], eng.t_reason[-1]) == (expected[1], ("c", expected[2]))
         else:
