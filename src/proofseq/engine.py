@@ -149,16 +149,15 @@ count and the logged proofs stay byte-identical.
 
 A kept root serves `oracle.GrowSession`, whose probes each add one
 constraint to a fixed set. `switch` turns a range of propagators off or on.
-An off propagator has flag 3: `_push` never queues it, `_propagate` skips
-it if it was left in the queue, and its selector slots, which only it
-watches, are pinned to 0 so that search never picks them. A wake record
-clears only a sleeper's flag (2 to 0), so popping an entry that an off
-propagator once slept on leaves it off. `undo_root(mark)` goes back to the
-root and pops root entries until `mark` are left, emptying the queue, and
-`drop_props(n)` unregisters the nogoods learned since there and forgets
-their atom sets. A proof-free solve from a root at its propagation fixpoint
-returns what a fresh engine over the switched-on constraints, in the same
-order, returns: the same status, assignment and conflict count.
+An off propagator has flag 3: `_push` never queues it, and `_propagate`
+skips it if it was left in the queue. A wake record clears only a sleeper's
+flag (2 to 0), so popping an entry that an off propagator once slept on
+leaves it off. `undo_root(mark)` goes back to the root and pops root
+entries until `mark` are left, emptying the queue, and `drop_props(n)`
+unregisters the nogoods learned since there and forgets their atom sets. A
+proof-free solve from a root at its propagation fixpoint returns what a
+fresh engine over the switched-on constraints, in the same order, returns:
+the same status, assignment and conflict count.
 
 - The root domains are the same whatever order the propagators ran in, and
   so is whether the root fails: the fixpoint of monotone propagators is
@@ -171,6 +170,8 @@ order, returns: the same status, assignment and conflict count.
 - The switched-on propagators keep the relative order a fresh engine gives
   them, in registration and in every watch list, and an off one is never
   queued.
+- A fresh engine has no selector slots for an off member, and search skips
+  them here (below), as only the member's off propagators watch them.
 
 Only the root trail can differ: its entries, and values outside the bounds
 left in `holes`, which every hole test reads only after a bound test.
@@ -190,22 +191,19 @@ SLEEP. Both fixed at rhs: the pivot on the first term (`x != x's value`)
 from the second term's bound entries. `tests/test_engine_fuzz.py` checks it
 against a general-pass engine.
 
-Search decides the first unfixed slot, `slot == lb`, on a level of its own,
-and `level_slot` holds the slot of each level. It looks on from the current
-level's slot, as every slot up to it was fixed when that level was pushed
-and stays fixed on that level. A slot that no idle propagator watches (each
-watcher asleep or off) gets an empty level: the level is pushed, with its
-slot, but no trail entry, and the search looks on. Deciding it would queue
-nothing, and this is exact. While the decision would stand, none of the
-slot's watchers can run: each is off or sleeps on an earlier entry. A
-nogood learned meanwhile watches the slot only for an earlier entry on it,
-whose negation stays false either way. So no propagation, conflict cut or
-nogood could tell the decision from its absence. A Sat result reads the
-slot's `lb`, the value the decision would have set. One level per skipped
-slot keeps every entry's level, and so conflict levels, 1UIP cuts and
-backjumps, as they were; the trail is the one that deciding every slot
-gives, without the skipped decisions. A backjump to an empty level may
-still propagate onto it.
+Search decides the first unfixed slot that an idle propagator watches,
+`slot == lb`, on a level of its own, looking on from the current level's
+decision slot, `t_atom[level_start[level]][0]`: every slot before it was
+fixed or skipped when that decision was made. A slot that no idle
+propagator watches is skipped, with no level or trail entry. This is
+sound. Its watchers are asleep, so satisfied by any values left, or off,
+so not part of the problem, and a Sat result reads its `lb`; a nogood
+learned later follows from the constraints. They sleep on entries no newer
+than the level whose scan skipped it, so a backjump that wakes one pops
+the decision that scan looked on from, and the next scan looks at the slot
+again. Skipping moves levels, and so conflict cuts, nogoods and backjumps:
+search is not trail-identical to deciding every slot, and only its
+verdicts are the same (`tests/test_skipped_slots.py`).
 
 Conflict analysis expands, while more than one conflict entry is at the
 conflict level (at the root: while any entry has a reason), the latest such
@@ -312,7 +310,6 @@ class Engine:
         self.t_effects: list[list[tuple]] = []
         self.level = 0
         self.level_start: list[int] = [0]
-        self.level_slot: list[int] = [-1]  # the slot decided at each level
 
         self.props: list[tuple] = []  # (propagator function, its key, its arguments...)
         self.prop_slots: list[tuple[int, ...]] = []  # the slots each propagator watches
@@ -365,14 +362,9 @@ class Engine:
                 prop = (prop[0], cid) + prop[2:]
             self._install(prop, slots)
 
-    def switch(self, props: range, slots: range, on: bool):
-        """Switch the propagators in props on (queued, in order) or off, and
-        free or pin to 0 the selector slots in slots, which only they watch
-        and no trail entry may touch. An off propagator is never queued or
-        woken, and an off selector never picked."""
-        for s in slots:
-            self.ub[s] = int(on)
-            self.hist[1][s] = [("b", int(on), -1)]
+    def switch(self, props: range, on: bool):
+        """Switch the propagators in props on (queued, in order) or off. An
+        off propagator is never queued or woken."""
         self.in_queue[props.start:props.stop] = [1 if on else 3] * len(props)
         if on:
             self.queue.extend(props)
@@ -591,12 +583,12 @@ class Engine:
 
     def backtrack_to(self, level: int):
         self._undo_to(self.level_start[level + 1])
-        del self.level_start[level + 1:], self.level_slot[level + 1:]
+        del self.level_start[level + 1:]
         self.level = level
 
     def undo_root(self, mark: int):
         """Back to the root, then pop root entries until `mark` are left."""
-        del self.level_start[1:], self.level_slot[1:]
+        del self.level_start[1:]
         self.level = 0
         self._undo_to(mark)
 
@@ -955,24 +947,20 @@ class Engine:
                                     conflicts=self.conflicts)
             self.level += 1
             self.level_start.append(len(self.t_atom))
-            self.level_slot.append(vi)
             self.apply((vi, "==", self.lb[vi]), None)
 
     def _pick_var(self) -> Optional[int]:
-        """The first unfixed slot that an idle propagator watches, after
-        pushing an empty level for each unfixed slot before it (see the
-        module docstring); None when every slot is fixed or skipped."""
-        # every slot up to the current level's decision was fixed when it was made
+        """The first unfixed slot that an idle propagator watches, or None
+        when every slot is fixed or skipped (see the module docstring)."""
+        # every slot before the current level's decision slot was fixed or
+        # skipped when that decision was made
         lb, ub, watch, in_queue = self.lb, self.ub, self.watch, self.in_queue
-        for s in range(self.level_slot[self.level] + 1, len(lb)):
+        start = self.t_atom[self.level_start[self.level]][0] if self.level else 0
+        for s in range(start, len(lb)):
             if lb[s] != ub[s]:
                 for idx in watch[s]:
                     if not in_queue[idx]:
                         return s
-                # deciding s would queue nothing
-                self.level += 1
-                self.level_start.append(len(self.t_atom))
-                self.level_slot.append(s)
         return None
 
 

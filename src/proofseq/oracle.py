@@ -34,18 +34,20 @@ Each call runs one new `Engine`, which pays only for its search:
 A `GrowSession` keeps one proof-free engine for all the grow probes of one
 MUS query, each of which adds one soft member to a kept set (see `mus`). It
 compiles `hard`, then every soft member once, in index order, each switched
-off (see `engine`, on a kept root). `keep(members)` switches members on and
-propagates them at the root, which is then kept. `probe(i, budget)` switches
-an off member i on and solves from the kept root. A Sat probe that learned
-no nogood keeps i and the root it propagated. Any other probe pops back to
-the kept root, dropping the nogoods it learned and the root entries they
-produced, and then switches i off, or, when Sat, propagates it again.
-`clear()` goes back to `hard` alone. Each probe counts as one call and
-returns what `Oracle.solve(hard + [soft[j] for j in sorted(kept | {i})])`
-returns under the probe's budget: the same result, model and conflict
-count. `hard` and every kept set must be satisfiable together, as the sets
-that global minimization keeps are, so the kept root never fails; a root
-conflict is an AssertionError.
+off (see `engine`, on a kept root). An off member's selector slots stay,
+watched only by its off propagators, so the search skips them: like a fresh
+engine, which lacks them, it never decides them. `keep(members)` switches
+members on and propagates them at the root, which is then kept. `probe(i,
+budget)` switches an off member i on and solves from the kept root. A Sat
+probe that learned no nogood keeps i and the root it propagated. Any other
+probe pops back to the kept root, dropping the nogoods it learned and the
+root entries they produced, and then switches i off, or, when Sat,
+propagates it again. `clear()` goes back to `hard` alone. Each probe counts
+as one call and returns what `Oracle.solve(hard + [soft[j] for j in
+sorted(kept | {i})])` returns under the probe's budget: the same result,
+model and conflict count. `hard` and every kept set must be satisfiable
+together, as the sets that global minimization keeps are, so the kept root
+never fails; a root conflict is an AssertionError.
 """
 
 from __future__ import annotations
@@ -125,13 +127,13 @@ class GrowSession:
         self.oracle = oracle
         self.hard, self.soft = tuple(hard), tuple(soft)
         eng = self.engine = oracle._engine(self.hard)
-        # per member: (its propagators, its selector slots), all off for now
-        self.ranges: list[tuple[range, range]] = []
+        # per member: its propagators, all off for now
+        self.ranges: list[range] = []
         for j, c in enumerate(self.soft):
-            n_props, n_slots = len(eng.props), len(eng.lb)
+            n_props = len(eng.props)
             eng.add_cached(oracle._compiled, f"s{j}", c)
-            self.ranges.append((range(n_props, len(eng.props)), range(n_slots, len(eng.lb))))
-            eng.switch(*self.ranges[j], on=False)
+            self.ranges.append(range(n_props, len(eng.props)))
+            eng.switch(self.ranges[j], on=False)
         self.kept: set[int] = set()
         self._propagate_root()
         self._base = len(eng.t_atom)
@@ -144,21 +146,21 @@ class GrowSession:
         """Switch the members on for every later probe, at the root."""
         for j in sorted(set(members) - self.kept):
             self.kept.add(j)
-            self.engine.switch(*self.ranges[j], on=True)
+            self.engine.switch(self.ranges[j], on=True)
         self._propagate_root()
 
     def clear(self):
         """Switch every member off again: back to `hard` alone."""
         self.engine.undo_root(self._base)
         for j in self.kept:
-            self.engine.switch(*self.ranges[j], on=False)
+            self.engine.switch(self.ranges[j], on=False)
         self.kept.clear()
 
     def probe(self, i: int, budget: int) -> OracleResult:
         """Solve with the off member i switched on as well; keep it when Sat."""
         eng = self.engine
         mark, n_props = len(eng.t_atom), len(eng.props)
-        eng.switch(*self.ranges[i], on=True)
+        eng.switch(self.ranges[i], on=True)
         members = (self.soft[j] for j in sorted(self.kept | {i}))
         res = self.oracle._run(eng, budget, chain(self.hard, members))
         sat = isinstance(res, Sat)
@@ -171,7 +173,7 @@ class GrowSession:
             # they produced; a Sat i is then propagated again
             eng.undo_root(mark)
             eng.drop_props(n_props)
-            eng.switch(*self.ranges[i], on=sat)
+            eng.switch(self.ranges[i], on=sat)
             self._propagate_root()
         if sat:
             self.kept.add(i)

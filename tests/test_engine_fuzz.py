@@ -54,6 +54,9 @@ for an unguarded two-term `!=`, must search exactly as an engine whose
 `_prop_linne` takes only the general pass: the same trail and reasons,
 learned nogoods, status, assignment, conflict count and proof steps, with
 proof logging and without.
+
+`skipping_models`, searching models with a few more variables that often
+need no decision, serve `test_skipped_slots` and `test_nogoods_once`.
 """
 
 import collections
@@ -165,6 +168,29 @@ def searching_models(draw):
     return ([(v, Domain(0, k)) for v in vs],
             [AllDifferent(vs)] + [AtomicConstraint(v, "<=", len(pocket) - 1) for v in pocket]
             + cons)
+
+
+@st.composite
+def skipping_models(draw):
+    """A searching model with 1 to 4 more variables of domain 0..3 among its
+    own, which only drawn clauses over all the variables constrain: once
+    those clauses are true, and so asleep, or when there are none, no idle
+    propagator watches such a variable, and the search skips it. An
+    alldifferent over every variable watches each of them, so a searching
+    model alone skips no variable."""
+    doms, cons = draw(searching_models())
+    n = len(doms)
+    for i in range(draw(st.integers(1, 4))):
+        doms.insert(draw(st.integers(0, len(doms))), (VarId(n + i, f"y{i}"), Domain(0, 3)))
+    vs = [v for v, _ in doms]
+
+    def atom():
+        return AtomicConstraint(draw(st.sampled_from(vs)), draw(st.sampled_from(OPS)),
+                                draw(st.integers(0, 4)))
+
+    clauses = [Clause(tuple(atom() for _ in range(draw(st.integers(2, 3)))))
+               for _ in range(draw(st.integers(0, len(doms) - n + 2)))]
+    return doms, cons + clauses
 
 
 def _solutions(doms, cons):
@@ -465,11 +491,8 @@ def test_clause_look_order_does_not_change_the_answer():
             if eng.status(a) is None:
                 eng.level += 1
                 eng.level_start.append(len(eng.t_atom))
-                # `_pick_var` takes every slot up to a level's slot as fixed;
-                # an arbitrary atom fixes none, so the slot stays the one below
-                eng.level_slot.append(eng.level_slot[-1])
                 assert eng.apply(a, None) is None
-        assert len(eng.level_slot) == len(eng.level_start) == eng.level + 1
+        assert len(eng.level_start) == eng.level + 1
         # negated decisions are false, so units and conflicts are common
         false = [_negate_atom(a) for a in eng.t_atom]
         atoms = tuple(dict.fromkeys(

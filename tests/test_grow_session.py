@@ -102,8 +102,8 @@ def test_probes_match_a_fresh_oracle():
             # hard alone again: every member off, no nogood, nothing queued
             eng = session.engine
             assert not session.kept and eng.queue == [] and eng.level == 0
-            assert len(eng.props) == session.ranges[-1][0].stop
-            assert all(eng.in_queue[idx] == 3 for props, _ in session.ranges for idx in props)
+            assert len(eng.props) == session.ranges[-1].stop
+            assert all(eng.in_queue[idx] == 3 for props in session.ranges for idx in props)
 
     run()
     # every kind of answer, and Sat after searches that learned

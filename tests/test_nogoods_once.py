@@ -4,8 +4,8 @@ registers every learned nogood, copies included.
 When conflict analysis derives a nogood over the atom set of one it already
 registered, `Engine.solve` queues that one again instead of registering a
 copy. The reference below registers every nogood, in learning order, as
-the engine did before. On searching models and the skipping models of
-`test_empty_levels`, proof-free, under budgets None/1/2/4, in plain solves
+the engine did before. On the searching and skipping models of
+`test_engine_fuzz`, proof-free, under budgets None/1/2/4, in plain solves
 and in the grow probes of a `GrowSession` (kept sets drawn as in
 `test_grow_session`), each solve must:
 
@@ -31,8 +31,8 @@ from proofseq import oracle as oracle_module
 from proofseq.engine import DEFAULT_BUDGET, Engine
 from proofseq.oracle import GrowSession, Oracle
 
-from test_empty_levels import skipping_models
-from test_engine_fuzz import push_only_undecided, searching_models  # noqa: F401 (autouse)
+from test_engine_fuzz import push_only_undecided  # noqa: F401 (autouse)
+from test_engine_fuzz import searching_models, skipping_models
 from test_grow_session import draw_kept
 
 BUDGETS = (None, 1, 2, 4)
@@ -97,7 +97,7 @@ def _solve(cls, doms, cons, budget):
 def test_solves_match_an_engine_that_learns_copies():
     seen = dict.fromkeys(("with copies", "learned, no copy"), 0)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
     @given(MODELS)
     def run(model):
         doms, cons = model
