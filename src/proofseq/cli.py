@@ -90,6 +90,9 @@ def cmd_explain(args) -> int:
     if args.solve == (args.proof is not None):
         print("error: give a proof file or --solve, not both", file=sys.stderr)
         return 2
+    if args.log_all and not args.solve:
+        print("error: --log-all needs --solve", file=sys.stderr)
+        return 2
     model = _load_model(args.model)
     solver = flatten(model, decompose_alldiff=args.decompose_alldiff)
     budget = _budget(args)

@@ -22,33 +22,20 @@ follow by reverse unit propagation from the steps it cites, and conflict
 analysis cites no step for a root entry that it leaves unexpanded. Every
 key is still stored but never read, so a nogood is registered under key 0.
 
-Proof-free nogoods follow two more rules.
+Proof-free nogoods also list their atoms newest first, in reverse trail
+order. A wake-up reads the atoms in order, and the undecided or true ones
+are the newest, as backjumps pop the newest entries first, so the read
+stops sooner. The look order never changes the answer (below), and
+proof-free analysis reads premises as a set, so only the order of a unit's
+premises changes, not the search.
 
-- Each is registered once. When analysis derives a nogood over the atom set
-  of one already registered (`learned` maps each atom set to its
-  propagator), that one is queued again instead. It is idle and unit after
-  the backjump: it waited in the queue while another propagator hit the
-  conflict, and the backjump emptied the queue. It cannot be asleep: a
-  sleeper's wake entry is no older than the entry that made one of its
-  atoms true, so that atom would still be true, while every atom of the new
-  nogood is false or undecided. So it propagates the same atom from the
-  same premises as a copy would. A proof-logging engine registers every
-  nogood under its own step id, since the proof cites that step.
-- Its atoms are listed newest first, in reverse trail order. A wake-up reads
-  the atoms in order, and the undecided or true ones are the newest, as
-  backjumps pop the newest entries first, so the read stops sooner. The
-  look order never changes the answer (below), and proof-free analysis
-  reads premises as a set, so only the order of a unit's premises changes,
-  not the search.
-
-A nogood that watches fewer slots wakes less often, and a copy sleeps and
-wakes apart from its original, so it can run at another point of the queue
-than the original alone would. Either can reorder propagation, so the
-trail, the nogoods, the model and the conflict count may differ from a
+A nogood that watches fewer slots wakes less often, so it can run at
+another point of the queue, and that can reorder propagation: the trail,
+the nogoods, the model and the conflict count may differ from a
 proof-logging run, and only a sat or unsat verdict is sure to match. They
 are the same whenever the proof-logging run learns no nogood with a root
-entry and no nogood twice, because the resolution that picks the nogood's
-entries does not depend on the steps.
+entry, because the resolution that picks the nogood's entries does not
+depend on the steps.
 
 The root slot state of a variable set is a `RootSlots`, which an engine
 copies; `Oracle` builds one per variable set and reuses it on every call.
@@ -154,10 +141,10 @@ skips it if it was left in the queue. A wake record clears only a sleeper's
 flag (2 to 0), so popping an entry that an off propagator once slept on
 leaves it off. `undo_root(mark)` goes back to the root and pops root
 entries until `mark` are left, emptying the queue, and `drop_props(n)`
-unregisters the nogoods learned since there and forgets their atom sets. A
-proof-free solve from a root at its propagation fixpoint returns what a
-fresh engine over the switched-on constraints, in the same order, returns:
-the same status, assignment and conflict count.
+unregisters the nogoods learned since there. A proof-free solve from a root
+at its propagation fixpoint returns what a fresh engine over the
+switched-on constraints, in the same order, returns: the same status,
+assignment and conflict count.
 
 - The root domains are the same whatever order the propagators ran in, and
   so is whether the root fails: the fixpoint of monotone propagators is
@@ -320,8 +307,6 @@ class Engine:
         self.steps: list[EngineStep] = []
         self.entry_step: dict[int, int] = {}
         self.conflicts = 0
-        # proof-free: the atom set of each learned nogood -> its propagator
-        self.learned: dict[frozenset, int] = {}
 
     # --- setup -----------------------------------------------------------
 
@@ -370,15 +355,12 @@ class Engine:
             self.queue.extend(props)
 
     def drop_props(self, n: int):
-        """Unregister the propagators from index n on (learned nogoods); no
-        queue entry or trail entry may refer to them."""
+        """Unregister the propagators from index n on, all of them learned
+        nogoods; no queue entry or trail entry may refer to them."""
         for idx in range(len(self.props) - 1, n - 1, -1):
             for s in self.prop_slots[idx]:
                 self.watch[s].pop()  # the last one registered, so the last watch
         del self.props[n:], self.prop_slots[n:], self.in_queue[n:]
-        learned = self.learned  # in learning order, so the dropped ones are last
-        while learned and next(reversed(learned.values())) >= n:
-            learned.popitem()
 
     def _register(self, prop: tuple, var_slots):
         self._install(prop, tuple(set(var_slots)))
@@ -397,20 +379,6 @@ class Engine:
         if len(atoms) > 1:  # skipped for the most frequent clause, a single atom
             atoms = tuple(dict.fromkeys(atoms))
         self._register((Engine._prop_clause, key, atoms), [a[0] for a in atoms])
-
-    def _learn(self, atoms: tuple):
-        """Register a proof-free nogood under key 0, which no proof reads,
-        unless a nogood over the same atoms is registered: that one is idle
-        and unit after the backjump, and is queued to propagate again."""
-        n = len(self.props)
-        idx = self.learned.setdefault(frozenset(atoms), n)
-        if idx == n:
-            self._add_clause(0, atoms)
-        elif self.in_queue[idx]:
-            raise AssertionError("a learned nogood is not idle after its backjump")
-        else:
-            self.in_queue[idx] = 1
-            self.queue.append(idx)
 
     def _compile(self, cid: str, e: Expr, guard: Optional[Atom] = None):
         """Register e under cid; with a guard atom, register guard => e."""
@@ -929,16 +897,15 @@ class Engine:
                     reasons.sort(key=lambda r: isinstance(r, str))
                     self.steps.append(EngineStep((), tuple(reasons)))
                     return EngineResult("unsat", steps=self.steps, conflicts=self.conflicts)
-                if reasons is None:
-                    # newest atom first, registered once (see the module docstring)
+                if reasons is None:  # no proof to cite it: key 0, newest atom first
+                    key = 0
                     nogood_atoms = tuple(_negate_atom(self.t_atom[e]) for e in reversed(cc_entries))
-                    self.backtrack_to(clevel - 1)
-                    self._learn(nogood_atoms)
-                    continue
-                nogood_atoms = tuple(_negate_atom(self.t_atom[e]) for e in cc_entries)
-                self.steps.append(EngineStep(nogood_atoms, tuple(reasons)))
+                else:
+                    nogood_atoms = tuple(_negate_atom(self.t_atom[e]) for e in cc_entries)
+                    self.steps.append(EngineStep(nogood_atoms, tuple(reasons)))
+                    key = len(self.steps)  # its own step id
                 self.backtrack_to(clevel - 1)
-                self._add_clause(len(self.steps), nogood_atoms)  # under its own step id
+                self._add_clause(key, nogood_atoms)
                 continue
             vi = self._pick_var()
             if vi is None:

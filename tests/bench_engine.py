@@ -22,10 +22,9 @@ from proofseq.prover import solve_with_proof
 from test_determinism import PINNED_PROOFS
 
 # constraint ids of sudoku9 seed 19 that one of its trim+minloc probes sends
-# to the oracle: unsat after 158 conflicts, which learn 113 distinct nogoods
-# of up to 11 atoms (5.3 on average), since the oracle's nogoods leave out
-# root-level atoms; a nogood learned again is queued, not registered again,
-# which would make 157
+# to the oracle: unsat after 158 conflicts, which register 157 nogoods of up
+# to 11 atoms (4.8 on average), since the oracle's nogoods leave out
+# root-level atoms; 44 of them repeat the atoms of an earlier one
 RELAXATION = (
     "row1", "row2", "col3", "col4", "col6", "col9", "blk1", "blk2", "blk6", "blk8",
     "h1", "h3", "h5", "h8", "h9", "h10", "h11", "h12", "h13", "h18", "h19", "h21",
@@ -89,7 +88,7 @@ def test_oracle_solve_sudoku9_relaxation(benchmark):
     eng = oracle._engine(constraints)
     compiled = len(eng.props)
     assert eng.solve().conflicts == 158
-    assert len(eng.props) - compiled == 113  # each distinct nogood once
+    assert len(eng.props) - compiled == 157  # every learned nogood, copies too
 
 
 def test_oracle_solve_sudoku9_long_search(benchmark):

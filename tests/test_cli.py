@@ -290,6 +290,14 @@ def test_explain_needs_a_proof_file_or_solve(inputs):
     assert "give a proof file or --solve" in err
 
 
+def test_explain_log_all_needs_solve(tmp_path):
+    # checked before the model is read, so a missing model file is not the error
+    for model in (MOD, str(tmp_path / "missing.mod")):
+        code, out, err = run_cli("explain", model, PRF, "--log-all")
+        assert code == 2 and out == ""
+        assert "--log-all needs --solve" in err
+
+
 def test_bench_negative_n_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         run_cli("bench", "--suite", "jobshop", "-n", "-2")

@@ -19,14 +19,12 @@ and learns nogoods):
   assignment and conflict count, under small budgets too, over repeated
   and reordered queries on one oracle. A proof-logging `Engine` keeps
   root-level atoms in its nogoods, which the proof-free one leaves out,
-  and registers every nogood it learns, a repeated one too, where the
-  proof-free one queues the first again; the proof-free one also lists a
-  nogood's atoms in another order. So the proof-logging engine must reach
+  and lists a nogood's atoms in another order; both register every nogood
+  they learn, a repeated one too. So the proof-logging engine must reach
   the same status whenever neither runs out of budget, and search exactly
   the same way (the same trail, constraint propagators, learned nogoods as
-  distinct atom sets in first-learned order, assignment and conflict
-  count) whenever it learns no nogood with a root-level atom and no nogood
-  twice.
+  atom sets in learning order, copies included, assignment and conflict
+  count) whenever it learns no nogood with a root-level atom.
 
 On searching models, a solve without proof logging must learn only
 nogoods that hold no atom false at the root fixpoint and that every
@@ -36,9 +34,7 @@ At every propagation fixpoint of the search on a searching model, with
 proof logging and without, a propagator that sleeps until backtrack, a
 done slot of an alldifferent, and an idle learned nogood must have nothing
 left to do: run again, none changes the trail or the queue, and the nogood
-does not fail. A nogood learned again is queued again, not registered
-twice; an engine that skipped the copy without queuing the first fails
-this check, as that one is unit.
+does not fail.
 
 Every test here checks each `Engine._push`, the trail write behind `apply`
 that alldifferent also calls directly: the atom must be undecided.
@@ -56,7 +52,7 @@ learned nogoods, status, assignment, conflict count and proof steps, with
 proof logging and without.
 
 `skipping_models`, searching models with a few more variables that often
-need no decision, serve `test_skipped_slots` and `test_nogoods_once`.
+need no decision, serve `test_skipped_slots`.
 """
 
 import collections
@@ -272,10 +268,9 @@ def _compiled(eng):
 
 
 def _nogood_sets(eng):
-    """The atom sets of the learned nogoods, each once, in first-learned
-    order, and how many nogoods were registered."""
-    learned = [frozenset(p[2]) for p in eng.props if not isinstance(p[1], str)]
-    return list(dict.fromkeys(learned)), len(learned)
+    """The atom sets of the learned nogoods, in learning order, copies
+    included."""
+    return [frozenset(p[2]) for p in eng.props if not isinstance(p[1], str)]
 
 
 def _logged_reference(doms, hard, budget):
@@ -323,18 +318,17 @@ def test_oracle_matches_a_fresh_engine():
             assert eng.t_atom == ref_eng.t_atom
             if any(not isinstance(p[1], str) for p in ref_eng.props):
                 kinds.add("backtracked")  # a nogood is learned on backtracking
-            # proof logging keeps root-level atoms in the nogoods and
-            # registers a nogood learned again as a copy; only these can make
-            # it search differently
+            # proof logging keeps root-level atoms in the nogoods; only these
+            # can make it search differently
             log_eng, logged, rooted = _logged_reference(doms, hard, oracle.budget)
             if "budget" not in (logged.status, ref.status):
                 assert logged.status == ref.status
-            nogoods, registered = _nogood_sets(log_eng)
-            if rooted or len(nogoods) < registered:
+            nogoods = _nogood_sets(log_eng)
+            if rooted:
                 kinds.add("searches may part")
             else:
                 assert _compiled(log_eng) == _compiled(ref_eng)
-                assert nogoods == _nogood_sets(ref_eng)[0]
+                assert nogoods == _nogood_sets(ref_eng)
                 assert log_eng.t_atom == ref_eng.t_atom
                 assert (logged.status, logged.assignment, logged.conflicts) == \
                     (ref.status, ref.assignment, ref.conflicts)
