@@ -88,10 +88,11 @@ for half-reified linears. Search is complete, so weak propagation only costs
 nodes, never soundness.
 
 One path writes the trail: `_push` puts an undecided atom on it, wakes the
-idle watchers of its variable and tightens a bound or removes a value.
-`apply` is the status test in front of it. Only alldifferent skips that
-test, for a removal that it has checked lies inside the domain of an
-unfixed slot.
+idle watchers of its variable, tightens a bound or removes a value, and
+then, if that left the variable fixed, wakes its idle fix watchers (each
+an unguarded two-term `!=`, below). `apply` is the status test in front of
+it. Only alldifferent skips that test, for a removal that it has checked
+lies inside the domain of an unfixed slot.
 
 The two hottest propagators skip work whose result is already known.
 Alldifferent skips every removal that is already in place (the other slot
@@ -156,7 +157,8 @@ assignment and conflict count.
   search entry, decision or nogood.
 - The switched-on propagators keep the relative order a fresh engine gives
   them, in registration and in every watch list, and an off one is never
-  queued.
+  queued. `switch` queues a fix watcher even with no slot of it fixed,
+  where a fresh engine does not, and that run returns None.
 - A fresh engine has no selector slots for an off member, and search skips
   them here (below), as only the member's off propagators watch them.
 
@@ -164,11 +166,11 @@ Only the root trail can differ: its entries, and values outside the bounds
 left in `holes`, which every hole test reads only after a bound test.
 
 A linear `!=` (`_prop_linne`) can act only once at most one of its terms is
-unfixed, and most wake-ups find two. So it makes one pass over its terms,
-subtracting each fixed term from the right-hand side as it goes, and returns
-at the second unfixed term it meets; the sum it acts on is the one a full
-pass would give. An unguarded two-term `!=`, `c1*x + c2*y != rhs`, which is
-what `decompose_alldiff` emits, takes a branch that reads each slot's bounds
+unfixed. So it makes one pass over its terms, subtracting each fixed term
+from the right-hand side as it goes, and returns at the second unfixed term
+it meets; the sum it acts on is the one a full pass would give. An
+unguarded two-term `!=`, `c1*x + c2*y != rhs`, which is what
+`decompose_alldiff` emits, takes a branch that reads each slot's bounds
 once. It is exact: with no guard the pass's guard tests all hold, and with
 two terms it has four cases, each answered as the pass answers it. Neither
 fixed: None. One fixed: SLEEP when the other's coefficient does not divide
@@ -178,11 +180,25 @@ SLEEP. Both fixed at rhs: the pivot on the first term (`x != x's value`)
 from the second term's bound entries. `tests/test_engine_fuzz.py` checks it
 against a general-pass engine.
 
-Search decides the first unfixed slot that an idle propagator watches,
-`slot == lb`, on a level of its own, looking on from the current level's
-decision slot, `t_atom[level_start[level]][0]`: every slot before it was
-fixed or skipped when that decision was made. A slot that no idle
-propagator watches is skipped, with no level or trail entry. This is
+So an unguarded two-term `!=` wakes only on a fix, the fix event of
+Schulte and Stuckey's propagation engines. `_install` puts it in its slots'
+`fix_watch` lists, not in `watch`, and queues it only when one of them is
+already fixed; `_push` wakes it only when it has fixed one of its slots,
+after the slot's other watchers (`add_cached` registers it the same way).
+This is sound: any run with neither slot fixed returns None, and every
+other case sleeps or fails, so each wake-up it no longer gets would have
+done nothing. A run that acts comes at another point of the queue, though,
+so trails and proofs of models with such a constraint change, and only
+verdicts are sure to match an engine that wakes it on every event
+(`tests/test_engine_fuzz.py` checks both). One pass of the `sudoku9-proof`
+benchmark workload runs them 141,435 times, each run acting or sleeping,
+against 347,433 runs on every event, 205,373 of which did nothing.
+
+Search decides the first unfixed slot that an idle propagator watches (a
+fix watcher too), `slot == lb`, on a level of its own, looking on from the
+current level's decision slot, `t_atom[level_start[level]][0]`: every slot
+before it was fixed or skipped when that decision was made. A slot that no
+idle propagator watches is skipped, with no level or trail entry. This is
 sound. Its watchers are asleep, so satisfied by any values left, or off,
 so not part of the problem, and a Sat result reads its `lb`; a nogood
 learned later follows from the constraints. They sleep on entries no newer
@@ -286,6 +302,8 @@ class Engine:
         self.hist: tuple[list[list[tuple[str, int, int]]], ...] = tuple(
             [[r] for r in side] for side in root.roots)
         self.watch: list[list[int]] = [[] for _ in root.lb]
+        # per slot: the unguarded two-term `!=`s, woken only when it is fixed
+        self.fix_watch: list[list[int]] = [[] for _ in root.lb]
         self.slot_of: dict[VarId, int] = root.slot_of
         self.budget = budget
         self.log_all = log_all
@@ -317,6 +335,7 @@ class Engine:
         self.hist[0].append([("b", d.lower, -1)])
         self.hist[1].append([("b", d.upper, -1)])
         self.watch.append([])
+        self.fix_watch.append([])
         return len(self.lb) - 1
 
     def atom_of(self, a: AtomicConstraint) -> Atom:
@@ -329,23 +348,24 @@ class Engine:
     def add_cached(self, cache: dict[int, tuple], cid: str, e: Expr):
         """`add_constraint(cid, e)`, registering the propagators in `cache`
         when an engine over the same root slots compiled e before. The cache
-        maps id(e) to (e, its (propagator, watched slots) pairs); the entry
-        pins e, so that its id is not reused. Each propagator is registered
-        under cid, and each alldifferent with a fresh done set, the only
-        mutable part of any propagator."""
+        maps id(e) to (e, its (propagator, watched slots, woken only on a
+        fix) triples); the entry pins e, so that its id is not reused. Each
+        propagator is registered under cid, and each alldifferent with a
+        fresh done set, the only mutable part of any propagator."""
         hit = cache.get(id(e))
         if hit is None:
             n_props, n_slots = len(self.props), len(self.lb)
             self.add_constraint(cid, e)
             if len(self.lb) == n_slots:
-                cache[id(e)] = (e, list(zip(self.props[n_props:], self.prop_slots[n_props:])))
+                cache[id(e)] = (e, [(p, slots, _on_fix(p)) for p, slots in
+                                    zip(self.props[n_props:], self.prop_slots[n_props:])])
             return
-        for prop, slots in hit[1]:
+        for prop, slots, on_fix in hit[1]:
             if prop[0] is Engine._prop_alldiff:
                 prop = (prop[0], cid, prop[2], set())
             else:
                 prop = (prop[0], cid) + prop[2:]
-            self._install(prop, slots)
+            self._install(prop, slots, on_fix)
 
     def switch(self, props: range, on: bool):
         """Switch the propagators in props on (queued, in order) or off. An
@@ -365,14 +385,28 @@ class Engine:
     def _register(self, prop: tuple, var_slots):
         self._install(prop, tuple(set(var_slots)))
 
-    def _install(self, prop: tuple, slots: tuple):
+    def _install(self, prop: tuple, slots: tuple, on_fix: bool = False):
+        """Register prop over its watched slots and queue it; with on_fix,
+        it watches them for a fix only, and is queued only when one is
+        already fixed (see the module docstring)."""
         idx = len(self.props)
         self.props.append(prop)
         self.prop_slots.append(slots)
-        for s in slots:
-            self.watch[s].append(idx)
-        self.in_queue.append(1)
-        self.queue.append(idx)
+        queued = 1
+        if on_fix:
+            lb, ub, fix_watch = self.lb, self.ub, self.fix_watch
+            queued = 0
+            for s in slots:
+                fix_watch[s].append(idx)
+                if lb[s] == ub[s]:
+                    queued = 1
+        else:
+            watch = self.watch
+            for s in slots:
+                watch[s].append(idx)
+        self.in_queue.append(queued)
+        if queued:
+            self.queue.append(idx)
 
     def _add_clause(self, key: Key, atoms):
         atoms = tuple(atoms)
@@ -404,6 +438,15 @@ class Engine:
 
     def _compile_linear(self, cid: str, lin: Linear, guard: Optional[Atom]):
         slot_of = self.slot_of
+        if guard is None and lin.op == "!=" and len(lin.terms) == 2:
+            # all that `decompose_alldiff` emits: what the general path below
+            # registers for it, built directly
+            (c1, x), (c2, y) = lin.terms
+            if c1 and c2:
+                s1, s2 = slot_of[x], slot_of[y]
+                self._install((Engine._prop_linne, cid, None, ((c1, s1), (c2, s2)), lin.rhs),
+                              tuple({s1, s2}), True)
+                return
         terms, slots = [], []
         for coef, v in lin.terms:
             if coef != 0:
@@ -421,7 +464,8 @@ class Engine:
             neg = tuple((-c, s) for c, s in terms)
             self._install((Engine._prop_lin, cid, guard, neg, -lin.rhs), slots)
         if lin.op == "!=":
-            self._install((Engine._prop_linne, cid, guard, terms, lin.rhs), slots)
+            self._install((Engine._prop_linne, cid, guard, terms, lin.rhs), slots,
+                          guard is None and len(terms) == 2)
 
     def _compile_disjunction(self, cid: str, e: Disjunction):
         members = disjuncts(e)
@@ -504,8 +548,9 @@ class Engine:
         return None
 
     def _push(self, atom: Atom, reason: Optional[tuple]):
-        """Put an atom on the trail: wake its variable's idle watchers, then
-        tighten its bound or remove its value. The caller must know the atom
+        """Put an atom on the trail: wake its variable's idle watchers,
+        tighten its bound or remove its value, and then, if that fixed the
+        variable, wake its idle fix watchers. The caller must know the atom
         is undecided: nothing here checks it, and a true or false atom would
         corrupt the domain (a second hole record, or crossed bounds)."""
         vi, op, val = atom
@@ -533,6 +578,12 @@ class Engine:
         else:
             self.t_effects[e].append(("hole", vi, val))
             self.holes[vi][val] = e
+        fix_watch = self.fix_watch[vi]
+        if fix_watch and self.lb[vi] == self.ub[vi]:
+            for idx in fix_watch:
+                if not in_queue[idx]:
+                    in_queue[idx] = 1
+                    queue.append(idx)
         if self.log_all and reason is not None:
             self._step_for_entry(e)
 
@@ -921,14 +972,23 @@ class Engine:
         when every slot is fixed or skipped (see the module docstring)."""
         # every slot before the current level's decision slot was fixed or
         # skipped when that decision was made
-        lb, ub, watch, in_queue = self.lb, self.ub, self.watch, self.in_queue
+        lb, ub, in_queue = self.lb, self.ub, self.in_queue
+        watch, fix_watch = self.watch, self.fix_watch
         start = self.t_atom[self.level_start[self.level]][0] if self.level else 0
         for s in range(start, len(lb)):
             if lb[s] != ub[s]:
                 for idx in watch[s]:
                     if not in_queue[idx]:
                         return s
+                for idx in fix_watch[s]:
+                    if not in_queue[idx]:
+                        return s
         return None
+
+
+def _on_fix(prop: tuple) -> bool:
+    """Whether prop is an unguarded two-term `!=`, which wakes only on a fix."""
+    return prop[0] is Engine._prop_linne and prop[2] is None and len(prop[3]) == 2
 
 
 def _negate_atom(atom: Atom) -> Atom:

@@ -20,13 +20,23 @@ evaluation lookup hashes one, and a tuple's hash is computed in C.
 `hash(VarId(index, name))` must equal `hash((index, name))`, because set and
 dict iteration orders, and every output built from them, feed the
 determinism pins.
+
+The records built once per pair or per proof line (`AtomicConstraint`,
+`Linear`, `Constraint`, and `proofcore.ProofStep`) are frozen dataclasses
+with slots, `init=False` and an `__init__` that sets each field through its
+slot's own setter (`slot_setters`): a frozen dataclass's own `__init__`
+goes through `object.__setattr__` for each field, about twice the cost.
+Writing the instance `__dict__` instead is as cheap to build, but makes
+every later attribute read about three times slower. Equality, hash, repr,
+`dataclasses.replace` and the `FrozenInstanceError` on assignment are the
+dataclass's own, as before.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
@@ -36,6 +46,12 @@ OPS = ("<=", ">=", "==", "!=")
 
 _NEGATED_OP = {"<=": ">=", ">=": "<=", "==": "!=", "!=": "=="}
 _NEGATED_SHIFT = {"<=": 1, ">=": -1, "==": 0, "!=": 0}
+
+
+def slot_setters(cls) -> tuple:
+    """The setters of a slotted frozen dataclass's fields, in field order:
+    each sets its field on an instance past the frozen `__setattr__`."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 class VarId(NamedTuple):
@@ -79,7 +95,7 @@ class Domain:
                 yield v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AtomicConstraint:
     """A comparison between one variable and a constant (x <= v, x >= v, x == v, x != v)."""
 
@@ -87,9 +103,13 @@ class AtomicConstraint:
     op: str
     value: int
 
-    def __post_init__(self):
-        if self.op not in OPS:
-            raise ValueError(f"unknown atom operator {self.op!r}")
+    def __init__(self, var: VarId, op: str, value: int):
+        if op not in OPS:
+            raise ValueError(f"unknown atom operator {op!r}")
+        set_var, set_op, set_value = _ATOM_SETTERS  # see the module docstring
+        set_var(self, var)
+        set_op(self, op)
+        set_value(self, value)
 
     def negated(self) -> "AtomicConstraint":
         return AtomicConstraint(self.var, _NEGATED_OP[self.op], self.value + _NEGATED_SHIFT[self.op])
@@ -107,6 +127,9 @@ class AtomicConstraint:
         return f"{self.var.name} {self.op} {self.value}"
 
 
+_ATOM_SETTERS = slot_setters(AtomicConstraint)
+
+
 @dataclass(frozen=True)
 class Clause:
     """Disjunction of atomic constraints. The empty clause is the false constraint."""
@@ -114,13 +137,22 @@ class Clause:
     atoms: tuple[AtomicConstraint, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Linear:
     """sum(coef_i * var_i) <op> rhs over integer variables."""
 
     terms: tuple[tuple[int, VarId], ...]
     op: str
     rhs: int
+
+    def __init__(self, terms: tuple[tuple[int, VarId], ...], op: str, rhs: int):
+        set_terms, set_op, set_rhs = _LINEAR_SETTERS  # see the module docstring
+        set_terms(self, terms)
+        set_op(self, op)
+        set_rhs(self, rhs)
+
+
+_LINEAR_SETTERS = slot_setters(Linear)
 
 
 @dataclass(frozen=True)
@@ -154,15 +186,23 @@ FALSE: Expr = Clause(())
 TRUE: Expr = Conjunction(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Constraint:
     """An identified constraint; ids are unique within one model level."""
 
     id: str
     expr: Expr
 
+    def __init__(self, id: str, expr: Expr):
+        set_id, set_expr = _CONSTRAINT_SETTERS  # see the module docstring
+        set_id(self, id)
+        set_expr(self, expr)
+
     def __str__(self) -> str:
         return f"{self.id}: {format_expr(self.expr)}"
+
+
+_CONSTRAINT_SETTERS = slot_setters(Constraint)
 
 
 def clause_of(atoms: Iterable[AtomicConstraint]) -> Expr:

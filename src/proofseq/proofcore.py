@@ -55,6 +55,7 @@ from .model import (
     FALSE,
     clause_of,
     negate_expr,
+    slot_setters,
 )
 from .oracle import Oracle
 
@@ -62,10 +63,18 @@ from .oracle import Oracle
 ReasonRef = Key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ProofStep:
     derived: Expr
     reasons: tuple[ReasonRef, ...]
+
+    def __init__(self, derived: Expr, reasons: tuple[ReasonRef, ...]):
+        set_derived, set_reasons = _STEP_SETTERS  # built as `model`'s records are
+        set_derived(self, derived)
+        set_reasons(self, reasons)
+
+
+_STEP_SETTERS = slot_setters(ProofStep)
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,12 @@ def _parse_atom(tok: str, var_by_name, lineno: int, seen: dict) -> AtomicConstra
 
 def _parse_refs(text: str, nsteps: int, constraint_ids, lineno: int,
                 steps_only: bool) -> tuple[ReasonRef, ...]:
+    if not steps_only and "," not in text:
+        # one known c: ref, the reason of every inference line; anything
+        # else takes the general loop, which also raises its errors
+        m = _CREF_RE.match(text)
+        if m and m.group(1) in constraint_ids:
+            return (m.group(1),)
     refs: list[ReasonRef] = []
     for raw in text.split(","):
         tok = raw.strip()

@@ -224,8 +224,8 @@ def _engine_runs():
 # sha256 over the sha256 of each run's complete result, in run order
 PINNED_ENGINE_RUNS = {
     "pigeonhole 8 into 7": "f0bd17b5016e8fc5f7cb92b17921a30f92706302fadfe519e33aab3f0049d156",
-    "random seeds 0-199": "246b420cce95f7e87a748d75e3d7406c27bc58f0c036e592f3bc4324caf1917e",
-    "disjunctions seeds 0-299": "c487a0c92902e0ebcce1f3f470282f34ff3ee64e73d52917512ce533f33b6592",
+    "random seeds 0-199": "27209512fd5a1c45daa9eb265ba5ba48bcc0e45b824aaa890555df9e5fa28810",
+    "disjunctions seeds 0-299": "dd02788bf5c61aa9dc8967553544c1506d43867c9554efb16e0021a982e597af",
 }
 
 

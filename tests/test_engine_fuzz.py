@@ -19,12 +19,13 @@ and learns nogoods):
   assignment and conflict count, under small budgets too, over repeated
   and reordered queries on one oracle. A proof-logging `Engine` keeps
   root-level atoms in its nogoods, which the proof-free one leaves out,
-  and lists a nogood's atoms in another order; both register every nogood
-  they learn, a repeated one too. So the proof-logging engine must reach
-  the same status whenever neither runs out of budget, and search exactly
-  the same way (the same trail, constraint propagators, learned nogoods as
-  atom sets in learning order, copies included, assignment and conflict
-  count) whenever it learns no nogood with a root-level atom.
+  and lists a nogood's atoms in another order. So the proof-logging engine
+  must reach the same status whenever neither runs out of budget, and
+  search exactly the same way (the same trail, constraint propagators,
+  learned nogoods as atom sets in learning order, assignment and conflict
+  count) whenever it learns no nogood with a root-level atom. These draws
+  learn no copy of an earlier nogood in such a run, so a copy is never
+  compared.
 
 On searching models, a solve without proof logging must learn only
 nogoods that hold no atom false at the root fixpoint and that every
@@ -49,7 +50,10 @@ variable twice, some guarded), the engine, whose `_prop_linne` has a branch
 for an unguarded two-term `!=`, must search exactly as an engine whose
 `_prop_linne` takes only the general pass: the same trail and reasons,
 learned nogoods, status, assignment, conflict count and proof steps, with
-proof logging and without.
+proof logging and without. On the same models, an engine that wakes an
+unguarded two-term `!=` only when one of its slots is fixed must reach the
+verdict of one that wakes it on every event and queues it at registration,
+under budgets too, and never run it while both its slots are unfixed.
 
 `skipping_models`, searching models with a few more variables that often
 need no decision, serve `test_skipped_slots`.
@@ -204,7 +208,7 @@ def _solutions(doms, cons):
             yield alpha
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(st.one_of(small_models(), searching_models()))
 def test_oracle_agrees_with_brute_force(model):
     doms, cons = model
@@ -268,8 +272,7 @@ def _compiled(eng):
 
 
 def _nogood_sets(eng):
-    """The atom sets of the learned nogoods, in learning order, copies
-    included."""
+    """The atom sets of the learned nogoods, in learning order."""
     return [frozenset(p[2]) for p in eng.props if not isinstance(p[1], str)]
 
 
@@ -315,6 +318,7 @@ def test_oracle_matches_a_fresh_engine():
             # watches and final trail
             assert eng.props == ref_eng.props
             assert eng.watch == ref_eng.watch
+            assert eng.fix_watch == ref_eng.fix_watch
             assert eng.t_atom == ref_eng.t_atom
             if any(not isinstance(p[1], str) for p in ref_eng.props):
                 kinds.add("backtracked")  # a nogood is learned on backtracking
@@ -430,7 +434,7 @@ def test_sleepers_would_do_nothing():
         seen["backtracks"] += 1
         return backtrack_to(eng, level)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(searching_models())
     def run(model):
         doms, cons = model
@@ -522,10 +526,12 @@ def linne_models(draw):
     """A searching model with two to six two-term linear `!=`s added after
     its constraints: coefficients in {-2, -1, 1, 2}, rhs in -2..2, both
     terms sometimes on one variable, and about one in three guarded. About
-    one in six comes after atoms that fix both its variables, so that it
-    finds both fixed when it first runs, and then its rhs is often their
+    one in six is over two new variables instead, which atoms fix, so that
+    it finds both fixed when it first runs, and then its rhs is often their
     sum: a search fixes one at a time and runs it in between, so it seldom
-    finds its sum violated."""
+    finds its sum violated. New ones, since atoms that fix two of the
+    searching variables often leave a pocket too few values, and the
+    alldifferent, which wakes before a pairwise `!=`, then fails first."""
     doms, cons = draw(searching_models())
     vs = [v for v, _ in doms]
     coef = st.sampled_from((-2, -1, 1, 2))
@@ -533,9 +539,9 @@ def linne_models(draw):
         c1, x, c2, y = draw(coef), draw(st.sampled_from(vs)), draw(coef), draw(st.sampled_from(vs))
         rhs = draw(st.integers(-2, 2))
         if draw(st.integers(0, 5)) == 0:
-            # values that every pocket and the alldifferent allow
-            a = draw(st.integers(0, 1))
-            b = a if x == y else 1 - a
+            x, y = (VarId(len(doms) + i, f"f{len(doms) + i}") for i in range(2))
+            doms += [(x, Domain(0, 2)), (y, Domain(0, 2))]
+            a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
             cons += [AtomicConstraint(x, "==", a), AtomicConstraint(y, "==", b)]
             if abs(c1 * a + c2 * b) <= 2 and draw(st.booleans()):
                 rhs = c1 * a + c2 * b
@@ -551,16 +557,18 @@ def linne_models(draw):
 class GeneralPassEngine(Engine):
     """The reference for the two-term `!=` branch: every linear `!=` takes
     the general pass of `Engine._prop_linne`, which this copies, and each
-    wake-up of an unguarded two-term one is counted by case in `tally`."""
+    wake-up of an unguarded two-term one is counted by case in `tally`. It
+    registers each propagator as `Engine` does, an unguarded two-term `!=`
+    on its slots' fixes only."""
 
     def __init__(self, *args, tally: collections.Counter, **kwargs):
         super().__init__(*args, **kwargs)
         self.tally = tally
 
-    def _install(self, prop, slots):
+    def _install(self, prop, slots, on_fix=False):
         if prop[0] is Engine._prop_linne:
             prop = (GeneralPassEngine._prop_linne,) + prop[1:]
-        super()._install(prop, slots)
+        super()._install(prop, slots, on_fix)
 
     def _prop_linne(self, p):
         _, cid, guard, terms, rhs = p
@@ -627,7 +635,7 @@ def test_two_term_linne_branch_matches_the_general_pass():
     tally = collections.Counter()
     reference = functools.partial(GeneralPassEngine, tally=tally)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(linne_models())
     def run(model):
         doms, cons = model
@@ -644,7 +652,84 @@ def test_two_term_linne_branch_matches_the_general_pass():
             assert runs[0] == runs[1]
 
     run()
-    # every case of the branch is reached, the pivot of a violated one too
+    # every case of the branch is reached, the pivot of a violated one too;
+    # woken only on a fix, it never runs with neither slot fixed
     cases = ("one variable", "violated", "entailed", "unit entailed",
-             "first fixed", "second fixed", "none fixed")
-    assert min(tally[c] for c in cases) >= 30, tally
+             "first fixed", "second fixed")
+    assert min(tally[c] for c in cases) >= 30 and not tally["none fixed"], tally
+
+
+def test_pairwise_ne_compiles_as_the_general_path():
+    """`_compile_linear` builds an unguarded two-term `!=` directly; with a
+    zero term added, the same constraint takes the general path, and both
+    must register the same propagator, watches and fix watches, and queue
+    it only when one of its slots is fixed."""
+    doms = [(VarId(0, "x"), Domain(0, 3)), (VarId(1, "y"), Domain(0, 3)),
+            (VarId(2, "z"), Domain(2, 2))]
+    x, y, z = (v for v, _ in doms)
+    for (c1, a), (c2, b) in (((1, x), (-1, y)), ((2, y), (1, y)), ((-1, z), (2, x))):
+        engines = []
+        for terms in (((c1, a), (c2, b)), ((c1, a), (0, y), (c2, b))):
+            eng = Engine(doms)
+            eng.add_constraint("a", AtomicConstraint(x, "<=", 2))
+            eng.add_constraint("p", Linear(terms, "!=", 1))
+            engines.append((eng.props, eng.prop_slots, eng.watch, eng.fix_watch, eng.queue))
+        assert engines[0] == engines[1]
+        assert engines[0][4] == ([0, 1] if z in (a, b) else [0])
+
+
+class AnyEventEngine(Engine):
+    """The reference for the fix-only wake-up: every propagator, an
+    unguarded two-term `!=` too, watches its slots for any event and is
+    queued at registration."""
+
+    def _install(self, prop, slots, on_fix=False):
+        super()._install(prop, slots)
+
+
+def test_pairwise_ne_wakes_only_on_a_fix():
+    """An unguarded two-term `!=` that wakes only when one of its slots is
+    fixed reaches the verdict of one that wakes on every event, and every
+    Sat model satisfies each constraint; a counter shows that it never runs
+    while both its slots are unfixed."""
+    seen = collections.Counter()
+    prop_linne = Engine._prop_linne
+
+    def counted(eng, p):
+        _, _, guard, terms, rhs = p
+        if guard is None and len(terms) == 2 and \
+                _two_term_case(eng, terms, rhs) == "none fixed":
+            seen["run unfixed", type(eng)] += 1
+        return prop_linne(eng, p)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(linne_models())
+    def run(model):
+        doms, cons = model
+        for (proof, log_all), budget in itertools.product(
+                ((False, False), (True, False), (True, True)), (None, 1, 2, 4)):
+            results = []
+            for cls in (Engine, AnyEventEngine):
+                eng = cls(doms, budget=DEFAULT_BUDGET if budget is None else budget,
+                          proof=proof, log_all=log_all)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(Engine, "_prop_linne", counted)
+                    for i, c in enumerate(cons):
+                        eng.add_constraint(f"h{i}", c)
+                    res = eng.solve()
+                if res.status == "sat":
+                    assert all(res.assignment[v] in d for v, d in doms)
+                    assert all(brute_eval(c, res.assignment) for c in cons)
+                results.append((res.status, eng.t_atom))
+            (status, trail), (ref_status, ref_trail) = results
+            if "budget" not in (status, ref_status):
+                assert status == ref_status
+                seen[status] += 1
+            seen["searches part"] += trail != ref_trail
+
+    run()
+    # the fix-only engine never runs one with both slots unfixed, the
+    # reference often does; both verdicts, and searches that part
+    assert not seen["run unfixed", Engine], seen
+    assert min(seen["run unfixed", AnyEventEngine], seen["sat"], seen["unsat"],
+               seen["searches part"]) >= 30, seen

@@ -5,8 +5,9 @@ Every probe must answer exactly what a fresh `Oracle(vars).solve` over
 `hard` and the kept members with the probed one, in index order, answers
 under the same budget: the same result type, assignment and conflict count.
 
-On random models (the small and searching models of `test_engine_fuzz`,
-split into hard and soft constraints, hard satisfiable), each example runs
+On random models (the small, searching and pairwise `!=` models of
+`test_engine_fuzz`, split into hard and soft constraints, hard
+satisfiable), each example runs
 rounds: a drawn set of members that has a model with hard is kept, or every
 member that model satisfies, as global minimization keeps a satisfied set
 (none when the drawn set has no model); then members are probed one by one
@@ -37,7 +38,7 @@ from proofseq.pipeline import run_pipeline
 from proofseq.proofcore import parse_drcp
 from proofseq.prover import solve_with_proof
 
-from test_engine_fuzz import searching_models, small_models
+from test_engine_fuzz import linne_models, searching_models, small_models
 
 BUDGETS = (None, 0, 1, 2, 4, 50)
 
@@ -70,7 +71,7 @@ def test_probes_match_a_fresh_oracle():
     seen = dict.fromkeys((Sat, Unsat, BudgetExceeded, "sat after conflicts"), 0)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=600)
-    @given(st.one_of(small_models(), searching_models()), st.data())
+    @given(st.one_of(small_models(), searching_models(), linne_models()), st.data())
     def run(model, data):
         doms, cons = model
         cut = data.draw(st.integers(0, min(2, len(cons) - 1)))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from proofseq.model import (
     AtomicConstraint,
     Clause,
     Conjunction,
+    Constraint,
     Disjunction,
     Domain,
     FALSE,
@@ -23,6 +25,7 @@ from proofseq.model import (
     scope,
     serialize_model,
 )
+from proofseq.proofcore import ProofStep
 
 from helpers import all_assignments, brute_eval
 
@@ -58,6 +61,40 @@ def test_varid_hashes_orders_and_prints_as_before():
     assert sorted([VarId(2, "a"), VarId(0, "z"), VarId(0, "y")]) == [
         VarId(0, "y"), VarId(0, "z"), VarId(2, "a")]
     assert max(VarId(3, "c"), VarId(3, "d")) == VarId(3, "d")
+
+
+def test_records_keep_their_dataclass_behaviour():
+    """The records built per pair or per proof line fill their fields
+    directly, and keep the frozen dataclass's hash, equality, repr,
+    `replace` and frozenness, and the atom's operator check."""
+    x = VarId(0, "x")
+    atom = AtomicConstraint(x, "<=", 2)
+    records = {
+        atom: (x, "<=", 2),
+        Linear(((1, x), (-1, VarId(1, "y"))), "!=", 0): (((1, x), (-1, VarId(1, "y"))), "!=", 0),
+        Constraint("c1", atom): ("c1", atom),
+        ProofStep(atom, ("c1", 3)): (atom, ("c1", 3)),
+    }
+    for r, fields in records.items():
+        assert hash(r) == hash(fields)
+        assert r == type(r)(*fields)
+        name = dataclasses.fields(r)[-1].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, None)
+        assert dataclasses.replace(r) == r
+        assert getattr(dataclasses.replace(r, **{name: 5}), name) == 5
+    # equal fields, another class
+    assert Constraint(atom, ("c1", 3)) != ProofStep(atom, ("c1", 3))
+    assert Linear(x, "<=", 2) != atom
+    assert repr(atom) == "AtomicConstraint(var=VarId(index=0, name='x'), op='<=', value=2)"
+    assert repr(Linear(((2, x),), ">=", -1)) == \
+        "Linear(terms=((2, VarId(index=0, name='x')),), op='>=', rhs=-1)"
+    assert repr(Constraint("c1", atom)) == f"Constraint(id='c1', expr={atom!r})"
+    assert repr(ProofStep(atom, (1,))) == f"ProofStep(derived={atom!r}, reasons=(1,))"
+    with pytest.raises(ValueError, match="^unknown atom operator '<>'$"):
+        AtomicConstraint(x, "<>", 1)
+    with pytest.raises(ValueError, match="^unknown atom operator '<>'$"):
+        dataclasses.replace(atom, op="<>")
 
 
 def test_parse_jobshop_counts():

@@ -80,7 +80,7 @@ class _Checked(Engine):
     def _idle(self, s, constraints_only=False):
         """Whether an idle propagator watches slot s; with constraints_only,
         learned nogoods aside."""
-        watchers = self.watch[s]
+        watchers = self.watch[s] + self.fix_watch[s]
         if constraints_only:
             watchers = [idx for idx in watchers if isinstance(self.props[idx][1], str)]
         return any(not self.in_queue[idx] for idx in watchers)
