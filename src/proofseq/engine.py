@@ -56,6 +56,12 @@ inference cites its one constraint id, a nogood the step ids it resolves,
 and the conclusion (no atoms) its step ids, then any constraint that is
 false on its own.
 
+The premise entries of every trail reason are duplicate-free: each
+propagator deduplicates them (`_stable_unique`) before it applies or pushes
+an atom, or takes them from one `justify_bound` list, which never repeats
+an entry (below). So a logged step (`_step_for_entry`, and the violated
+step of `apply`) negates the premises as they are, without a second pass.
+
 Bounds are kept per side: side 0 is the lower bound (`lb`), side 1 the upper
 bound (`ub`), and one code path serves both sides (`_tighten`,
 `justify_bound`, `backtrack_to`). Each side of each variable has an
@@ -64,7 +70,12 @@ last record always holds the current bound and backtracking truncates it. A
 ("b", value, entry) record means trail entry `entry` applied an atom that
 alone entails the bound `value`. A ("s", value, entry) record means the bound
 slid one value, past the value that `entry` removed (-1 for a root hole), so
-it also rests on the record before it.
+it also rests on the record before it. A `justify_bound` list walks such
+records back to a "b" record: each "s" record's entry removed another value,
+and the "b" record's entry is no removal, so the list repeats no entry. A
+fixed slot's premises are both its bounds' lists, and when one `==` entry
+fixed the slot they are the same one-entry list; the two-term `!=` then
+cites that list once, and deduplicates only lists that differ.
 
 One function, `_compile`, lowers every expression; an atom compiles as a
 one-atom clause. A disjunction (nested ones spliced in) that is not a plain
@@ -243,7 +254,7 @@ DEFAULT_BUDGET = 10**6  # conflicts per solve
 SLEEP = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineStep:
     """One logged proof step: the clause it derives (none for the conclusion)
     and the reason keys it cites."""
@@ -540,8 +551,8 @@ class Engine:
             key, premises = reason
             step_atoms = None
             if self.proof:
-                step_atoms = (atom,) + tuple(
-                    _negate_atom(self.t_atom[q]) for q in _stable_unique(premises))
+                # premises are duplicate-free (see the module docstring)
+                step_atoms = (atom, *[_negate_atom(self.t_atom[q]) for q in premises])
             entries = list(premises) + self.justify_false(atom)
             return Conflict(_stable_unique(entries), key, step_atoms)
         self._push(atom, reason)
@@ -788,8 +799,10 @@ class Engine:
                     return SLEEP
             else:
                 return None
-            premises = self.justify_bound(0, fixed, lo) + self.justify_bound(1, fixed, lo)
-            r = self.apply((s, "!=", v), (cid, tuple(_stable_unique(premises))))
+            below, above = self.justify_bound(0, fixed, lo), self.justify_bound(1, fixed, lo)
+            # equal when one == entry fixed the slot (see the module docstring)
+            premises = tuple(below) if below == above else tuple(_stable_unique(below + above))
+            r = self.apply((s, "!=", v), (cid, premises))
             return SLEEP if r is None else r
         gst = True if guard is None else self.status(guard)
         if gst is False:
@@ -872,8 +885,8 @@ class Engine:
         if isinstance(key, int):  # propagated by a nogood: its own step
             sid = key
         else:
-            atoms = (self.t_atom[e],) + tuple(
-                _negate_atom(self.t_atom[q]) for q in _stable_unique(premises))
+            t_atom = self.t_atom
+            atoms = (t_atom[e], *[_negate_atom(t_atom[q]) for q in premises])
             self.steps.append(EngineStep(atoms, (key,)))
             sid = len(self.steps)
         self.entry_step[e] = sid

@@ -60,10 +60,24 @@ class _Flattener:
 
     def emit(self, solver_id: str, expr: Expr, user_id: str):
         if solver_id in self.prov:
-            raise FlattenError(f"solver constraint id collision: {solver_id!r} "
-                               f"(user ids that look like flattening output can clash)")
+            raise _collision(solver_id)
         self.out.append(Constraint(solver_id, expr))
         self.prov[solver_id] = user_id
+
+    def emit_pairwise_ne(self, cid: str, vs: tuple[VarId, ...]):
+        """Emit `x - y != 0` as `{cid}/k` for the k-th pair of vs, in the
+        order and with the ids and the error that one `emit` per pair gives,
+        in bulk: each variable's (1, x) and (-1, x) terms are built once and
+        shared by its pairs."""
+        pos = [(1, x) for x in vs]
+        neg = [(-1, x) for x in vs]
+        pairs = [(pos[i], neg[j]) for i in range(len(vs)) for j in range(i + 1, len(vs))]
+        ids = [f"{cid}/{k}" for k in range(1, len(pairs) + 1)]
+        prov = self.prov
+        if not prov.keys().isdisjoint(ids):
+            raise _collision(next(i for i in ids if i in prov))
+        self.out.extend([Constraint(i, Linear(terms, "!=", 0)) for i, terms in zip(ids, pairs)])
+        prov.update(dict.fromkeys(ids, cid))
 
     def run(self) -> SolverModel:
         self.vars = list(self.model.vars)
@@ -84,11 +98,7 @@ class _Flattener:
             if not self.decompose_alldiff:
                 self.emit(c.id, expr, c.id)
             else:
-                k = 0
-                for i, x in enumerate(expr.vars):
-                    for y in expr.vars[i + 1:]:
-                        k += 1
-                        self.emit(f"{c.id}/{k}", Linear(((1, x), (-1, y)), "!=", 0), c.id)
+                self.emit_pairwise_ne(c.id, expr.vars)
         elif isinstance(expr, Disjunction):
             self.flatten_disjunction(c.id, expr)
         else:
@@ -125,6 +135,11 @@ class _Flattener:
                 self.emit_guarded(f"{solver_id}.{j}", guard, part, user_id)
         else:
             raise FlattenError(f"cannot reify {type(member).__name__} under a guard")
+
+
+def _collision(solver_id: str) -> FlattenError:
+    return FlattenError(f"solver constraint id collision: {solver_id!r} "
+                        f"(user ids that look like flattening output can clash)")
 
 
 def _atom_to_linear(a: AtomicConstraint) -> Linear:

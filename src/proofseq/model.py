@@ -22,14 +22,14 @@ dict iteration orders, and every output built from them, feed the
 determinism pins.
 
 The records built once per pair or per proof line (`AtomicConstraint`,
-`Linear`, `Constraint`, and `proofcore.ProofStep`) are frozen dataclasses
-with slots, `init=False` and an `__init__` that sets each field through its
-slot's own setter (`slot_setters`): a frozen dataclass's own `__init__`
-goes through `object.__setattr__` for each field, about twice the cost.
-Writing the instance `__dict__` instead is as cheap to build, but makes
-every later attribute read about three times slower. Equality, hash, repr,
-`dataclasses.replace` and the `FrozenInstanceError` on assignment are the
-dataclass's own, as before.
+`Clause`, `Linear`, `Constraint`, and `proofcore.ProofStep`) are frozen
+dataclasses with slots, `init=False` and an `__init__` that sets each field
+through its slot's own setter (`slot_setters`): a frozen dataclass's own
+`__init__` goes through `object.__setattr__` for each field, about twice
+the cost. Writing the instance `__dict__` instead is as cheap to build, but
+makes every later attribute read about three times slower. Equality, hash,
+repr, `dataclasses.replace` and the `FrozenInstanceError` on assignment are
+the dataclass's own, as before.
 """
 
 from __future__ import annotations
@@ -130,11 +130,18 @@ class AtomicConstraint:
 _ATOM_SETTERS = slot_setters(AtomicConstraint)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Clause:
     """Disjunction of atomic constraints. The empty clause is the false constraint."""
 
-    atoms: tuple[AtomicConstraint, ...] = ()
+    atoms: tuple[AtomicConstraint, ...]
+
+    def __init__(self, atoms: tuple[AtomicConstraint, ...] = ()):
+        (set_atoms,) = _CLAUSE_SETTERS  # see the module docstring
+        set_atoms(self, atoms)
+
+
+_CLAUSE_SETTERS = slot_setters(Clause)
 
 
 @dataclass(frozen=True, slots=True, init=False)

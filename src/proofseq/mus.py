@@ -267,4 +267,7 @@ def _min_hitting_set(sets: list[frozenset[int]], weights: list[int],
         return False
 
     rec([], 0, order)
+    # rec refers to itself through its closure cell; without this the cycle
+    # would keep it, order and the cells alive until a cyclic collection
+    del rec
     return best

@@ -1,5 +1,7 @@
 """Micro-benchmarks of engine compilation, propagation and search, of the
-proof rewrite stages, and of oracle call overhead, on fixed inputs.
+proof rewrite stages, and of oracle call overhead, on fixed inputs; and
+checks that whole operations leave no reference cycles behind, since
+cyclic garbage makes the collector run more often.
 
     PYTHONPATH=src pytest tests/bench_engine.py --benchmark-only
 
@@ -7,6 +9,7 @@ The default test run does not collect this file: pytest only picks up
 test_*.py files unless a file is named on the command line.
 """
 
+import gc
 import hashlib
 
 import pytest
@@ -161,3 +164,36 @@ def test_oracle_calls_of_a_minglob_query(benchmark, minglob_oracle_calls):
 
     assert benchmark(replay) == expected
     assert {type(r) for r in expected} == {Sat, Unsat}
+
+
+def _explain(model, variant, decompose_alldiff=False, log_all=False):
+    """One operation of the benchmark from a generated model: flatten,
+    prove, parse the proof and run the pipeline."""
+    solver = flatten(model, decompose_alldiff=decompose_alldiff)
+    proof = parse_drcp(solve_with_proof(solver, log_all=log_all)[1], solver)
+    return pipeline.run_pipeline(model, proof, variant, solver)
+
+
+def _cyclic_garbage(run):
+    """(run(), the number of unreachable objects that `gc.collect()` then
+    finds), with the cyclic collector off while run() runs."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run(), gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("suite, variant, decomposed", [
+    ("sudoku9", "trim", True),  # a `sudoku9-proof` operation
+    ("sudoku4", "minglob", False),  # global minimization: the hitting-set search
+])
+def test_operation_leaves_no_cyclic_garbage(suite, variant, decomposed):
+    model = generate_instance(suite, 1)
+    result, garbage = _cyclic_garbage(
+        lambda: _explain(model, variant, decompose_alldiff=decomposed, log_all=decomposed))
+    assert garbage == 0
+    assert result.sequence.derives_false()

@@ -35,7 +35,10 @@ At every propagation fixpoint of the search on a searching model, with
 proof logging and without, a propagator that sleeps until backtrack, a
 done slot of an alldifferent, and an idle learned nogood must have nothing
 left to do: run again, none changes the trail or the queue, and the nogood
-does not fail.
+does not fail. After each propagation of those searches, and after the
+two-term `!=` searches below (with `log_all` too), no trail reason may list
+a premise entry twice: the engine logs premises without deduplicating them
+again.
 
 Every test here checks each `Engine._push`, the trail write behind `apply`
 that alldifferent also calls directly: the atom must be undecided.
@@ -392,6 +395,14 @@ def test_proof_free_nogoods_are_root_free_and_sound():
     assert min(seen.values()) >= 100, seen
 
 
+def _assert_premises_unique(eng):
+    """No trail reason lists a premise entry twice: logged steps negate the
+    premises as they are (see the engine docstring)."""
+    for reason in eng.t_reason:
+        if reason is not None:
+            assert len(set(reason[1])) == len(reason[1]), reason
+
+
 def _rerun_sleepers(eng, seen):
     """At a propagation fixpoint nothing is queued, and re-running each
     sleeping propagator, each done slot of an alldifferent and each idle
@@ -428,6 +439,7 @@ def test_sleepers_would_do_nothing():
         if conflict is None:
             seen["fixpoints"] += 1
             _rerun_sleepers(eng, seen)
+        _assert_premises_unique(eng)
         return conflict
 
     def counted(eng, level):
@@ -647,6 +659,7 @@ def test_two_term_linne_branch_matches_the_general_pass():
                     eng.add_constraint(f"h{i}", c)
                 compiled = len(eng.props)
                 res = eng.solve()
+                _assert_premises_unique(eng)
                 runs.append((eng.t_atom, eng.t_reason, eng.props[compiled:], res.status,
                              res.assignment, res.conflicts, res.steps))
             assert runs[0] == runs[1]

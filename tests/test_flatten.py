@@ -1,10 +1,12 @@
+import functools
 import random
 
 import pytest
 
 from proofseq.errors import FlattenError
-from proofseq.flatten import flatten, SolverModel
+from proofseq.flatten import _Flattener, flatten, SolverModel
 from proofseq.model import (
+    AllDifferent,
     AtomicConstraint,
     Clause,
     HalfReified,
@@ -148,8 +150,46 @@ def test_random_models_projection_equivalence():
 
 
 def test_flatten_rejects_solver_id_collision():
+    """A user id that looks like flattening output clashes with it, placed
+    before or after the constraint whose output it copies: a disjunction's
+    member ids, and a decomposed alldifferent's pair ids. The pairs are
+    emitted in bulk, and must give the ids, provenance, order and errors of
+    one `emit` per pair, which `_one_emit_per_pair` keeps as the reference."""
     m = parse_model("var x 0..3\n"
                     "con c/1: clause x <= 2\n"
                     "con c: or(lin 1*x <= 0; lin 1*x >= 3)\n")
     with pytest.raises(FlattenError):
         flatten(m)
+    head = "var x 0..3\nvar y 0..3\nvar z 0..3\nvar w 0..3\n"
+    alldiff = "con r: alldifferent(x,y,z,w)\n"
+    user = "con r/2: clause x <= 2\n"
+    # with two before it, the error names the first pair id in emission order
+    for body in (user + alldiff, alldiff + user, "con r/5: clause y <= 2\n" + user + alldiff):
+        m = parse_model(head + body)
+        assert flatten(m).provenance["r"] == "r"  # native: no pair ids
+        for run in (functools.partial(flatten, decompose_alldiff=True), _one_emit_per_pair):
+            with pytest.raises(FlattenError, match=r"^solver constraint id collision: 'r/2' "):
+                run(m)
+    m = parse_model(head + "con u: clause x <= 2\n" + alldiff
+                    + "con s: alldifferent(w,x)\ncon v: clause y >= 1\n")
+    s, ref = flatten(m, decompose_alldiff=True), _one_emit_per_pair(m)
+    assert list(s.constraints) == ref.out
+    assert list(s.provenance.items()) == list(ref.prov.items())
+    assert [c.id for c in s.constraints] == ["u", *(f"r/{k}" for k in range(1, 7)), "s/1", "v"]
+
+
+def _one_emit_per_pair(m):
+    """The decomposition as a per-pair loop: the k-th pair (x, y) of an
+    alldifferent `cid` is emitted on its own as `{cid}/k: x - y != 0`."""
+    f = _Flattener(m, decompose_alldiff=True)
+    f.vars = list(m.vars)
+    for c in m.constraints:
+        if not isinstance(c.expr, AllDifferent):
+            f.flatten_constraint(c)
+            continue
+        k = 0
+        for i, x in enumerate(c.expr.vars):
+            for y in c.expr.vars[i + 1:]:
+                k += 1
+                f.emit(f"{c.id}/{k}", Linear(((1, x), (-1, y)), "!=", 0), c.id)
+    return f

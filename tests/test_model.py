@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from proofseq.engine import EngineStep
 from proofseq.errors import EmptyDomainWarning, ModelParseError
 from proofseq.model import (
     AllDifferent,
@@ -66,11 +67,13 @@ def test_varid_hashes_orders_and_prints_as_before():
 def test_records_keep_their_dataclass_behaviour():
     """The records built per pair or per proof line fill their fields
     directly, and keep the frozen dataclass's hash, equality, repr,
-    `replace` and frozenness, and the atom's operator check."""
+    `replace` and frozenness, and the atom's operator check; the engine's
+    slotted `EngineStep` keeps the dataclass's equality and repr."""
     x = VarId(0, "x")
     atom = AtomicConstraint(x, "<=", 2)
     records = {
         atom: (x, "<=", 2),
+        Clause((atom,)): ((atom,),),
         Linear(((1, x), (-1, VarId(1, "y"))), "!=", 0): (((1, x), (-1, VarId(1, "y"))), "!=", 0),
         Constraint("c1", atom): ("c1", atom),
         ProofStep(atom, ("c1", 3)): (atom, ("c1", 3)),
@@ -91,6 +94,14 @@ def test_records_keep_their_dataclass_behaviour():
         "Linear(terms=((2, VarId(index=0, name='x')),), op='>=', rhs=-1)"
     assert repr(Constraint("c1", atom)) == f"Constraint(id='c1', expr={atom!r})"
     assert repr(ProofStep(atom, (1,))) == f"ProofStep(derived={atom!r}, reasons=(1,))"
+    assert repr(Clause((atom,))) == f"Clause(atoms=({atom!r},))"
+    assert Clause() == FALSE != TRUE and repr(FALSE) == "Clause(atoms=())"
+    assert dataclasses.replace(FALSE, atoms=(atom,)) == Clause((atom,))
+    # the engine's logged step: a plain dataclass with slots
+    step = EngineStep(((0, "<=", 2),), ("c1",))
+    assert step == EngineStep(((0, "<=", 2),), ("c1",)) != EngineStep(((0, "<=", 2),))
+    assert EngineStep(()) == EngineStep((), ())
+    assert repr(step) == "EngineStep(atoms=((0, '<=', 2),), reasons=('c1',))"
     with pytest.raises(ValueError, match="^unknown atom operator '<>'$"):
         AtomicConstraint(x, "<>", 1)
     with pytest.raises(ValueError, match="^unknown atom operator '<>'$"):
