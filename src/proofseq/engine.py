@@ -74,8 +74,8 @@ it also rests on the record before it. A `justify_bound` list walks such
 records back to a "b" record: each "s" record's entry removed another value,
 and the "b" record's entry is no removal, so the list repeats no entry. A
 fixed slot's premises are both its bounds' lists, and when one `==` entry
-fixed the slot they are the same one-entry list; the two-term `!=` then
-cites that list once, and deduplicates only lists that differ.
+fixed the slot they are the same one-entry list; `_prop_ne_pair` (below)
+then cites that list once, and deduplicates only lists that differ.
 
 One function, `_compile`, lowers every expression; an atom compiles as a
 one-atom clause. A disjunction (nested ones spliced in) that is not a plain
@@ -101,7 +101,7 @@ nodes, never soundness.
 One path writes the trail: `_push` puts an undecided atom on it, wakes the
 idle watchers of its variable, tightens a bound or removes a value, and
 then, if that left the variable fixed, wakes its idle fix watchers (each
-an unguarded two-term `!=`, below). `apply` is the status test in front of
+a `_prop_ne_pair`, below). `apply` is the status test in front of
 it. Only alldifferent skips that test, for a removal that it has checked
 lies inside the domain of an unfixed slot.
 
@@ -176,23 +176,32 @@ assignment and conflict count.
 Only the root trail can differ: its entries, and values outside the bounds
 left in `holes`, which every hole test reads only after a bound test.
 
-A linear `!=` (`_prop_linne`) can act only once at most one of its terms is
-unfixed. So it makes one pass over its terms, subtracting each fixed term
-from the right-hand side as it goes, and returns at the second unfixed term
-it meets; the sum it acts on is the one a full pass would give. An
-unguarded two-term `!=`, `c1*x + c2*y != rhs`, which is what
-`decompose_alldiff` emits, takes a branch that reads each slot's bounds
-once. It is exact: with no guard the pass's guard tests all hold, and with
-two terms it has four cases, each answered as the pass answers it. Neither
-fixed: None. One fixed: SLEEP when the other's coefficient does not divide
-what is left, or its value is already removed; else that value is removed
-with the fixed slot's bound entries as premises. Both fixed at another sum:
-SLEEP. Both fixed at rhs: the pivot on the first term (`x != x's value`)
-from the second term's bound entries. `tests/test_engine_fuzz.py` checks it
-against a general-pass engine.
+A linear `!=` can act only once at most one of its terms is unfixed. So
+its general pass, `_prop_linne`, makes one pass over its terms, subtracting
+each fixed term from the right-hand side as it goes, and returns at the
+second unfixed term it meets; the sum it acts on is the one a full pass
+would give. `_prop_linne` runs every linear `!=` that is guarded or does
+not have two terms.
 
-So an unguarded two-term `!=` wakes only on a fix, the fix event of
-Schulte and Stuckey's propagation engines. `_install` puts it in its slots'
+An unguarded two-term `!=`, `c1*x + c2*y != rhs`, which is what
+`decompose_alldiff` emits (972 per sudoku9 model), is a pair: its
+propagator, `_prop_ne_pair`, is the flat tuple `(fn, cid, c1, s1, c2, s2,
+rhs)`, with no term tuples, so a pair costs two tracked tuples, itself and
+its watched slots. `_compile_linear` builds it on its direct path, and on
+its general path for the same constraint with a zero term added, with the
+same watched slots. `_prop_ne_pair` is the general pass with each slot's
+bounds read once. It is exact: with no guard the pass's guard tests all
+hold, and with two terms it has four cases, each answered as the pass
+answers it. Neither fixed: None. One fixed: SLEEP when the other's
+coefficient does not divide what is left, or its value is already
+removed; else that value is removed with the fixed slot's bound entries
+as premises. Both fixed at another sum: SLEEP. Both fixed at rhs: the
+pivot on the first term (`x != x's value`) from the second term's bound
+entries. `tests/test_engine_fuzz.py` checks it against an engine that runs
+every linear `!=` through the general pass.
+
+So a pair wakes only on a fix, the fix event of Schulte and Stuckey's
+propagation engines. `_install` puts it in its slots'
 `fix_watch` lists, not in `watch`, and queues it only when one of them is
 already fixed; `_push` wakes it only when it has fixed one of its slots,
 after the slot's other watchers (`add_cached` registers it the same way).
@@ -223,6 +232,17 @@ Conflict analysis expands, while more than one conflict entry is at the
 conflict level (at the root: while any entry has a reason), the latest such
 entry. Expanding an entry adds only earlier ones, so this is one descending
 walk over the trail, and the steps it logs come in the same order.
+
+Backtracking is chronological: after a conflict at level L the search
+goes back to level L - 1 and registers the learned nogood there, where it
+propagates its unit and sleeps on that entry, though its other atoms may
+have been false since a lower level. A later, deeper backtrack that keeps
+them false pops the unit and the wake record with it: the nogood is idle
+and unit again, but popping queues nothing, so it stays idle until an
+event on one of its variables wakes it. That misses a propagation, which
+is sound (the search stays complete, and the nogood still fails any
+assignment it forbids), but the search can then repeat the conflict it
+learned the nogood from.
 """
 
 from __future__ import annotations
@@ -313,7 +333,7 @@ class Engine:
         self.hist: tuple[list[list[tuple[str, int, int]]], ...] = tuple(
             [[r] for r in side] for side in root.roots)
         self.watch: list[list[int]] = [[] for _ in root.lb]
-        # per slot: the unguarded two-term `!=`s, woken only when it is fixed
+        # per slot: the pairs (`_prop_ne_pair`), woken only when it is fixed
         self.fix_watch: list[list[int]] = [[] for _ in root.lb]
         self.slot_of: dict[VarId, int] = root.slot_of
         self.budget = budget
@@ -455,7 +475,7 @@ class Engine:
             (c1, x), (c2, y) = lin.terms
             if c1 and c2:
                 s1, s2 = slot_of[x], slot_of[y]
-                self._install((Engine._prop_linne, cid, None, ((c1, s1), (c2, s2)), lin.rhs),
+                self._install((Engine._prop_ne_pair, cid, c1, s1, c2, s2, lin.rhs),
                               tuple({s1, s2}), True)
                 return
         terms, slots = [], []
@@ -475,8 +495,11 @@ class Engine:
             neg = tuple((-c, s) for c, s in terms)
             self._install((Engine._prop_lin, cid, guard, neg, -lin.rhs), slots)
         if lin.op == "!=":
-            self._install((Engine._prop_linne, cid, guard, terms, lin.rhs), slots,
-                          guard is None and len(terms) == 2)
+            if guard is None and len(terms) == 2:
+                (c1, s1), (c2, s2) = terms
+                self._install((Engine._prop_ne_pair, cid, c1, s1, c2, s2, lin.rhs), slots, True)
+            else:
+                self._install((Engine._prop_linne, cid, guard, terms, lin.rhs), slots)
 
     def _compile_disjunction(self, cid: str, e: Disjunction):
         members = disjuncts(e)
@@ -770,40 +793,42 @@ class Engine:
                 out.extend(self.justify_bound(side, s, self.bound[side][s]))
         return out
 
+    def _prop_ne_pair(self, p):
+        # c1*x + c2*y != rhs, unguarded: `_prop_linne`'s pass, each slot read once
+        _, cid, c1, s1, c2, s2, rhs = p
+        lb, ub = self.lb, self.ub
+        lo1, hi1, lo2, hi2 = lb[s1], ub[s1], lb[s2], ub[s2]
+        if lo1 == hi1:
+            if lo2 == hi2:
+                if c1 * lo1 + c2 * lo2 != rhs:  # entailed
+                    return SLEEP
+                # violated: the pivot on x, from y's value
+                s, v, fixed, lo = s1, lo1, s2, lo2
+            else:  # y != (rhs - c1*x) / c2, from x's value
+                rem = rhs - c1 * lo1
+                if rem % c2 != 0:  # entailed
+                    return SLEEP
+                s, v, fixed, lo = s2, rem // c2, s1, lo1
+                if v < lo2 or v > hi2 or v in self.holes[s2]:  # already removed
+                    return SLEEP
+        elif lo2 == hi2:  # x != (rhs - c2*y) / c1, from y's value
+            rem = rhs - c2 * lo2
+            if rem % c1 != 0:
+                return SLEEP
+            s, v, fixed, lo = s1, rem // c1, s2, lo2
+            if v < lo1 or v > hi1 or v in self.holes[s1]:
+                return SLEEP
+        else:
+            return None
+        below, above = self.justify_bound(0, fixed, lo), self.justify_bound(1, fixed, lo)
+        # equal when one == entry fixed the slot (see the module docstring)
+        premises = tuple(below) if below == above else tuple(_stable_unique(below + above))
+        r = self.apply((s, "!=", v), (cid, premises))
+        return SLEEP if r is None else r
+
     def _prop_linne(self, p):
+        # the general pass of a linear `!=` that is guarded or not of two terms
         _, cid, guard, terms, rhs = p
-        if guard is None and len(terms) == 2:
-            # c1*x + c2*y != rhs: the general pass below, each slot read once
-            (c1, s1), (c2, s2) = terms
-            lb, ub = self.lb, self.ub
-            lo1, hi1, lo2, hi2 = lb[s1], ub[s1], lb[s2], ub[s2]
-            if lo1 == hi1:
-                if lo2 == hi2:
-                    if c1 * lo1 + c2 * lo2 != rhs:  # entailed
-                        return SLEEP
-                    # violated: the pivot on x, from y's value
-                    s, v, fixed, lo = s1, lo1, s2, lo2
-                else:  # y != (rhs - c1*x) / c2, from x's value
-                    rem = rhs - c1 * lo1
-                    if rem % c2 != 0:  # entailed
-                        return SLEEP
-                    s, v, fixed, lo = s2, rem // c2, s1, lo1
-                    if v < lo2 or v > hi2 or v in self.holes[s2]:  # already removed
-                        return SLEEP
-            elif lo2 == hi2:  # x != (rhs - c2*y) / c1, from y's value
-                rem = rhs - c2 * lo2
-                if rem % c1 != 0:
-                    return SLEEP
-                s, v, fixed, lo = s1, rem // c1, s2, lo2
-                if v < lo1 or v > hi1 or v in self.holes[s1]:
-                    return SLEEP
-            else:
-                return None
-            below, above = self.justify_bound(0, fixed, lo), self.justify_bound(1, fixed, lo)
-            # equal when one == entry fixed the slot (see the module docstring)
-            premises = tuple(below) if below == above else tuple(_stable_unique(below + above))
-            r = self.apply((s, "!=", v), (cid, premises))
-            return SLEEP if r is None else r
         gst = True if guard is None else self.status(guard)
         if gst is False:
             return SLEEP
@@ -1000,8 +1025,8 @@ class Engine:
 
 
 def _on_fix(prop: tuple) -> bool:
-    """Whether prop is an unguarded two-term `!=`, which wakes only on a fix."""
-    return prop[0] is Engine._prop_linne and prop[2] is None and len(prop[3]) == 2
+    """Whether prop is a pair (`_prop_ne_pair`), which wakes only on a fix."""
+    return prop[0] is Engine._prop_ne_pair
 
 
 def _negate_atom(atom: Atom) -> Atom:

@@ -88,7 +88,11 @@ def _full_grid(rng: random.Random, n: int, block: int) -> Optional[list[list[int
             grid[i][j] = 0
         return False
 
-    return grid if fill(0) else None
+    filled = fill(0)
+    # fill refers to itself through its closure cell; without this the cycle
+    # would keep it, candidates, grid and rng alive until a cyclic collection
+    del fill
+    return grid if filled else None
 
 
 def _sudoku_model(n: int, block: int, hints: dict[tuple[int, int], int]) -> UserModel:

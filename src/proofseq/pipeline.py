@@ -185,8 +185,11 @@ def lift_to_user_level(p: AbstractProof, solver_model: SolverModel) -> AbstractP
     prov = solver_model.provenance
     steps = []
     for step in p.steps:
-        reasons = tuple(dict.fromkeys(
-            prov[r] if isinstance(r, str) else r for r in step.reasons))
+        reasons = step.reasons
+        if len(reasons) != 1:
+            reasons = tuple(dict.fromkeys(prov[r] if isinstance(r, str) else r for r in reasons))
+        elif isinstance(reasons[0], str):  # most steps: one inference's constraint
+            reasons = (prov[reasons[0]],)
         steps.append(ProofStep(step.derived, reasons))
     return AbstractProof(tuple(steps))
 

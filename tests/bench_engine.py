@@ -1,7 +1,7 @@
 """Micro-benchmarks of engine compilation, propagation and search, of the
 proof rewrite stages, and of oracle call overhead, on fixed inputs; and
-checks that whole operations leave no reference cycles behind, since
-cyclic garbage makes the collector run more often.
+checks that generating a model and whole operations leave no reference
+cycles behind, since cyclic garbage makes the collector run more often.
 
     PYTHONPATH=src pytest tests/bench_engine.py --benchmark-only
 
@@ -192,7 +192,9 @@ def _cyclic_garbage(run):
     ("sudoku4", "minglob", False),  # global minimization: the hitting-set search
 ])
 def test_operation_leaves_no_cyclic_garbage(suite, variant, decomposed):
-    model = generate_instance(suite, 1)
+    # generating the model, whose full grid a recursive closure fills, too
+    model, garbage = _cyclic_garbage(lambda: generate_instance(suite, 1))
+    assert garbage == 0
     result, garbage = _cyclic_garbage(
         lambda: _explain(model, variant, decompose_alldiff=decomposed, log_all=decomposed))
     assert garbage == 0

@@ -49,9 +49,9 @@ verdict and the premises of a full scan from atom 0: it answers SLEEP only
 with a true atom, and None only with two undecided ones.
 
 On searching models with two-term linear `!=`s added (some over one
-variable twice, some guarded), the engine, whose `_prop_linne` has a branch
-for an unguarded two-term `!=`, must search exactly as an engine whose
-`_prop_linne` takes only the general pass: the same trail and reasons,
+variable twice, some guarded), the engine, which runs an unguarded two-term
+`!=` as `_prop_ne_pair`, must search exactly as an engine that runs every
+linear `!=` through `_prop_linne`'s general pass: the same trail and reasons,
 learned nogoods, status, assignment, conflict count and proof steps, with
 proof logging and without. On the same models, an engine that wakes an
 unguarded two-term `!=` only when one of its slots is fixed must reach the
@@ -72,6 +72,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proofseq.engine import DEFAULT_BUDGET, SLEEP, Conflict, Engine, _negate_atom, _stable_unique
+from proofseq.flatten import flatten
+from proofseq.instances import generate_instance
 from proofseq.model import (
     AllDifferent,
     AtomicConstraint,
@@ -567,18 +569,21 @@ def linne_models(draw):
 
 
 class GeneralPassEngine(Engine):
-    """The reference for the two-term `!=` branch: every linear `!=` takes
-    the general pass of `Engine._prop_linne`, which this copies, and each
+    """The reference for `Engine._prop_ne_pair`: every linear `!=` takes the
+    general pass of `Engine._prop_linne`, which this copies, and each
     wake-up of an unguarded two-term one is counted by case in `tally`. It
     registers each propagator as `Engine` does, an unguarded two-term `!=`
-    on its slots' fixes only."""
+    on its slots' fixes only, in the general pass's form."""
 
     def __init__(self, *args, tally: collections.Counter, **kwargs):
         super().__init__(*args, **kwargs)
         self.tally = tally
 
     def _install(self, prop, slots, on_fix=False):
-        if prop[0] is Engine._prop_linne:
+        if prop[0] is Engine._prop_ne_pair:
+            _, cid, c1, s1, c2, s2, rhs = prop
+            prop = (GeneralPassEngine._prop_linne, cid, None, ((c1, s1), (c2, s2)), rhs)
+        elif prop[0] is Engine._prop_linne:
             prop = (GeneralPassEngine._prop_linne,) + prop[1:]
         super()._install(prop, slots, on_fix)
 
@@ -673,10 +678,10 @@ def test_two_term_linne_branch_matches_the_general_pass():
 
 
 def test_pairwise_ne_compiles_as_the_general_path():
-    """`_compile_linear` builds an unguarded two-term `!=` directly; with a
-    zero term added, the same constraint takes the general path, and both
-    must register the same propagator, watches and fix watches, and queue
-    it only when one of its slots is fixed."""
+    """`_compile_linear` builds an unguarded two-term `!=`'s `_prop_ne_pair`
+    tuple directly; with a zero term added, the same constraint takes the
+    general path, and both must register the same propagator, watches and
+    fix watches, and queue it only when one of its slots is fixed."""
     doms = [(VarId(0, "x"), Domain(0, 3)), (VarId(1, "y"), Domain(0, 3)),
             (VarId(2, "z"), Domain(2, 2))]
     x, y, z = (v for v, _ in doms)
@@ -689,6 +694,49 @@ def test_pairwise_ne_compiles_as_the_general_path():
             engines.append((eng.props, eng.prop_slots, eng.watch, eng.fix_watch, eng.queue))
         assert engines[0] == engines[1]
         assert engines[0][4] == ([0, 1] if z in (a, b) else [0])
+
+
+def test_decomposed_pairs_compile_to_flat_fix_watched_tuples():
+    """Each pairwise `!=` of a decomposed sudoku9 model, compiled as the
+    prover compiles it, is one `_prop_ne_pair` tuple with no tuple among its
+    items, in both its slots' `fix_watch` lists and in no `watch` list; and
+    a compile cache hit through an `Oracle` registers the same tuple under
+    the new constraint id, as a fresh compile does."""
+    solver = flatten(generate_instance("sudoku9", 1), decompose_alldiff=True)
+    eng = Engine(solver.vars, log_all=True)
+    for c in solver.constraints:
+        eng.add_constraint(c.id, c.expr)
+    watched = {idx for w in eng.watch for idx in w}
+    fix_watched = {idx for w in eng.fix_watch for idx in w}
+    pairs = []
+    for c in solver.constraints:
+        if isinstance(c.expr, Linear) and c.expr.op == "!=":
+            (idx,) = (i for i, p in enumerate(eng.props) if p[1] == c.id)
+            p = eng.props[idx]
+            (c1, x), (c2, y) = c.expr.terms
+            s1, s2 = eng.slot_of[x], eng.slot_of[y]
+            assert p == (Engine._prop_ne_pair, c.id, c1, s1, c2, s2, c.expr.rhs)
+            assert not any(isinstance(item, tuple) for item in p)
+            assert idx in eng.fix_watch[s1] and idx in eng.fix_watch[s2]
+            assert idx not in watched
+            pairs.append(idx)
+    assert len(pairs) == 972 and fix_watched == set(pairs)
+
+    hard = [c.expr for c in solver.constraints]
+    oracle = Oracle(solver.vars)
+    first = {p[1]: p for p in oracle._engine(hard).props if p[0] is Engine._prop_ne_pair}
+    # every expression is cached now; rotated, each one gets another id
+    hit = oracle._engine(hard[1:] + hard[:1])
+    fresh = Engine(solver.vars, proof=False)
+    for i, e in enumerate(hard[1:] + hard[:1]):
+        fresh.add_constraint(f"h{i}", e)
+    assert (hit.props, hit.prop_slots, hit.watch, hit.fix_watch, hit.queue) == \
+        (fresh.props, fresh.prop_slots, fresh.watch, fresh.fix_watch, fresh.queue)
+    hits = {p[1]: p for p in hit.props if p[0] is Engine._prop_ne_pair}
+    assert len(first) == len(hits) == 972
+    for key, p in first.items():
+        new_key = f"h{(int(key[1:]) - 1) % len(hard)}"
+        assert hits[new_key] == (Engine._prop_ne_pair, new_key) + p[2:]
 
 
 class AnyEventEngine(Engine):
@@ -706,14 +754,13 @@ def test_pairwise_ne_wakes_only_on_a_fix():
     Sat model satisfies each constraint; a counter shows that it never runs
     while both its slots are unfixed."""
     seen = collections.Counter()
-    prop_linne = Engine._prop_linne
+    prop_ne_pair = Engine._prop_ne_pair
 
     def counted(eng, p):
-        _, _, guard, terms, rhs = p
-        if guard is None and len(terms) == 2 and \
-                _two_term_case(eng, terms, rhs) == "none fixed":
+        _, _, c1, s1, c2, s2, rhs = p
+        if _two_term_case(eng, ((c1, s1), (c2, s2)), rhs) == "none fixed":
             seen["run unfixed", type(eng)] += 1
-        return prop_linne(eng, p)
+        return prop_ne_pair(eng, p)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(linne_models())
@@ -726,7 +773,7 @@ def test_pairwise_ne_wakes_only_on_a_fix():
                 eng = cls(doms, budget=DEFAULT_BUDGET if budget is None else budget,
                           proof=proof, log_all=log_all)
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(Engine, "_prop_linne", counted)
+                    mp.setattr(Engine, "_prop_ne_pair", counted)
                     for i, c in enumerate(cons):
                         eng.add_constraint(f"h{i}", c)
                     res = eng.solve()
