@@ -2,11 +2,11 @@
 nogood learning over atomic constraints, with optional proof logging.
 
 An Engine runs one solve, or a series of proof-free solves from a kept root
-(below). The trail records every domain event as
-an atomic constraint together with the trail entries that premised it, so
-conflict analysis can resolve backwards and emit inference/nogood steps on
-demand. Only conflict-participating propagations are logged unless log_all
-is set.
+(below). The trail records every domain event as an atomic constraint
+together with its reason, from which `premises` gives the trail entries
+that premised it, so conflict analysis can resolve backwards and emit
+inference/nogood steps on demand. Only conflict-participating propagations
+are logged unless log_all is set.
 
 With `proof=False`, as in every oracle call (only the prover logs a proof),
 the engine logs no proof: conflict analysis computes only the conflict level
@@ -50,17 +50,46 @@ it was.
 A reason key is what a proof line cites: the id (a str) of the input
 constraint that propagated, or the 1-based step id (an int) of the nogood
 whose clause did, since each learned nogood is registered under its own
-step. A trail reason is (key, premise entries) and a Conflict carries the
-key of the violated clause or constraint. A step is (atoms, reasons): an
-inference cites its one constraint id, a nogood the step ids it resolves,
-and the conclusion (no atoms) its step ids, then any constraint that is
-false on its own.
+step. A trail reason is (key, premise entries), or a marker (below), and a
+Conflict carries the key of the violated clause or constraint. A step is
+(atoms, reasons): an inference cites its one constraint id, a nogood the
+step ids it resolves, and the conclusion (no atoms) its step ids, then any
+constraint that is false on its own.
+
+Two kinds of trail entry keep a marker instead of their premises, in both
+proof modes: an alldifferent removal keeps `(_prop_alldiff, key, s)`, s the
+slot whose fix it spreads (one marker for all that a run spreads from s), and
+a clause or nogood unit keeps its clause's own propagator tuple,
+`(_prop_clause, key, atoms)`, so pushing a unit makes no object.
+`premises(e)` builds a marker's premises the first time conflict analysis, a
+logged step (`_step_for_entry`) or a test reads them, as lazy explanations
+do (Gent, Miguel & Moore, PADL 2010), and stores them on the entry as
+(key, premises); a Conflict's entries are still built at once. Most are
+never read: in one `sudoku9-minloc` benchmark pass, 38,613 of 187,531
+marker entries are built, 6,921 of them of 20,677 units.
+
+A late build is exact: while entry e is on the trail, it gives the
+premises that its propagator would have built when it pushed e. Domains
+only shrink while e stays, and every history record made before e stays.
+So the alldifferent's slot s stays fixed at the removed value, and
+`justify_bound`, which answers from the oldest record at least as tight as
+asked, answers from the same record. `justify_false` tests the current
+bounds before the holes, and so answers otherwise in one case only: an `==`
+atom that was false at the push through a hole inside the bounds, whose
+value a bound has passed since. The bound's `justify_bound` list then holds
+the entry that moved the bound, e or a later one, since the walk back from
+a slide record reaches the record that began that move; had the bound
+passed the value before the push, every entry of the list would be older
+than e. So `_justify_false_at` cites the hole's entry, as the push did,
+when the list's newest entry is at least e. The list itself would cite an
+entry no older than the unit.
 
 The premise entries of every trail reason are duplicate-free: each
-propagator deduplicates them (`_stable_unique`) before it applies or pushes
-an atom, or takes them from one `justify_bound` list, which never repeats
-an entry (below). So a logged step (`_step_for_entry`, and the violated
-step of `apply`) negates the premises as they are, without a second pass.
+propagator, and `premises` for a marker, deduplicates them
+(`_stable_unique`), or takes them from one `justify_bound` list, which never
+repeats an entry (below). So a logged step (`_step_for_entry`, and the
+violated step of `apply`) negates the premises as they are, without a
+second pass.
 
 Bounds are kept per side: side 0 is the lower bound (`lb`), side 1 the upper
 bound (`ub`), and one code path serves both sides (`_tighten`,
@@ -73,9 +102,16 @@ slid one value, past the value that `entry` removed (-1 for a root hole), so
 it also rests on the record before it. A `justify_bound` list walks such
 records back to a "b" record: each "s" record's entry removed another value,
 and the "b" record's entry is no removal, so the list repeats no entry. A
-fixed slot's premises are both its bounds' lists, and when one `==` entry
-fixed the slot they are the same one-entry list; `_prop_ne_pair` (below)
-then cites that list once, and deduplicates only lists that differ.
+fixed slot's premises (`_fixed_premises`) are both its bounds' lists, and
+when one `==` entry fixed the slot they are the same one-entry list, cited
+once; only lists that differ are deduplicated.
+
+Whatever a trail entry changes is an undo record in one log, `undo`, oldest
+first: a history record appended, a value removed inside the bounds, and
+the sleeps and done slots below. `t_undo[e]` marks where entry e's records
+start, so every record belongs to the newest entry pushed before it.
+`_undo_to` pops the records of all the entries it pops in one pass, newest
+first, and truncates the log.
 
 One function, `_compile`, lowers every expression; an atom compiles as a
 one-atom clause. A disjunction (nested ones spliced in) that is not a plain
@@ -111,8 +147,9 @@ excludes the value) and justifies a fixed slot only before its first real
 removal. A clause or nogood reads its atoms in order (a proof-free nogood
 newest first, above) and stops at the first true atom or the second
 undecided one: either way it can neither propagate nor fail. Only a unit or
-a conflict reads every atom, and then a second in-order pass collects the
-premises. A clause holds no state of its own; every variable of it wakes it,
+a conflict reads every atom: a conflict then collects its entries in a
+second in-order pass, and a unit leaves them to `premises`. A clause holds
+no state of its own; every variable of it wakes it,
 so unlike the two watched literals of Chaff and MiniSat a look order could
 only change which atoms are read, never the answer: the clause does nothing
 when some atom is true or two are undecided, propagates its one undecided
@@ -128,15 +165,16 @@ false, or made false by it; a linear `!=` whose guard is false, whose fixed
 terms already satisfy it (all fixed at another sum, or a last unfixed term
 whose coefficient does not divide the rest), whose target value is already
 removed, or that it has just enforced. `_propagate` then leaves its
-`in_queue` flag set, at 2, so `_push` never queues it, and puts a ("wake",
-propagator, 0) undo record on the newest trail entry: popping that entry
-clears the flag. With an empty trail the propagator sleeps for good (and a
-done slot, below, stays done). If it queued itself while it ran (a clause
+`in_queue` flag set, at 2, so `_push` never queues it, and appends a
+("wake", propagator, 0) record to the undo log, where it belongs to the
+newest trail entry: popping that entry clears the flag. With an empty trail
+no record is made and the propagator sleeps for good (and a done slot,
+below, stays done). If it queued itself while it ran (a clause
 applying its unit watches that atom's variable), that queue entry is
 skipped. In the same way alldifferent marks a fixed slot done once every
-other slot excludes its value, with a ("done", done set, slot) undo record,
-and skips done slots; the done set of each alldifferent is per engine, the
-only propagator state that is.
+other slot excludes its value, with a ("done", done set, slot) record in the
+log, and skips done slots; the done set of each alldifferent is per engine,
+the only propagator state that is.
 
 Both are exact. What puts a propagator to sleep or a slot in the done set
 holds on the trail up to the newest entry, and domains only shrink until
@@ -228,7 +266,10 @@ again. Skipping moves levels, and so conflict cuts, nogoods and backjumps:
 search is not trail-identical to deciding every slot, and only its
 verdicts are the same (`tests/test_skipped_slots.py`).
 
-Conflict analysis expands, while more than one conflict entry is at the
+Levels only grow along the trail, so the conflict level is the level of
+the newest conflict entry, `bisect_right(level_start, newest) - 1`, and no
+entry stores its level. Conflict analysis expands, while more than one
+conflict entry is at the
 conflict level (at the root: while any entry has a reason), the latest such
 entry. Expanding an entry adds only earlier ones, so this is one descending
 walk over the trail, and the steps it logs come in the same order.
@@ -247,6 +288,7 @@ learned the nogood from.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -341,9 +383,11 @@ class Engine:
         self.proof = proof  # False: no steps at all, so no log_all either
 
         self.t_atom: list[Atom] = []
-        self.t_level: list[int] = []
-        self.t_reason: list[Optional[tuple]] = []  # None: decision, else (key, premise entries)
-        self.t_effects: list[list[tuple]] = []
+        # None: a decision; else (key, premise entries), or a marker whose
+        # premises `premises` builds when they are first read
+        self.t_reason: list[Optional[tuple]] = []
+        self.t_undo: list[int] = []  # per entry: where its records start in `undo`
+        self.undo: list[tuple] = []  # the undo records of every entry, oldest first
         self.level = 0
         self.level_start: list[int] = [0]
 
@@ -561,6 +605,46 @@ class Engine:
             return [] if e < 0 else [e]
         return self.justify_bound(0, vi, val) + self.justify_bound(1, vi, val)
 
+    def _justify_false_at(self, atom: Atom, e: int) -> list[int]:
+        """What `justify_false(atom)` answered just before trail entry e was
+        pushed, for an atom false since then; e must still be on the trail.
+        Only an `==` atom that was false through a hole, and whose value a
+        bound has passed since (at entry e or later), gets another answer
+        now: the hole's entry (see the module docstring)."""
+        out = self.justify_false(atom)
+        vi, op, val = atom
+        if op == "==" and out and max(out) >= e:
+            hole = self.holes[vi].get(val)
+            if hole is not None:
+                return [] if hole < 0 else [hole]
+        return out
+
+    def _fixed_premises(self, s: int, v: int) -> tuple[int, ...]:
+        """The entries that fixed slot s at v: both its bounds' lists, cited
+        once when they are the same (see the module docstring)."""
+        below, above = self.justify_bound(0, s, v), self.justify_bound(1, s, v)
+        return tuple(below) if below == above else tuple(_stable_unique(below + above))
+
+    def premises(self, e: int) -> tuple[int, ...]:
+        """The premise entries of trail entry e, which must have a reason.
+        A marker's are built on the first read, as its propagator would have
+        built them when it pushed e, and stored on the entry."""
+        reason = self.t_reason[e]
+        if len(reason) == 2:
+            return reason[1]
+        fn, key, x = reason
+        if fn is Engine._prop_alldiff:  # x is the fixed slot the removal spreads
+            premises = self._fixed_premises(x, self.t_atom[e][2])
+        else:  # a clause unit: x is the clause's atoms, all others false
+            unit = self.t_atom[e]
+            entries = []
+            for a in x:
+                if a != unit:
+                    entries.extend(self._justify_false_at(a, e))
+            premises = tuple(_stable_unique(entries)) if entries else ()
+        self.t_reason[e] = (key, premises)
+        return premises
+
     # --- trail -------------------------------------------------------------
 
     def apply(self, atom: Atom, reason: Optional[tuple]):
@@ -590,9 +674,8 @@ class Engine:
         vi, op, val = atom
         e = len(self.t_atom)
         self.t_atom.append(atom)
-        self.t_level.append(self.level)
         self.t_reason.append(reason)
-        self.t_effects.append([])
+        self.t_undo.append(len(self.undo))
         in_queue, queue = self.in_queue, self.queue
         for idx in self.watch[vi]:
             if not in_queue[idx]:
@@ -610,7 +693,7 @@ class Engine:
         elif val == self.ub[vi]:
             self._tighten(1, vi, val - 1, "s", e)
         else:
-            self.t_effects[e].append(("hole", vi, val))
+            self.undo.append(("hole", vi, val))
             self.holes[vi][val] = e
         fix_watch = self.fix_watch[vi]
         if fix_watch and self.lb[vi] == self.ub[vi]:
@@ -625,7 +708,7 @@ class Engine:
         """Move bound `side` of vi to v as a `kind` record of trail entry
         `entry`, then slide it past every removed value it lands on."""
         hist = self.hist[side][vi]
-        self.t_effects[entry].append((side, vi, len(hist)))
+        self.undo.append((side, vi, len(hist)))
         hist.append((kind, v, entry))
         holes = self.holes[vi]
         step = -1 if side else 1
@@ -647,23 +730,25 @@ class Engine:
 
     def _undo_to(self, target: int):
         """Pop trail entries until `target` are left, then empty the queue."""
-        in_queue, t_effects = self.in_queue, self.t_effects
-        for e in range(len(t_effects) - 1, target - 1, -1):
-            for tag, a, x in reversed(t_effects[e]):
-                if tag == "hole":
-                    del self.holes[a][x]
-                elif tag == "wake":
-                    if in_queue[a] == 2:  # an off propagator stays off
-                        in_queue[a] = 0
-                elif tag == "done":
-                    a.discard(x)
-                else:
-                    hist = self.hist[tag][a]
-                    del hist[x:]
-                    self.bound[tag][a] = hist[-1][1]
-            if self.entry_step:
+        in_queue, undo, t_atom = self.in_queue, self.undo, self.t_atom
+        # the popped entries' records, newest first
+        start = self.t_undo[target] if target < len(t_atom) else len(undo)
+        for tag, a, x in reversed(undo[start:]):
+            if tag == "hole":
+                del self.holes[a][x]
+            elif tag == "wake":
+                if in_queue[a] == 2:  # an off propagator stays off
+                    in_queue[a] = 0
+            elif tag == "done":
+                a.discard(x)
+            else:
+                hist = self.hist[tag][a]
+                del hist[x:]
+                self.bound[tag][a] = hist[-1][1]
+        if self.entry_step:
+            for e in range(target, len(t_atom)):
                 self.entry_step.pop(e, None)
-        del self.t_atom[target:], self.t_level[target:], self.t_reason[target:], t_effects[target:]
+        del undo[start:], t_atom[target:], self.t_reason[target:], self.t_undo[target:]
         # only the unprocessed tail of the queue can still be flagged queued;
         # a sleeper there queued itself and sleeps on its wake record
         for idx in self.queue[self.qhead:]:
@@ -675,7 +760,7 @@ class Engine:
     # --- propagators ---------------------------------------------------------
 
     def _propagate(self) -> Optional[Conflict]:
-        queue, in_queue, props, t_effects = self.queue, self.in_queue, self.props, self.t_effects
+        queue, in_queue, props, t_atom = self.queue, self.in_queue, self.props, self.t_atom
         qhead = self.qhead
         while qhead < len(queue):
             idx = queue[qhead]
@@ -689,8 +774,8 @@ class Engine:
                 continue
             if r is SLEEP:
                 in_queue[idx] = 2
-                if t_effects:  # else asleep for good
-                    t_effects[-1].append(("wake", idx, 0))
+                if t_atom:  # on the newest entry; else asleep for good
+                    self.undo.append(("wake", idx, 0))
                 continue
             self.qhead = qhead
             return r
@@ -730,15 +815,13 @@ class Engine:
             if unit is not None:
                 return None
             unit = a
-        # every atom but the unit (if any) is false
-        entries = []
-        for a in atoms:
-            if a != unit:
+        if unit is None:  # every atom is false
+            entries = []
+            for a in atoms:
                 entries.extend(self.justify_false(a))
-        if unit is None:
             return Conflict(_stable_unique(entries), key, atoms)
-        # an undecided atom always applies
-        self.apply(unit, (key, tuple(_stable_unique(entries)) if entries else ()))
+        # an undecided atom always applies; p is its marker (see `premises`)
+        self._push(unit, p)
         return SLEEP
 
     def _prop_lin(self, p):
@@ -820,10 +903,7 @@ class Engine:
                 return SLEEP
         else:
             return None
-        below, above = self.justify_bound(0, fixed, lo), self.justify_bound(1, fixed, lo)
-        # equal when one == entry fixed the slot (see the module docstring)
-        premises = tuple(below) if below == above else tuple(_stable_unique(below + above))
-        r = self.apply((s, "!=", v), (cid, premises))
+        r = self.apply((s, "!=", v), (cid, self._fixed_premises(fixed, lo)))
         return SLEEP if r is None else r
 
     def _prop_linne(self, p):
@@ -878,23 +958,22 @@ class Engine:
             if lb[s] != ub[s] or s in done:
                 continue
             v = lb[s]
-            premises = None
+            marker = None
             for t in slots:
                 # a slot that already excludes v would make apply do nothing
                 if t == s or v < lb[t] or v > ub[t] or v in holes[t]:
                     continue
-                if premises is None:
-                    premises = tuple(_stable_unique(
-                        self.justify_bound(0, s, v) + self.justify_bound(1, s, v)))
                 if lb[t] == ub[t]:  # t is fixed at v: the removal fails
-                    return self.apply((t, "!=", v), (cid, premises))
+                    return self.apply((t, "!=", v), (cid, self._fixed_premises(s, v)))
+                if marker is None:  # s's premises wait for `premises`
+                    marker = (Engine._prop_alldiff, cid, s)
                 # v lies inside the domain of the unfixed t: undecided
-                self._push((t, "!=", v), (cid, premises))
+                self._push((t, "!=", v), marker)
             # every other slot excludes v now: done until the newest trail
             # entry is undone (with none, for good)
             done.add(s)
-            if self.t_effects:
-                self.t_effects[-1].append(("done", done, s))
+            if self.t_atom:
+                self.undo.append(("done", done, s))
         return None
 
     # --- proof logging -------------------------------------------------------
@@ -906,12 +985,12 @@ class Engine:
         reason = self.t_reason[e]
         if reason is None:
             raise AssertionError("decisions have no justifying step")
-        key, premises = reason
+        key = reason[0] if len(reason) == 2 else reason[1]  # a marker's key is second
         if isinstance(key, int):  # propagated by a nogood: its own step
             sid = key
         else:
             t_atom = self.t_atom
-            atoms = (t_atom[e], *[_negate_atom(t_atom[q]) for q in premises])
+            atoms = (t_atom[e], *[_negate_atom(t_atom[q]) for q in self.premises(e)])
             self.steps.append(EngineStep(atoms, (key,)))
             sid = len(self.steps)
         self.entry_step[e] = sid
@@ -935,15 +1014,17 @@ class Engine:
             # own is cited by the conclusion directly, not through an empty clause
             reasons = [key]
         cc: dict[int, None] = dict.fromkeys(conflict.entries)
-        clevel = max((self.t_level[e] for e in cc), default=0)
+        # levels only grow along the trail, so the newest entry has the
+        # conflict level, and the entries from lo on are the ones at it (see
+        # the module docstring for the walk)
+        newest = max(cc, default=-1)
+        clevel = bisect_right(self.level_start, newest) - 1 if cc else 0
         if clevel == 0 and reasons is None:
             return 0, [], None
-        # levels only grow along the trail, so the entries from lo on are the
-        # ones at the conflict level (see the module docstring for the walk)
         lo = self.level_start[clevel]
         at_level = sum(1 for e in cc if e >= lo)
         t_reason = self.t_reason
-        for e in range(max(cc, default=-1), -1, -1):
+        for e in range(newest, -1, -1):
             if clevel and at_level <= 1:
                 break
             # at the root every entry with a reason is expanded
@@ -955,7 +1036,7 @@ class Engine:
                 sid = self._step_for_entry(e)
                 if sid not in reasons:
                     reasons.append(sid)
-            for q in t_reason[e][1]:
+            for q in self.premises(e):
                 if q not in cc:
                     cc[q] = None
                     at_level += q >= lo
@@ -970,7 +1051,8 @@ class Engine:
 
     def solve(self) -> EngineResult:
         if any(lo > hi for lo, hi in zip(self.lb, self.ub)):  # an empty domain
-            self.steps.append(EngineStep(()))
+            if self.proof:
+                self.steps.append(EngineStep(()))
             return EngineResult("unsat", steps=self.steps, conflicts=self.conflicts)
         while True:
             conflict = self._propagate()

@@ -15,7 +15,8 @@ import hashlib
 import pytest
 
 from proofseq import mus, pipeline
-from proofseq.engine import Engine
+from proofseq.engine import DEFAULT_BUDGET, Engine
+from proofseq.errors import BudgetExceededError
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
 from proofseq.oracle import BudgetExceeded, Oracle, Sat, Unsat
@@ -97,11 +98,30 @@ def test_oracle_solve_sudoku9_relaxation(benchmark):
 def test_oracle_solve_sudoku9_long_search(benchmark):
     """A search that runs out of its 500-conflict budget, as in the
     `sudoku9-minloc` operations that fail: the cost of a conflict late in a
-    long search, with hundreds of learned nogoods."""
+    long search, with hundreds of learned nogoods. A clause unit's premises
+    are built only when conflict analysis reads them, so for fewer entries
+    than the search pushes units."""
     model = generate_instance("sudoku9", 15)
     constraints = [model.constraint_map[cid].expr for cid in LONG_SEARCH]
     result = benchmark(Oracle(model.vars, budget=500).solve, constraints)
     assert result == BudgetExceeded(501)
+    counts = {"units pushed": 0, "unit premises built": 0}
+    push, premises = Engine._push, Engine.premises
+
+    def counted_push(eng, atom, reason):
+        # a clause unit's marker is its clause's propagator (see `Engine.premises`)
+        counts["units pushed"] += reason is not None and reason[0] is Engine._prop_clause
+        return push(eng, atom, reason)
+
+    def counted_premises(eng, e):
+        counts["unit premises built"] += eng.t_reason[e][0] is Engine._prop_clause
+        return premises(eng, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_push", counted_push)
+        mp.setattr(Engine, "premises", counted_premises)
+        assert Oracle(model.vars, budget=500).solve(constraints) == result
+    assert 0 < counts["unit premises built"] < counts["units pushed"], counts
 
 
 def test_compile_jobshop_user_model(benchmark):
@@ -166,12 +186,12 @@ def test_oracle_calls_of_a_minglob_query(benchmark, minglob_oracle_calls):
     assert {type(r) for r in expected} == {Sat, Unsat}
 
 
-def _explain(model, variant, decompose_alldiff=False, log_all=False):
+def _explain(model, variant, decompose_alldiff=False, log_all=False, budget=DEFAULT_BUDGET):
     """One operation of the benchmark from a generated model: flatten,
     prove, parse the proof and run the pipeline."""
     solver = flatten(model, decompose_alldiff=decompose_alldiff)
-    proof = parse_drcp(solve_with_proof(solver, log_all=log_all)[1], solver)
-    return pipeline.run_pipeline(model, proof, variant, solver)
+    proof = parse_drcp(solve_with_proof(solver, budget=budget, log_all=log_all)[1], solver)
+    return pipeline.run_pipeline(model, proof, variant, solver, budget=budget)
 
 
 def _cyclic_garbage(run):
@@ -189,6 +209,7 @@ def _cyclic_garbage(run):
 
 @pytest.mark.parametrize("suite, variant, decomposed", [
     ("sudoku9", "trim", True),  # a `sudoku9-proof` operation
+    ("sudoku9", "trim+minloc", False),  # a `sudoku9-minloc` one: proof-free searches
     ("sudoku4", "minglob", False),  # global minimization: the hitting-set search
 ])
 def test_operation_leaves_no_cyclic_garbage(suite, variant, decomposed):
@@ -199,3 +220,20 @@ def test_operation_leaves_no_cyclic_garbage(suite, variant, decomposed):
         lambda: _explain(model, variant, decompose_alldiff=decomposed, log_all=decomposed))
     assert garbage == 0
     assert result.sequence.derives_false()
+
+
+def test_failed_operation_leaves_no_cyclic_garbage():
+    """sudoku9 seed 13's `sudoku9-minloc` operation, which runs out of its
+    500-conflict budget: the engines of a failed search, whose trail
+    entries keep their clauses' atoms, leave no cycles either."""
+    model = generate_instance("sudoku9", 13)
+
+    def failed():
+        try:
+            _explain(model, "trim+minloc", budget=500)
+        except BudgetExceededError as err:
+            return str(err)
+
+    message, garbage = _cyclic_garbage(failed)
+    assert garbage == 0
+    assert message is not None and message.startswith("oracle budget exhausted")

@@ -38,7 +38,20 @@ left to do: run again, none changes the trail or the queue, and the nogood
 does not fail. After each propagation of those searches, and after the
 two-term `!=` searches below (with `log_all` too), no trail reason may list
 a premise entry twice: the engine logs premises without deduplicating them
-again.
+again. Reasons are read through `Engine.premises`, which builds the
+premises of an entry that keeps a marker; the reads here leave the markers
+in place.
+
+On searching models, some with holes in their domains, proof-free, with
+proof logging and with `log_all`, the engine, which builds a clause unit's
+or an alldifferent removal's premises only when they are read, must search
+exactly as `EagerEngine`, which builds them when it pushes the entry: the
+same trail and premises of every entry at every conflict, learned nogoods,
+status, assignment, conflict count and proof steps. `test_grow_session`
+checks the same from a kept root. The one case where `justify_false`
+answers otherwise than at the push, an `==` atom false through a hole whose
+value a bound has passed since, is counted, and a hand-built example must
+cite the hole's entry.
 
 Every test here checks each `Engine._push`, the trail write behind `apply`
 that alldifferent also calls directly: the atom must be undecided.
@@ -71,7 +84,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofseq.engine import DEFAULT_BUDGET, SLEEP, Conflict, Engine, _negate_atom, _stable_unique
+from proofseq.engine import (
+    DEFAULT_BUDGET,
+    SLEEP,
+    Conflict,
+    Engine,
+    EngineStep,
+    _negate_atom,
+    _stable_unique,
+)
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
 from proofseq.model import (
@@ -397,10 +418,23 @@ def test_proof_free_nogoods_are_root_free_and_sound():
     assert min(seen.values()) >= 100, seen
 
 
+def _reasons(eng):
+    """Each trail entry's (key, premise entries), None for a decision, with
+    every premise tuple read through `Engine.premises` now; the entries
+    keep their markers, so a later read builds its premises anew."""
+    markers = list(eng.t_reason)
+    for e, reason in enumerate(markers):
+        if reason is not None:
+            eng.premises(e)
+    reasons = list(eng.t_reason)
+    eng.t_reason[:] = markers
+    return reasons
+
+
 def _assert_premises_unique(eng):
     """No trail reason lists a premise entry twice: logged steps negate the
     premises as they are (see the engine docstring)."""
-    for reason in eng.t_reason:
+    for reason in _reasons(eng):
         if reason is not None:
             assert len(set(reason[1])) == len(reason[1]), reason
 
@@ -411,8 +445,7 @@ def _rerun_sleepers(eng, seen):
     learned nogood leaves the trail and the queue as they are: a sleeper
     answers SLEEP again, and the nogood finds no conflict."""
     assert eng.queue == [] and 1 not in eng.in_queue
-    trail = list(eng.t_atom)
-    effects = list(eng.t_effects[-1]) if eng.t_effects else None
+    trail, undo = list(eng.t_atom), len(eng.undo)
     for idx, p in enumerate(eng.props):
         if eng.in_queue[idx] == 2:
             seen["sleepers"] += 1
@@ -428,8 +461,7 @@ def _rerun_sleepers(eng, seen):
             seen["idle nogoods"] += 1
             assert not isinstance(p[0](eng, p), Conflict)
         assert eng.t_atom == trail and eng.queue == []
-    if effects is not None:
-        eng.t_effects[-1][:] = effects  # drop the records the re-runs added
+    del eng.undo[undo:]  # drop the records the re-runs added
 
 
 def test_sleepers_would_do_nothing():
@@ -528,7 +560,7 @@ def test_clause_look_order_does_not_change_the_answer():
         if expected[0] == "unit":
             # the unit atom is undecided, so it goes onto the trail
             assert got is SLEEP and len(eng.t_atom) == trail + 1
-            assert (eng.t_atom[-1], eng.t_reason[-1]) == (expected[1], ("c", expected[2]))
+            assert (eng.t_atom[-1], _reasons(eng)[-1]) == (expected[1], ("c", expected[2]))
         else:
             assert isinstance(got, Conflict)
             assert (got.entries, got.key, got.step_atoms) == (expected[1], "c", atoms)
@@ -665,7 +697,7 @@ def test_two_term_linne_branch_matches_the_general_pass():
                 compiled = len(eng.props)
                 res = eng.solve()
                 _assert_premises_unique(eng)
-                runs.append((eng.t_atom, eng.t_reason, eng.props[compiled:], res.status,
+                runs.append((eng.t_atom, _reasons(eng), eng.props[compiled:], res.status,
                              res.assignment, res.conflicts, res.steps))
             assert runs[0] == runs[1]
 
@@ -793,3 +825,110 @@ def test_pairwise_ne_wakes_only_on_a_fix():
     assert not seen["run unfixed", Engine], seen
     assert min(seen["run unfixed", AnyEventEngine], seen["sat"], seen["unsat"],
                seen["searches part"]) >= 30, seen
+
+
+@st.composite
+def holed_models(draw):
+    """A searching model with up to two interior holes in each domain, so
+    that a clause atom `x == v` can be false through a hole whose value a
+    bound passes later."""
+    doms, cons = draw(searching_models())
+    return ([(v, Domain(d.lower, d.upper, draw(st.frozensets(
+        st.integers(d.lower + 1, d.upper - 1), max_size=2)))) for v, d in doms], cons)
+
+
+class EagerEngine(Engine):
+    """The reference for `Engine.premises`: each propagation's premises are
+    built when it is pushed, from the domains just before the push, so no
+    marker reaches the trail."""
+
+    def _push(self, atom, reason):
+        if reason is not None and len(reason) == 3:
+            fn, key, x = reason
+            if fn is Engine._prop_alldiff:  # the removal of x's value
+                entries = self.justify_bound(0, x, atom[2]) + self.justify_bound(1, x, atom[2])
+            else:  # a clause unit: every other atom of the clause is false
+                entries = [e for a in x if a != atom for e in self.justify_false(a)]
+            reason = (key, tuple(_stable_unique(entries)))
+        super()._push(atom, reason)
+
+
+def record_conflicts(mp, records):
+    """Append, at each conflict of each engine, its trail and `_reasons` to
+    records[id(engine)]."""
+    analyze = Engine._analyze
+
+    def recorded(eng, conflict):
+        records[id(eng)].append((list(eng.t_atom), _reasons(eng)))
+        return analyze(eng, conflict)
+
+    mp.setattr(Engine, "_analyze", recorded)
+
+
+def count_holes_cited(mp, seen):
+    """Count in seen["hole cited"] each time `Engine._justify_false_at`
+    answers otherwise than `justify_false` does now."""
+    justify_false_at = Engine._justify_false_at
+
+    def counted(eng, atom, e):
+        out = justify_false_at(eng, atom, e)
+        seen["hole cited"] += out != eng.justify_false(atom)
+        return out
+
+    mp.setattr(Engine, "_justify_false_at", counted)
+
+
+def test_lazy_premises_match_eager_ones():
+    """Built on demand, every entry's premises at every conflict, and the
+    whole search, equal those of an engine that builds them at each push."""
+    seen = collections.Counter()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.one_of(searching_models(), holed_models()))
+    def run(model):
+        doms, cons = model
+        for proof, log_all in ((False, False), (True, False), (True, True)):
+            runs, records = [], collections.defaultdict(list)
+            for lazy, cls in ((True, Engine), (False, EagerEngine)):
+                eng = cls(doms, proof=proof, log_all=log_all)
+                for i, c in enumerate(cons):
+                    eng.add_constraint(f"h{i}", c)
+                compiled = len(eng.props)
+                with pytest.MonkeyPatch.context() as mp:
+                    record_conflicts(mp, records)
+                    count_holes_cited(mp, seen)
+                    res = eng.solve()
+                if lazy:  # entries whose premises no conflict analysis read
+                    seen["markers"] += sum(r is not None and len(r) == 3 for r in eng.t_reason)
+                runs.append((records[id(eng)], eng.t_atom, _reasons(eng), eng.props[compiled:],
+                             res.status, res.assignment, res.conflicts, res.steps))
+            assert runs[0] == runs[1]
+            seen["conflicts"] += res.conflicts
+
+    run()
+    # searches that fail often, pushes with markers, and the `==` hole rule
+    assert min(seen.values()) >= 100, seen
+
+
+def test_a_unit_false_through_a_passed_hole_cites_the_hole():
+    """x == 1 or y == 2: removing 1 from x makes y == 2 a unit, and then
+    removing 0 slides x's lower bound past 1. `justify_false(x == 1)` now
+    cites that later entry, but the unit's premise is the hole's entry."""
+    x, y = VarId(0, "x"), VarId(1, "y")
+    eng = Engine([(x, Domain(0, 3)), (y, Domain(0, 3))], proof=False)
+    eng.add_constraint("c", Clause((AtomicConstraint(x, "==", 1), AtomicConstraint(y, "==", 2))))
+    for atom in ((0, "!=", 1), (0, "!=", 0)):
+        eng.level += 1
+        eng.level_start.append(len(eng.t_atom))
+        assert eng.apply(atom, None) is None and eng._propagate() is None
+    assert eng.t_atom == [(0, "!=", 1), (1, "==", 2), (0, "!=", 0)] and eng.lb[0] == 2
+    assert eng.justify_false((0, "==", 1)) == [0, 2]
+    assert eng.premises(1) == (0,) and eng.t_reason[1] == ("c", (0,))
+
+
+def test_an_empty_root_domain_is_unsat_with_steps_only_when_logging():
+    doms = [(VarId(0, "x"), Domain(0, -1)), (VarId(1, "y"), Domain(0, 3))]
+    res = Engine(doms, proof=False).solve()
+    assert (res.status, res.steps, res.conflicts) == ("unsat", [], 0)
+    res = Engine(doms).solve()
+    assert (res.status, res.steps, res.conflicts) == ("unsat", [EngineStep(())], 0)

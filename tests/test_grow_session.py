@@ -15,13 +15,21 @@ under budgets 0/1/2/4/50 and the oracle's own, a Sat probe keeping its
 member, and the round ends by switching every member off. On the pipeline,
 every grow probe of the three `minglob` variants on sudoku4, jobshop and
 mutated seeds 1-3 is compared the same way.
+
+Probes from a kept root must also build every trail entry's premises, the
+kept root's too, at every conflict and after each probe, as a session over
+`test_engine_fuzz.EagerEngine`, which builds them at each push, and answer
+as it does.
 """
+
+import collections
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proofseq.engine import DEFAULT_BUDGET
+from proofseq import oracle as oracle_module
+from proofseq.engine import DEFAULT_BUDGET, Engine
 from proofseq.flatten import flatten
 from proofseq.instances import generate_instance
 from proofseq.model import (
@@ -38,7 +46,16 @@ from proofseq.pipeline import run_pipeline
 from proofseq.proofcore import parse_drcp
 from proofseq.prover import solve_with_proof
 
-from test_engine_fuzz import linne_models, searching_models, small_models
+from test_engine_fuzz import (
+    EagerEngine,
+    _reasons,
+    count_holes_cited,
+    holed_models,
+    linne_models,
+    record_conflicts,
+    searching_models,
+    small_models,
+)
 
 BUDGETS = (None, 0, 1, 2, 4, 50)
 
@@ -109,6 +126,52 @@ def test_probes_match_a_fresh_oracle():
     run()
     # every kind of answer, and Sat after searches that learned
     assert min(seen.values()) >= 20, seen
+
+
+def test_lazy_premises_match_eager_ones_from_a_kept_root():
+    """Probes from a kept root, whose entries outlive many searches, build
+    every entry's premises at every conflict, and after each probe, as a
+    session whose engine builds them at each push does, and answer as it
+    does."""
+    seen = collections.Counter()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.one_of(searching_models(), holed_models()), st.data())
+    def run(model, data):
+        doms, cons = model
+        cut = data.draw(st.integers(0, min(2, len(cons) - 1)))
+        hard, soft = cons[:cut], cons[cut:]
+        if Oracle(doms).model_of(hard) is None:
+            return
+        kept = draw_kept(data, doms, hard, soft)
+        probes = data.draw(st.lists(st.tuples(st.integers(0, len(soft) - 1),
+                                              st.sampled_from(BUDGETS[1:])),
+                                    max_size=len(soft) + 2))
+        runs = []
+        for lazy, cls in ((True, Engine), (False, EagerEngine)):
+            records, answers = collections.defaultdict(list), []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle_module, "Engine", cls)
+                record_conflicts(mp, records)
+                count_holes_cited(mp, seen)
+                session = GrowSession(Oracle(doms), hard, soft)
+                session.keep(kept)
+                for i, budget in probes:
+                    if i not in session.kept:
+                        answers.append(session.probe(i, budget))
+                        eng = session.engine
+                        if lazy:  # the kept root's entries that keep a marker
+                            seen["conflicts"] += eng.conflicts
+                            seen["root markers"] += sum(
+                                r is not None and len(r) == 3 for r in eng.t_reason)
+                        answers.append((list(eng.t_atom), _reasons(eng)))
+            runs.append((records[id(session.engine)], answers))
+        assert runs[0] == runs[1]
+
+    run()
+    # probes that search and conflict, kept root entries with markers, and
+    # the `==` hole rule applied
+    assert min(seen.values()) >= 50, seen
 
 
 def test_an_off_member_stays_off_when_its_wake_record_is_popped():
